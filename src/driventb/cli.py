@@ -18,7 +18,7 @@ import sys
 import click
 
 from .lattice import WindowLeakError
-from .scenario import (ConfigError, band_table, compare_with_oracle,
+from .scenario import (ConfigError, _emit_band, _out_dir, compare_with_oracle,
                        load_scenario, localization_map, run_scenario)
 
 
@@ -85,21 +85,12 @@ def compare(config, out_dir, tolerance):
 @_out_dir_option
 def band(config, out_dir):
     """Emit the quasienergy band (kappa, eps_kappa) of a resonant drive."""
-    from pathlib import Path
-
     try:
         scenario = load_scenario(config)
-        kappa, eps = band_table(scenario)
+        name = _emit_band(scenario, _out_dir(out_dir))
     except (ConfigError, ValueError) as exc:
         raise click.ClickException(str(exc))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "band.csv", "w") as fh:
-        fh.write(f"# scenario={scenario.name} hash={scenario.config_hash}\n")
-        fh.write("kappa,quasienergy\n")
-        for k, e in zip(kappa, eps):
-            fh.write(f"{k:.17g},{e:.17g}\n")
-    click.echo(f"wrote {out_dir}/band.csv ({kappa.size} points)")
+    click.echo(f"wrote {out_dir}/{name} ({scenario.kappa_points} points)")
 
 
 @main.command("localization-map")

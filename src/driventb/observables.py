@@ -23,6 +23,7 @@ import numpy as np
 from .bessel import bessel_zero
 from .drives import DriveProtocol, HarmonicDrive, FourierDrive
 from .lattice import CoherenceParameters, LatticeState
+from .propagator import _dispersion_chis
 
 __all__ = [
     "ObservableSeries",
@@ -225,8 +226,6 @@ def expect_N_single_band(state: LatticeState, dispersion, protocol: DriveProtoco
     <N>_t = <N>_0 - 2 sum_m m Im(chi_m(t) <K^m>_0) with <K^m>_0 =
     sum_n c*_{n-m} c_n. The weight m is the commutator factor of K^m with N.
     """
-    from .propagator import _dispersion_chis  # local import avoids a cycle
-
     c = state.amplitudes
     p = np.abs(c) ** 2
     n_sites = state.sites.astype(float)

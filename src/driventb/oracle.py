@@ -3,18 +3,21 @@
 This is the ground truth the closed forms are judged against: a classic
 RK4 march of i dpsi/dt = H(t) psi with global step halving until two
 refinements agree, entirely independent of the Bessel/phase-integral
-machinery.
+machinery. One banded apply serves every
+H = f_t N + sum_m (g_m K^m + g_m* K^dag^m): tight binding is the band
+(0, g_t), and a dispersion supplies its own static couplings.
 
 Boundaries:
   * "open": hard truncation. States must stay away from the edges; the
     largest probability seen within the outermost sites is tracked and an
     excess over ``leak_tolerance`` raises WindowLeakError.
   * "ring": periodic labels with the uniform force represented exactly by
-    a seam twist: the wrap-around hop carries the phase e^{-i L eta_t}
-    while the diagonal field term keeps the bare labels. A plain diagonal
-    on a ring has a seam defect; the twisted form makes ring Bloch waves
-    evolve exactly as on the infinite lattice, which is what monodromy
-    spectra and Houston-state checks need.
+    a seam twist: a hop of any range m that crosses the seam carries the
+    phase e^{-i L eta_t} once, while the diagonal field term keeps the
+    bare labels. A plain diagonal on a ring has a seam defect; the
+    twisted form makes ring Bloch waves evolve exactly as on the infinite
+    lattice, which is what monodromy spectra and Houston-state checks
+    need. A ring needs at least M sites, so no hop crosses the seam twice.
 """
 
 from __future__ import annotations
@@ -62,47 +65,42 @@ class OracleConfig:
             raise ValueError("dt must be positive")
 
 
-def _shift_up(psi, ring, twist):
-    """(K psi)_n = psi_{n+1}; the ring seam hop carries the twist phase."""
-    res = np.roll(psi, -1, axis=0)
-    res[-1] = twist * res[-1] if ring else 0.0
-    return res
+def _couplings(protocol, dispersion, t):
+    """Band couplings (g_0, ..., g_M) at each time t, on the last axis.
+
+    Tight binding is the band (0, g_t); a dispersion band is static.
+    """
+    band = (0.0, protocol.g(t)) if dispersion is None else dispersion.couplings
+    return np.stack(np.broadcast_arrays(np.asarray(t, dtype=float), *band)[1:],
+                    axis=-1)
 
 
-def _shift_down(psi, ring, twist):
-    """(K^dag psi)_n = psi_{n-1}; conjugate seam phase."""
-    res = np.roll(psi, 1, axis=0)
-    res[0] = np.conj(twist) * res[0] if ring else 0.0
-    return res
+def _check_ring(couplings, sites, ring):
+    """A seam hop is twisted once, which needs at least M ring sites."""
+    if ring and sites.size < couplings.shape[-1] - 1:
+        raise ValueError(f"a ring of {sites.size} sites is shorter than the "
+                         f"band order {couplings.shape[-1] - 1}")
 
 
-def _h_apply(psi, f_val, g_val, twist, sites, ring, dispersion):
-    """H psi for a 1-d state or an (sites, columns) block at fixed coefficients."""
+def _h_apply(psi, f_val, couplings, twist, sites, ring):
+    """H psi for a 1-d state or an (sites, columns) block at fixed coefficients.
+
+    Range m adds g_m psi_{n+m} and g_m* psi_{n-m} along axis 0; on a ring
+    the m hops that cross the seam carry the twist (or its conjugate).
+    """
     diag = f_val * sites
     out = diag[:, None] * psi if psi.ndim == 2 else diag * psi
-    if dispersion is None:
-        up = np.roll(psi, -1, axis=0)
-        down = np.roll(psi, 1, axis=0)
-        if ring:
-            up[-1] = twist * up[-1]
-            down[0] = np.conj(twist) * down[0]
-        else:
-            up[-1] = 0.0
-            down[0] = 0.0
-        out += g_val * (up + down)
-        return out
-    for m, g in enumerate(dispersion.couplings):
+    for m, g in enumerate(couplings):
         if g == 0.0:
             continue
         if m == 0:
-            out = out + 2.0 * g.real * psi
+            out += 2.0 * g.real * psi
             continue
-        hi = psi
-        lo = psi
-        for _ in range(m):
-            hi = _shift_up(hi, ring, twist)
-            lo = _shift_down(lo, ring, twist)
-        out = out + g * hi + np.conj(g) * lo
+        out[:-m] += g * psi[m:]
+        out[m:] += np.conj(g) * psi[:-m]
+        if ring:
+            out[-m:] += g * (twist * psi[:m])
+            out[:m] += np.conj(g) * (np.conj(twist) * psi[-m:])
     return out
 
 
@@ -116,8 +114,7 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt):
     half_grid = t0 + 0.5 * h * np.arange(2 * nsteps + 1)
     f_vals = np.broadcast_to(np.asarray(protocol.f(half_grid), dtype=float),
                              half_grid.shape)
-    g_vals = np.broadcast_to(np.asarray(protocol.g(half_grid), dtype=float),
-                             half_grid.shape)
+    couplings = _couplings(protocol, dispersion, half_grid)
     if ring:
         twists = np.exp(-1j * sites.size
                         * np.asarray(protocol.eta(half_grid), dtype=float))
@@ -127,13 +124,13 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt):
     psi = psi0.astype(complex, copy=True)
     edge = 0.0
     track_edge = not ring and psi.ndim == 1
-    args = (sites, ring, dispersion)
+    args = (sites, ring)
     for i in range(nsteps):
         a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
-        k1 = _h_apply(psi, f_vals[a], g_vals[a], twists[a], *args)
-        k2 = _h_apply(psi - 0.5j * h * k1, f_vals[b], g_vals[b], twists[b], *args)
-        k3 = _h_apply(psi - 0.5j * h * k2, f_vals[b], g_vals[b], twists[b], *args)
-        k4 = _h_apply(psi - 1j * h * k3, f_vals[c], g_vals[c], twists[c], *args)
+        k1 = _h_apply(psi, f_vals[a], couplings[a], twists[a], *args)
+        k2 = _h_apply(psi - 0.5j * h * k1, f_vals[b], couplings[b], twists[b], *args)
+        k3 = _h_apply(psi - 0.5j * h * k2, f_vals[b], couplings[b], twists[b], *args)
+        k4 = _h_apply(psi - 1j * h * k3, f_vals[c], couplings[c], twists[c], *args)
         psi = psi - 1j * (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if track_edge:
             edge = max(edge, float(np.sum(np.abs(psi[:_EDGE_SITES]) ** 2)
@@ -144,10 +141,9 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt):
 def _spectral_radius(protocol, sites, dispersion, t_final):
     probe = np.linspace(0.0, max(abs(t_final), 1e-12), 257)
     f_max = float(np.max(np.abs(protocol.f(probe))))
-    if dispersion is None:
-        hop = 2.0 * float(np.max(np.abs(protocol.g(probe))))
-    else:
-        hop = 2.0 * float(sum(abs(g) for g in dispersion.couplings))
+    # a left-to-right sum over m, so dt does not follow numpy's reduction order
+    hop = 2.0 * float(np.max(sum(np.abs(_couplings(protocol, dispersion,
+                                                    probe)).T)))
     return f_max * float(np.max(np.abs(sites))) + hop
 
 
@@ -217,6 +213,7 @@ def integrate_series(state0: LatticeState, protocol: DriveProtocol, times,
         raise ValueError("times must be nondecreasing and nonnegative")
     ring = config.boundary == "ring" or state0.ring
     sites = state0.sites.astype(float)
+    _check_ring(_couplings(protocol, dispersion, 0.0), sites, ring)
     psi0 = state0.amplitudes.astype(complex)
 
     finals, edge = _integrate_block(psi0, times, protocol, sites, ring,
@@ -247,9 +244,11 @@ def apply_hamiltonian(state: LatticeState, protocol: DriveProtocol, tau: float,
     tau = float(tau)
     twist = np.exp(-1j * state.amplitudes.size * float(protocol.eta(tau))) \
         if state.ring else 1.0
+    sites = state.sites.astype(float)
+    couplings = _couplings(protocol, dispersion, tau)
+    _check_ring(couplings, sites, state.ring)
     amps = _h_apply(state.amplitudes.astype(complex), float(protocol.f(tau)),
-                    float(protocol.g(tau)), twist, state.sites.astype(float),
-                    state.ring, dispersion)
+                    couplings, twist, sites, state.ring)
     return LatticeState(state.n_min, amps, ring=state.ring)
 
 

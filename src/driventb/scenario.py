@@ -284,6 +284,10 @@ def load_scenario(path) -> Scenario:
             dispersion = SingleBandDispersion(tuple(couplings))
         except ValueError as exc:
             _fail("dispersion", "couplings", str(exc))
+        n_sites = window[1] - window[0] + 1
+        if ring and n_sites < dispersion.order:
+            _fail("dispersion", "couplings", f"band order {dispersion.order} "
+                  f"exceeds the {n_sites}-site ring")
 
     sec_time = _Section("time", raw.get("time", {}))
     t_max = sec_time.get("t_max", float, required=True)
@@ -344,6 +348,12 @@ def load_scenario(path) -> Scenario:
                     oracle_enabled=oracle_enabled, oracle_config=oracle_config,
                     tolerance=tolerance, kappa_points=kappa_points,
                     map_range=map_range, config_hash=digest)
+
+
+def _out_dir(out_dir) -> Path:
+    out = Path(out_dir) if out_dir is not None else Path.cwd() / "driventb-out"
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _write_csv(path: Path, scenario: Scenario, header: list, rows):
@@ -450,8 +460,7 @@ def run_scenario(config_path, out_dir=None, seed=None, tolerance=None) -> dict:
         scenario.seed = int(seed)
     if tolerance is not None:
         scenario.tolerance = float(tolerance)
-    out = Path(out_dir) if out_dir is not None else Path.cwd() / "driventb-out"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
 
     produced: list = []
     wants = set(scenario.quantities)
@@ -471,8 +480,7 @@ def run_scenario(config_path, out_dir=None, seed=None, tolerance=None) -> dict:
     summary = {"scenario": scenario.name, "hash": scenario.config_hash,
                "seed": scenario.seed, "outputs": produced, "status": "ok"}
     if scenario.oracle_enabled:
-        report = compare_with_oracle(config_path, out_dir=out,
-                                     tolerance=scenario.tolerance)
+        report = _compare(scenario, out)
         summary["oracle"] = {
             "max_amplitude_deviation": report["max_amplitude_deviation"],
             "passed": report["passed"]}
@@ -492,9 +500,10 @@ def compare_with_oracle(config_path, out_dir=None, tolerance=None) -> dict:
     scenario = load_scenario(config_path)
     if tolerance is not None:
         scenario.tolerance = float(tolerance)
-    out = Path(out_dir) if out_dir is not None else Path.cwd() / "driventb-out"
-    out.mkdir(parents=True, exist_ok=True)
+    return _compare(scenario, _out_dir(out_dir))
 
+
+def _compare(scenario: Scenario, out: Path) -> dict:
     state = scenario.initial_state()
     times = scenario.times
     oracle_states = integrate_series(state, scenario.drive, times,
@@ -536,8 +545,7 @@ def localization_map(config_path, out_dir=None) -> dict:
         raise ConfigError("[drive] kind: localization map requires a harmonic drive")
     if drive.resonance_order() is None:
         raise ConfigError("[drive] f0: localization map requires a resonant drive")
-    out = Path(out_dir) if out_dir is not None else Path.cwd() / "driventb-out"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     x_min, x_max, steps = scenario.map_range
     xs = np.linspace(x_min, x_max, int(steps))
     gammas = [HarmonicDrive(drive.f0, x * drive.omega, drive.omega,

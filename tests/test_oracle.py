@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from driventb import (DCDrive, HarmonicDrive, LatticeState, OracleConfig,
-                      WindowLeakError, bessel_j, gaussian_state, integrate,
-                      integrate_series, monodromy_spectrum, quasienergy_band,
-                      single_site)
+                      SingleBandDispersion, WindowLeakError, bessel_j,
+                      gaussian_state, integrate, integrate_series,
+                      monodromy_spectrum, quasienergy_band, single_site)
 from driventb.floquet import houston_state
-from driventb.oracle import _march, apply_hamiltonian
+from driventb.oracle import _h_apply, _march, apply_hamiltonian
+
+# an M = 3 band with complex couplings and an on-site term g_0
+BAND_M3 = (0.15 - 0.1j, 0.4 - 0.2j, 0.1j, 0.3 + 0.05j)
 
 
 class TestIntegrate:
@@ -89,15 +92,52 @@ class TestRing:
                         config=OracleConfig(boundary="ring"))
         assert abs(out.norm() - 1.0) < 1e-9
 
-    def test_apply_hamiltonian_matches_dense(self):
-        s = gaussian_state(0, 1.5, 0.3, (-12, 12))
-        proto = DCDrive(0.7, 0.4)
-        out = apply_hamiltonian(s, proto, 0.0)
-        c = s.amplitudes
-        expected = 0.7 * s.sites * c
-        expected = expected + 0.4 * (np.concatenate([c[1:], [0.0]])
-                                     + np.concatenate([[0.0], c[:-1]]))
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-14
+    @pytest.mark.parametrize("sites,ring,couplings,block", [
+        (25, False, None, False),
+        (25, False, BAND_M3, False),
+        (10, True, BAND_M3, False),
+        (3, True, BAND_M3, False),
+        (10, True, BAND_M3, True),
+    ], ids=["tight-binding-open", "band-open", "band-ring", "band-ring-L=M",
+            "band-ring-block"])
+    def test_apply_hamiltonian_matches_dense(self, sites, ring, couplings, block):
+        # H = f N + sum_m (g_m K^m + g_m* K^dag^m), with K^m a power of the
+        # one-step shift whose wrap-around entry carries the seam twist
+        proto, tau = DCDrive(0.7, 0.4), 0.37
+        n_min = -(sites // 2)
+        labels = np.arange(n_min, n_min + sites)
+        dispersion = None if couplings is None else SingleBandDispersion(couplings)
+        band = (0.0, 0.4) if couplings is None else couplings
+        twist = np.exp(-1j * sites * 0.7 * tau) if ring else 0.0
+        shift = np.eye(sites, k=1, dtype=complex)
+        shift[-1, 0] = twist
+        dense = np.diag(0.7 * labels).astype(complex)
+        for m, g in enumerate(band):
+            k_m = np.linalg.matrix_power(shift, m)
+            dense += g * k_m + np.conj(g) * k_m.conj().T
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=(sites, 4)) + 1j * rng.normal(size=(sites, 4))
+        if block:
+            out = _h_apply(psi, 0.7, dispersion.couplings, twist,
+                           labels.astype(float), ring)
+            for j in range(psi.shape[1]):
+                assert np.max(np.abs(out[:, j] - dense @ psi[:, j])) < 1e-14
+        else:
+            state = LatticeState(n_min, psi[:, 0], ring=ring)
+            out = apply_hamiltonian(state, proto, tau, dispersion=dispersion)
+            assert np.max(np.abs(out.amplitudes - dense @ psi[:, 0])) < 1e-14
+
+    def test_ring_shorter_than_band_raises(self):
+        s = LatticeState(0, np.ones(2, dtype=complex) / np.sqrt(2), ring=True)
+        dispersion = SingleBandDispersion(BAND_M3)
+        with pytest.raises(ValueError, match="band order 3"):
+            integrate_series(s, DCDrive(1.0, 0.0), [0.5], dispersion=dispersion)
+
+    def test_apply_hamiltonian_ring_shorter_than_band_raises(self):
+        s = LatticeState(0, np.ones(2, dtype=complex) / np.sqrt(2), ring=True)
+        dispersion = SingleBandDispersion(BAND_M3)
+        with pytest.raises(ValueError, match="band order 3"):
+            apply_hamiltonian(s, DCDrive(1.0, 0.0), 0.5, dispersion=dispersion)
 
 
 class TestMonodromy:

@@ -93,6 +93,14 @@ class TestConfigParsing:
         scenario = load_scenario(write_cfg(tmp_path, cfg))
         assert scenario.dispersion is not None
 
+    def test_ring_shorter_than_band_is_config_error(self, tmp_path):
+        cfg = BLOCH_CFG.replace("quantities = observables state_snapshots",
+                                "quantities = state_snapshots")
+        cfg = cfg.replace("window = -48 48", "window = 0 2\nring = true")
+        cfg += "\n[dispersion]\ncouplings = 0 0 0 0 0.3\n"
+        with pytest.raises(ConfigError, match=r"\[dispersion\] couplings"):
+            load_scenario(write_cfg(tmp_path, cfg))
+
 
 class TestRunScenario:
     def test_outputs_and_schema(self, tmp_path):
