@@ -7,6 +7,11 @@ machinery. One banded apply serves every
 H = f_t N + sum_m (g_m K^m + g_m* K^dag^m): tight binding is the band
 (0, g_t), and a dispersion supplies its own static couplings.
 
+On the small windows the oracle runs, numpy call overhead is the cost of
+a step, so the march tabulates the stage coefficients per chunk of steps
+and makes each stage one gather, one scaling and one row sum into
+preallocated arrays (see _Stages).
+
 Boundaries:
   * "open": hard truncation. States must stay away from the edges; the
     largest probability seen within the outermost sites is tracked and an
@@ -22,6 +27,7 @@ Boundaries:
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +45,8 @@ __all__ = [
 ]
 
 _EDGE_SITES = 3
+_log = logging.getLogger("driventb.oracle")
+_CHUNK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,8 @@ class OracleConfig:
     error estimate from the window's spectral radius) and is halved up to
     ``max_refinements`` times until two consecutive runs agree to
     ``error_per_time * max(t, 1)`` in every amplitude and the norm drifts
-    by less than 1e-9.
+    by less than 1e-9. Each ValueError message starts with the name of the
+    field it rejects.
     """
 
     boundary: str = "open"
@@ -61,8 +70,13 @@ class OracleConfig:
     def __post_init__(self):
         if self.boundary not in ("open", "ring"):
             raise ValueError("boundary must be 'open' or 'ring'")
-        if self.dt is not None and self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("dt must be positive and finite")
+        if not (np.isfinite(self.error_per_time) and self.error_per_time > 0.0):
+            raise ValueError("error_per_time must be positive and finite")
+        if not (np.isfinite(self.leak_tolerance)
+                and self.leak_tolerance >= 0.0):
+            raise ValueError("leak_tolerance must be nonnegative and finite")
 
 
 def _couplings(protocol, dispersion, t):
@@ -82,60 +96,129 @@ def _check_ring(couplings, sites, ring):
                          f"band order {couplings.shape[-1] - 1}")
 
 
-def _h_apply(psi, f_val, couplings, twist, sites, ring):
-    """H psi for a 1-d state or an (sites, columns) block at fixed coefficients.
+class _Stages:
+    """H(t) psi at a run of RK4 stage times, as one gather, scale and sum.
 
-    Range m adds g_m psi_{n+m} and g_m* psi_{n-m} along axis 0; on a ring
-    the m hops that cross the seam carry the twist (or its conjugate).
+    A state of L sites sits in a buffer of L + 1 rows whose last row stays
+    zero. Row 0 of the terms is the diagonal f_t n psi_n; then each hop
+    term nonzero at some stage time reads its neighbour through ``rows``:
+    2 Re g_0 psi_n, then g_m psi_{n+m} and g_m* psi_{n-m} for each m in
+    turn. On an open window a neighbour outside reads the zero row; on a
+    ring it wraps, and its gain carries the seam twist e^{-i L eta_t} (or
+    the conjugate) once. Summing the terms row by row rounds exactly like
+    adding them one at a time, in this order.
     """
-    diag = f_val * sites
-    out = diag[:, None] * psi if psi.ndim == 2 else diag * psi
-    for m, g in enumerate(couplings):
-        if g == 0.0:
-            continue
-        if m == 0:
-            out += 2.0 * g.real * psi
-            continue
-        out[:-m] += g * psi[m:]
-        out[m:] += np.conj(g) * psi[:-m]
-        if ring:
-            out[-m:] += g * (twist * psi[:m])
-            out[:m] += np.conj(g) * (np.conj(twist) * psi[-m:])
+
+    def __init__(self, f_vals, couplings, twists, sites, shape):
+        size = shape[0]
+        sites_at = np.arange(size)
+        seams = (None, None) if twists is None else (
+            twists[:, None], np.conj(twists)[:, None])
+        rows, gains = [sites_at], [f_vals[:, None] * sites]
+        for m in np.flatnonzero(np.any(couplings != 0.0, axis=0)):
+            g = couplings[:, m, None]
+            if m == 0:
+                rows.append(sites_at)
+                gains.append(2.0 * g.real)
+                continue
+            for hop, gain, seam in ((m, g, seams[0]), (-m, np.conj(g), seams[1])):
+                to = sites_at + hop
+                across = (to < 0) | (to >= size)
+                if seam is None:
+                    rows.append(np.where(across, size, to))
+                else:
+                    rows.append(to % size)
+                    gain = np.where(across, gain * seam, gain)
+                gains.append(gain)
+        self.rows = np.array(rows)
+        table = np.empty((f_vals.size, len(rows), size), dtype=complex)
+        for r, gain in enumerate(gains):
+            table[:, r] = gain
+        self.gains = table.reshape(table.shape + (1,) * (len(shape) - 1))
+        self.terms = np.empty((len(rows),) + tuple(shape), dtype=complex)
+
+    def apply(self, j, buf, out):
+        """out = H(t_j) psi, with psi in all but the last row of ``buf``."""
+        buf.take(self.rows, axis=0, out=self.terms, mode="clip")
+        np.multiply(self.gains[j], self.terms, out=self.terms)
+        np.add.reduce(self.terms, axis=0, out=out)
+
+
+def _buffer(shape):
+    """A zero state buffer with one spare zero row at the end of axis 0."""
+    return np.zeros((shape[0] + 1,) + tuple(shape[1:]), dtype=complex)
+
+
+def _h_apply(psi, f_val, couplings, twist, sites, ring):
+    """H psi for a 1-d state or an (sites, columns) block at fixed coefficients."""
+    stages = _Stages(np.array([f_val], dtype=float), np.asarray(couplings)[None],
+                     np.array([twist]) if ring else None, sites, psi.shape)
+    buf = _buffer(psi.shape)
+    buf[:-1] = psi
+    out = np.empty(psi.shape, dtype=complex)
+    stages.apply(0, buf, out)
     return out
 
 
 def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt):
-    """RK4 from t0 to t1 with a uniform step close to dt; returns (psi, edge)."""
+    """RK4 from t0 to t1 with a uniform step close to dt; returns (psi, edge).
+
+    Coefficients and edge amplitudes are kept for _CHUNK_STEPS steps at a
+    time, so memory does not grow with the step count.
+    """
     span = t1 - t0
     nsteps = max(1, int(np.ceil(abs(span) / dt))) if span != 0.0 else 1
     h = span / nsteps
+    half, full, sixth = 0.5j * h, 1j * h, 1j * (h / 6.0)
 
-    # all RK4 stage times sit on the half-step grid
-    half_grid = t0 + 0.5 * h * np.arange(2 * nsteps + 1)
-    f_vals = np.broadcast_to(np.asarray(protocol.f(half_grid), dtype=float),
-                             half_grid.shape)
-    couplings = _couplings(protocol, dispersion, half_grid)
-    if ring:
-        twists = np.exp(-1j * sites.size
-                        * np.asarray(protocol.eta(half_grid), dtype=float))
-    else:
-        twists = np.ones(half_grid.shape, dtype=complex)
-
-    psi = psi0.astype(complex, copy=True)
+    size = psi0.shape[0]
+    held, staged = _buffer(psi0.shape), _buffer(psi0.shape)
+    psi, stage = held[:-1], staged[:-1]
+    psi[...] = psi0
+    k = np.empty((4,) + psi0.shape, dtype=complex)
+    k1, k2, k3, k4 = k
+    tmp = np.empty(psi0.shape, dtype=complex)
+    track_edge = not ring and psi0.ndim == 1
+    n_low = min(size, _EDGE_SITES)
+    edge_rows = np.r_[np.arange(size)[:_EDGE_SITES],
+                      np.arange(size)[-_EDGE_SITES:]]
+    edges = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
     edge = 0.0
-    track_edge = not ring and psi.ndim == 1
-    args = (sites, ring)
-    for i in range(nsteps):
-        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
-        k1 = _h_apply(psi, f_vals[a], couplings[a], twists[a], *args)
-        k2 = _h_apply(psi - 0.5j * h * k1, f_vals[b], couplings[b], twists[b], *args)
-        k3 = _h_apply(psi - 0.5j * h * k2, f_vals[b], couplings[b], twists[b], *args)
-        k4 = _h_apply(psi - 1j * h * k3, f_vals[c], couplings[c], twists[c], *args)
-        psi = psi - 1j * (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for first in range(0, nsteps, _CHUNK_STEPS):
+        steps = min(_CHUNK_STEPS, nsteps - first)
+        # all RK4 stage times sit on the half-step grid
+        times = t0 + 0.5 * h * np.arange(2 * first, 2 * (first + steps) + 1)
+        f_vals = np.broadcast_to(np.asarray(protocol.f(times), dtype=float),
+                                 times.shape)
+        twists = np.exp(-1j * sites.size * np.asarray(
+            protocol.eta(times), dtype=float)) if ring else None
+        stages = None  # drop the last chunk's table before building this one
+        stages = _Stages(f_vals, _couplings(protocol, dispersion, times),
+                         twists, sites, psi0.shape)
+        for i in range(steps):
+            a = 2 * i
+            stages.apply(a, held, k1)
+            np.multiply(half, k1, out=tmp)
+            np.subtract(psi, tmp, out=stage)
+            stages.apply(a + 1, staged, k2)
+            np.multiply(half, k2, out=tmp)
+            np.subtract(psi, tmp, out=stage)
+            stages.apply(a + 1, staged, k3)
+            np.multiply(full, k3, out=tmp)
+            np.subtract(psi, tmp, out=stage)
+            stages.apply(a + 2, staged, k4)
+            # psi - i h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+            np.multiply(2.0, k[1:3], out=k[1:3])
+            np.add.reduce(k, axis=0, out=tmp)
+            np.multiply(sixth, tmp, out=tmp)
+            np.subtract(psi, tmp, out=psi)
+            if track_edge:
+                psi.take(edge_rows, out=edges[i], mode="clip")
         if track_edge:
-            edge = max(edge, float(np.sum(np.abs(psi[:_EDGE_SITES]) ** 2)
-                                   + np.sum(np.abs(psi[-_EDGE_SITES:]) ** 2)))
-    return psi, edge
+            prob = np.abs(edges[:steps]) ** 2
+            edge = max(edge, float(np.max(np.sum(prob[:, :n_low], axis=1)
+                                          + np.sum(prob[:, n_low:], axis=1))))
+    return psi.copy(), edge
 
 
 def _spectral_radius(protocol, sites, dispersion, t_final):
@@ -185,13 +268,17 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
         return out, edge
 
     prev, edge = run(dt)
-    for _ in range(config.max_refinements):
+    for refinements in range(1, config.max_refinements + 1):
         dt *= 0.5
         cur, edge = run(dt)
         err = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
         drift = max(abs(float(np.linalg.norm(c)) - norm0) for c in cur) \
             if check_norm else 0.0
         if err < target and drift < 1e-9:
+            _log.debug("accepted dt = %.6g after %d refinements: error %.3g "
+                       "(target %.3g), norm drift %.3g, peak edge "
+                       "probability %.3g", dt, refinements, err, target, drift,
+                       edge)
             return cur, edge
         prev = cur
     raise RuntimeError(

@@ -284,10 +284,6 @@ def load_scenario(path) -> Scenario:
             dispersion = SingleBandDispersion(tuple(couplings))
         except ValueError as exc:
             _fail("dispersion", "couplings", str(exc))
-        n_sites = window[1] - window[0] + 1
-        if ring and n_sites < dispersion.order:
-            _fail("dispersion", "couplings", f"band order {dispersion.order} "
-                  f"exceeds the {n_sites}-site ring")
 
     sec_time = _Section("time", raw.get("time", {}))
     t_max = sec_time.get("t_max", float, required=True)
@@ -329,7 +325,14 @@ def load_scenario(path) -> Scenario:
                                      error_per_time=err_pt,
                                      leak_tolerance=leak_tol)
     except ValueError as exc:
-        _fail("oracle", "boundary", str(exc))
+        key, _, why = str(exc).partition(" ")
+        _fail("oracle", key, why)
+    # the oracle runs a ring when either section asks for one
+    n_sites = window[1] - window[0] + 1
+    if (dispersion is not None and (ring or boundary == "ring")
+            and n_sites < dispersion.order):
+        _fail("dispersion", "couplings", f"band order {dispersion.order} "
+              f"exceeds the {n_sites}-site ring")
 
     sec_band = _Section("band", raw.get("band", {}))
     kappa_points = sec_band.get("kappa_points", int, default=64)

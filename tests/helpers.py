@@ -52,6 +52,45 @@ def dense_operators(window):
     return n_mat, k_mat
 
 
+def dense_hamiltonian(labels, f, band, twist=None):
+    """Dense H = f N + sum_m (g_m K^m + g_m* K^dag^m) on the given site labels.
+
+    K^m is a power of the one-step shift (K psi)_n = psi_{n+1}; on a ring
+    (``twist`` given) its wrap-around entry carries the seam twist.
+    """
+    size = len(labels)
+    shift = np.eye(size, k=1, dtype=complex)
+    if twist is not None:
+        shift[-1, 0] = twist
+    dense = np.diag(f * np.asarray(labels, dtype=float)).astype(complex)
+    for m, g in enumerate(band):
+        k_m = np.linalg.matrix_power(shift, m)
+        dense += g * k_m + np.conj(g) * k_m.conj().T
+    return dense
+
+
+def dense_rk4(psi0, t0, t1, nsteps, hamiltonian):
+    """Stage-by-stage RK4 of i dpsi/dt = H(t) psi with a dense H(t).
+
+    ``hamiltonian(t)`` returns the matrix. Returns the final state and the
+    largest probability in the three outermost sites at both ends seen
+    after any step (meaningful for a 1-d state).
+    """
+    h = (t1 - t0) / nsteps
+    psi = np.array(psi0, dtype=complex)
+    edge = 0.0
+    for i in range(nsteps):
+        t = t0 + i * h
+        k1 = -1j * (hamiltonian(t) @ psi)
+        k2 = -1j * (hamiltonian(t + h / 2) @ (psi + h / 2 * k1))
+        k3 = -1j * (hamiltonian(t + h / 2) @ (psi + h / 2 * k2))
+        k4 = -1j * (hamiltonian(t + h) @ (psi + h * k3))
+        psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        prob = np.abs(psi) ** 2
+        edge = max(edge, float(np.sum(prob[:3]) + np.sum(prob[-3:])))
+    return psi, edge
+
+
 def dense_coherence(state):
     """Coherence parameters from explicit matrix expectations.
 

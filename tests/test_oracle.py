@@ -1,12 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 
 from driventb import (DCDrive, HarmonicDrive, LatticeState, OracleConfig,
-                      SingleBandDispersion, WindowLeakError, bessel_j,
-                      gaussian_state, integrate, integrate_series,
+                      SingleBandDispersion, TabulatedDrive, WindowLeakError,
+                      bessel_j, gaussian_state, integrate, integrate_series,
                       monodromy_spectrum, quasienergy_band, single_site)
 from driventb.floquet import houston_state
-from driventb.oracle import _h_apply, _march, apply_hamiltonian
+from driventb.oracle import _CHUNK_STEPS, _h_apply, _march, apply_hamiltonian
+from helpers import dense_hamiltonian, dense_rk4
 
 # an M = 3 band with complex couplings and an on-site term g_0
 BAND_M3 = (0.15 - 0.1j, 0.4 - 0.2j, 0.1j, 0.3 + 0.05j)
@@ -71,6 +74,31 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             OracleConfig(dt=-0.1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("dt", 0.0), ("dt", np.inf), ("dt", np.nan),
+        ("error_per_time", 0.0), ("error_per_time", -1e-8),
+        ("error_per_time", np.inf), ("leak_tolerance", -1e-8),
+        ("leak_tolerance", np.nan),
+    ])
+    def test_config_rejects_values_that_cannot_converge(self, field, value):
+        # error_per_time = 0 would run all 12 halvings before failing
+        with pytest.raises(ValueError, match=f"^{field} "):
+            OracleConfig(**{field: value})
+
+    def test_zero_leak_tolerance_is_valid(self):
+        assert OracleConfig(leak_tolerance=0.0).leak_tolerance == 0.0
+
+    def test_logs_the_accepted_step(self, caplog):
+        s = gaussian_state(0, 2.0, 0.3, (-16, 16))
+        with caplog.at_level(logging.DEBUG, logger="driventb.oracle"):
+            integrate(s, DCDrive(1.0, 0.8), 0.5)
+        records = [r for r in caplog.records if r.name == "driventb.oracle"]
+        assert len(records) == 1
+        message = records[0].getMessage()
+        for needle in ("accepted dt", "refinements", "error", "norm drift",
+                       "edge probability"):
+            assert needle in message
+
 
 class TestRing:
     def test_bloch_wave_follows_houston_closed_form(self):
@@ -109,12 +137,7 @@ class TestRing:
         dispersion = None if couplings is None else SingleBandDispersion(couplings)
         band = (0.0, 0.4) if couplings is None else couplings
         twist = np.exp(-1j * sites * 0.7 * tau) if ring else 0.0
-        shift = np.eye(sites, k=1, dtype=complex)
-        shift[-1, 0] = twist
-        dense = np.diag(0.7 * labels).astype(complex)
-        for m, g in enumerate(band):
-            k_m = np.linalg.matrix_power(shift, m)
-            dense += g * k_m + np.conj(g) * k_m.conj().T
+        dense = dense_hamiltonian(labels, 0.7, band, twist if ring else None)
         rng = np.random.default_rng(7)
         psi = rng.normal(size=(sites, 4)) + 1j * rng.normal(size=(sites, 4))
         if block:
@@ -138,6 +161,59 @@ class TestRing:
         dispersion = SingleBandDispersion(BAND_M3)
         with pytest.raises(ValueError, match="band order 3"):
             apply_hamiltonian(s, DCDrive(1.0, 0.0), 0.5, dispersion=dispersion)
+
+
+def _tabulated_drive():
+    tt = np.linspace(0.0, 2.0, 41)
+    return TabulatedDrive(tt, 0.8 + 0.3 * np.sin(2.0 * tt),
+                          0.5 + 0.25 * np.cos(3.0 * tt))
+
+
+class TestMarchMatchesDenseRK4:
+    """_march against a stage-by-stage RK4 on a dense H(t), to 1e-13."""
+
+    CASES = {
+        "tight-binding-open": (HarmonicDrive(0.9, 0.6, 1.3, 0.5), None, 21,
+                               False, False),
+        "band-open": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
+                      SingleBandDispersion(BAND_M3), 21, False, False),
+        "band-ring": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
+                      SingleBandDispersion(BAND_M3), 10, True, False),
+        "block-ring": (HarmonicDrive(0.9, 0.6, 1.3, 0.5), None, 8, True, True),
+        "tabulated-g-open": (_tabulated_drive(), None, 21, False, False),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("t0,t1,nsteps", [
+        (0.1, 0.9, _CHUNK_STEPS + 7), (0.2, 0.3, 1), (0.4, 0.4, 1),
+    ], ids=["across-chunks", "one-step", "zero-span"])
+    def test_march(self, case, t0, t1, nsteps):
+        proto, dispersion, size, ring, block = self.CASES[case]
+        labels = np.arange(size, dtype=float) - size // 2
+
+        def hamiltonian(t):
+            twist = np.exp(-1j * size * float(proto.eta(t))) if ring else None
+            band = (0.0, float(proto.g(t))) if dispersion is None \
+                else dispersion.couplings
+            return dense_hamiltonian(labels, float(proto.f(t)), band, twist)
+
+        if ring or block:
+            rng = np.random.default_rng(3)
+            shape = (size, size) if block else (size,)
+            psi0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            psi0 /= np.linalg.norm(psi0, axis=0)
+        else:
+            # spreading into the low edge, so the edge peaks at the last step
+            psi0 = np.eye(size)[4]
+        # a step a little over span / nsteps makes _march take nsteps steps
+        dt = (t1 - t0) / (nsteps - 0.5) if t1 != t0 else 1e-3
+        psi, edge = _march(psi0, t0, t1, proto, labels, ring, dispersion, dt)
+        ref, ref_edge = dense_rk4(psi0, t0, t1, nsteps, hamiltonian)
+        assert np.max(np.abs(psi - ref)) < 1e-13
+        if ring or block:
+            assert edge == 0.0
+        else:
+            assert abs(edge - ref_edge) < 1e-13
 
 
 class TestMonodromy:

@@ -74,8 +74,16 @@ class TestConfigParsing:
                              "quantities = entropy"), "quantities"),
         (lambda s: s.replace("sigma = 6", "sigma = -2"), "sigma"),
         (lambda s: s.replace("f0 = 1.0", "fo = 1.0"), "f0"),
+        (lambda s: s + "\n[oracle]\ndt = -0.01\n", r"\[oracle\] dt:"),
+        (lambda s: s + "\n[oracle]\nerror_per_time = 0\n",
+         r"\[oracle\] error_per_time:"),
+        (lambda s: s + "\n[oracle]\nleak_tolerance = nan\n",
+         r"\[oracle\] leak_tolerance:"),
+        (lambda s: s + "\n[oracle]\nboundary = absorbing\n",
+         r"\[oracle\] boundary:"),
     ], ids=["window", "samples", "t_max", "drive-kind", "quantity", "sigma",
-            "missing-f0"])
+            "missing-f0", "oracle-dt", "oracle-error_per_time",
+            "oracle-leak_tolerance", "oracle-boundary"])
     def test_validation_errors_name_the_field(self, tmp_path, mangle, needle):
         path = write_cfg(tmp_path, mangle(BLOCH_CFG))
         with pytest.raises(ConfigError, match=needle):
@@ -98,6 +106,16 @@ class TestConfigParsing:
                                 "quantities = state_snapshots")
         cfg = cfg.replace("window = -48 48", "window = 0 2\nring = true")
         cfg += "\n[dispersion]\ncouplings = 0 0 0 0 0.3\n"
+        with pytest.raises(ConfigError, match=r"\[dispersion\] couplings"):
+            load_scenario(write_cfg(tmp_path, cfg))
+
+    def test_oracle_ring_shorter_than_band_is_config_error(self, tmp_path):
+        # an open lattice whose oracle runs on a ring still needs M sites
+        cfg = BLOCH_CFG.replace("quantities = observables state_snapshots",
+                                "quantities = state_snapshots")
+        cfg = cfg.replace("window = -48 48", "window = 0 1")
+        cfg += ("\n[dispersion]\ncouplings = 0 0 0 0.3\n"
+                "\n[oracle]\nenabled = true\nboundary = ring\n")
         with pytest.raises(ConfigError, match=r"\[dispersion\] couplings"):
             load_scenario(write_cfg(tmp_path, cfg))
 
