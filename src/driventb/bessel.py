@@ -1,18 +1,21 @@
 """Integer-order Bessel functions of the first kind and friends.
 
-Self-contained (no scipy): backward-recurrence J_n for the propagator
-kernels, the many-argument generalization J_nu({beta_m}) that shows up for
-multi-harmonic driving, and positive zeros of J_n for the dynamic
-localization condition.
+Self-contained (no scipy): backward-recurrence J_n, the Jacobi-Anger
+kernels [J_{-N}, ..., J_N] cut by one rule (``bessel_cutoff``, then 1e-17
+off the ends), the many-argument J_nu({beta_m}) of multi-harmonic driving
+as a convolution of those kernels, and positive zeros of J_n for the
+dynamic localization condition.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bessel_j", "bessel_j_array", "bessel_j_multivar", "bessel_zero"]
+__all__ = ["bessel_cutoff", "bessel_j", "bessel_j_array", "bessel_j_orders",
+           "bessel_j_multivar", "bessel_j_multivar_orders", "bessel_zero"]
 
 _MAX_ARG = 1e6
+_DROP = 1e-17
 _RESCALE = 1e250
 
 
@@ -81,23 +84,28 @@ def bessel_j(n: int, x: float) -> float:
     return float(val)
 
 
-def bessel_j_multivar(nu: int, betas, tol: float = 1e-11,
-                      max_nodes: int = 2 ** 21) -> float:
-    """Many-argument Bessel function J_nu({beta_m}).
+def bessel_cutoff(x: float) -> int:
+    """An order past which |J_n(x)| < 1e-17; the margin follows the Airy
+    transition width (|x|/2)^(1/3) around n = |x| (DLMF 10.19)."""
+    ax = abs(float(x))
+    return int(np.ceil(ax + 14.0 * max(ax, 1.0) ** (1.0 / 3.0))) + 28
 
-    Defined as the Fourier coefficient
 
-        (1/2pi) * int_0^{2pi} exp(i * sum_m beta_m sin(m u) - i nu u) du,
+def bessel_j_orders(x: float) -> np.ndarray:
+    """Coefficients ``[J_{-N}(x), ..., J_N(x)]`` of exp(i x sin u), N the
+    last order with |J_N(x)| >= 1e-17."""
+    arr = bessel_j_array(bessel_cutoff(x), x)
+    n = int(np.flatnonzero(np.abs(arr) >= _DROP)[-1])
+    out = np.concatenate([arr[n:0:-1], arr[:n + 1]])
+    out[:n][::-2] *= -1.0  # J_{-k} = (-1)^k J_k
+    return out
 
-    m running from 1 to len(betas). Evaluated by trapezoidal quadrature on
-    the periodic grid with node doubling until two successive refinements
-    agree to ``tol``; the integrand is periodic and analytic, so the
-    convergence is spectral.
 
-    Raises ValueError if the node cap is hit before convergence or if
-    sum |beta_m| >= 1e3.
-    """
-    nu = int(nu)
+def bessel_j_multivar_orders(betas) -> np.ndarray:
+    """Coefficients ``[J_{-N}({beta_m}), ..., J_N({beta_m})]`` of
+    exp(i sum_m beta_m sin(m u)), m = 1..len(betas), cut like
+    ``bessel_j_orders``: the convolution of the kernels J_k(beta_m), mode m
+    spread to every m-th order. Requires sum |beta_m| < 1e3."""
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if betas.ndim != 1 or betas.size < 1:
         raise ValueError("betas must be a non-empty 1-d sequence")
@@ -105,27 +113,23 @@ def bessel_j_multivar(nu: int, betas, tol: float = 1e-11,
         raise ValueError("betas must be finite")
     if np.sum(np.abs(betas)) >= 1e3:
         raise ValueError("sum |beta_m| out of supported range (< 1e3)")
+    c = np.ones(1)
+    for m, beta in enumerate(betas, start=1):
+        kernel = bessel_j_orders(beta)
+        spread = np.zeros(m * (kernel.size - 1) + 1)
+        spread[::m] = kernel
+        c = np.convolve(c, spread)
+    mid = c.size // 2
+    n = int(np.max(np.abs(np.flatnonzero(np.abs(c) >= _DROP) - mid)))
+    return c[mid - n: mid + n + 1]
 
-    m = np.arange(1, betas.size + 1)
 
-    def coefficient(nodes: int) -> complex:
-        u = 2.0 * np.pi * np.arange(nodes) / nodes
-        phase = betas @ np.sin(np.outer(m, u)) - nu * u
-        return complex(np.exp(1j * phase).mean())
-
-    # keep the first grid past the integrand bandwidth to avoid aliasing
-    bandwidth = float(np.sum(m * np.abs(betas))) + abs(nu)
-    nodes = 64
-    while nodes < 4 * (bandwidth + 8):
-        nodes *= 2
-    prev = coefficient(nodes)
-    while nodes <= max_nodes:
-        nodes *= 2
-        cur = coefficient(nodes)
-        if abs(cur - prev) < tol:
-            return float(cur.real)
-        prev = cur
-    raise ValueError(f"quadrature did not converge within {max_nodes} nodes")
+def bessel_j_multivar(nu: int, betas) -> float:
+    """Many-argument Bessel function J_nu({beta_m}): one entry of
+    ``bessel_j_multivar_orders(betas)``, 0 past its support."""
+    c = bessel_j_multivar_orders(betas)
+    k = int(nu) + c.size // 2
+    return float(c[k]) if 0 <= k < c.size else 0.0
 
 
 def bessel_zero(n: int, k: int) -> float:

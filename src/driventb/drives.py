@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_j_array, bessel_j_multivar
+from .bessel import _DROP, bessel_j_multivar_orders, bessel_j_orders
 
 __all__ = [
     "PhaseIntegrals",
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _RESONANCE_RTOL = 1e-9
-_COEFF_DROP = 1e-18
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,13 @@ def _eint(w: float, t):
     small = np.abs(wt) < 1e-6
     exact = (1.0 - np.exp(-1j * wt)) / (1j * w)
     return np.where(small, series, exact)
+
+
+def _require_finite(drive, *names):
+    """Reject a non-finite field; the message starts with the field name."""
+    for name in names:
+        if not np.all(np.isfinite(getattr(drive, name))):
+            raise ValueError(f"{name} must be finite")
 
 
 def _scalar_or_array(value, scalar: bool):
@@ -235,8 +241,7 @@ class DCDrive(DriveProtocol):
     omega = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.f0) and np.isfinite(self.g0)):
-            raise ValueError("f0 and g0 must be finite")
+        _require_finite(self, "f0", "g0")
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
@@ -279,13 +284,21 @@ class _CoefficientDrive(DriveProtocol):
         """Return (offset, c) with c[k] the coefficient of exp(i (k-offset) w t)."""
         raise NotImplementedError
 
+    def _linear_chi_coefficient(self) -> complex:
+        n = self.resonance_order()
+        if n is None:
+            return 0.0
+        offset, coeff = self._exp_eta_coefficients(1.0)
+        # past the trimmed support the coefficient is below the drop tolerance
+        return self.g0 * coeff[offset + n] if offset + n < coeff.size else 0.0
+
     def _sum_over_harmonics(self, t, scale: float):
         t = np.asarray(t, dtype=float)
         offset, coeff = self._exp_eta_coefficients(scale)
         total = np.zeros(t.shape, dtype=complex)
         wb = scale * self.omega_bloch
         for k, c in enumerate(coeff):
-            if abs(c) < _COEFF_DROP:
+            if abs(c) < _DROP:
                 continue
             total += c * _eint(wb - (k - offset) * self.omega, t)
         return total
@@ -309,10 +322,11 @@ class HarmonicDrive(_CoefficientDrive):
     g0: float
 
     def __post_init__(self):
+        _require_finite(self, "f0", "f1", "omega", "g0")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
-        if not np.all(np.isfinite([self.f0, self.f1, self.omega, self.g0])):
-            raise ValueError("parameters must be finite")
+        if abs(self.f1 / self.omega) >= 1e6:
+            raise ValueError("f1 must satisfy |f1/omega| < 1e6")
 
     @property
     def period(self) -> float:  # type: ignore[override]
@@ -331,18 +345,8 @@ class HarmonicDrive(_CoefficientDrive):
 
     def _exp_eta_coefficients(self, scale: float):
         # exp(+i s beta sin(w t)) = sum_nu J_nu(s beta) exp(i nu w t)
-        beta = scale * self.f1 / self.omega
-        nu_max = int(abs(beta)) + 40
-        arr = bessel_j_array(nu_max, beta)
-        negative = (arr[1:] * (-1.0) ** np.arange(1, nu_max + 1))[::-1]
-        return nu_max, np.concatenate([negative, arr])
-
-    def _linear_chi_coefficient(self) -> complex:
-        n = self.resonance_order()
-        if n is None:
-            return 0.0
-        offset, coeff = self._exp_eta_coefficients(1.0)
-        return self.g0 * coeff[offset + n]
+        coeff = bessel_j_orders(scale * self.f1 / self.omega)
+        return coeff.size // 2, coeff
 
     def _spectral_bandwidth(self) -> float:
         return abs(self.f1 / self.omega) + 8.0
@@ -361,12 +365,13 @@ class FourierDrive(_CoefficientDrive):
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(float(m) for m in self.modes))
+        if len(self.modes) < 1:
+            raise ValueError("modes needs at least one cosine amplitude")
+        _require_finite(self, "f0", "modes", "omega", "g0")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
-        if len(self.modes) < 1:
-            raise ValueError("at least one cosine mode required")
-        if not np.all(np.isfinite(self.modes)):
-            raise ValueError("mode amplitudes must be finite")
+        if np.sum(np.abs(self.betas)) >= 1e3:
+            raise ValueError("modes must satisfy sum |f_m/(m omega)| < 1e3")
 
     @property
     def period(self) -> float:  # type: ignore[override]
@@ -396,24 +401,13 @@ class FourierDrive(_CoefficientDrive):
         return out
 
     def _exp_eta_coefficients(self, scale: float):
-        # exp(-i s sum_m beta_m sin(m u)) = sum_nu J_{-nu}({s beta_m}) exp(i nu u)
+        # exp(-i s sum_m beta_m sin(m u)) = sum_nu J_nu({-s beta_m}) exp(i nu u)
         key = float(scale)
         cached = self._coeff_cache.get(key)
-        if cached is not None:
-            return cached
-        betas = scale * self.betas
-        m = np.arange(1, betas.size + 1)
-        nu_max = int(np.sum(m * np.abs(betas))) + 40
-        coeff = np.array([bessel_j_multivar(-nu, betas)
-                          for nu in range(-nu_max, nu_max + 1)])
-        self._coeff_cache[key] = (nu_max, coeff)
-        return nu_max, coeff
-
-    def _linear_chi_coefficient(self) -> complex:
-        n = self.resonance_order()
-        if n is None:
-            return 0.0
-        return self.g0 * bessel_j_multivar(-n, self.betas)
+        if cached is None:
+            coeff = bessel_j_multivar_orders(-scale * self.betas)
+            cached = self._coeff_cache[key] = (coeff.size // 2, coeff)
+        return cached
 
     def _spectral_bandwidth(self) -> float:
         m = np.arange(1, len(self.modes) + 1)

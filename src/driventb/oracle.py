@@ -77,6 +77,8 @@ class OracleConfig:
         if not (np.isfinite(self.leak_tolerance)
                 and self.leak_tolerance >= 0.0):
             raise ValueError("leak_tolerance must be nonnegative and finite")
+        if self.max_refinements < 1:
+            raise ValueError("max_refinements must be at least 1")
 
 
 def _couplings(protocol, dispersion, t):
@@ -247,7 +249,7 @@ def _default_dt(protocol, sites, dispersion, t_final):
 
 def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
     """March through the checkpoint times with global step-halving control."""
-    t_final = times[-1] if len(times) else 0.0
+    t_final = times[-1]
     target = config.error_per_time * max(abs(t_final), 1.0)
     dt = config.dt if config.dt is not None else _default_dt(
         protocol, sites, dispersion, t_final)
@@ -301,6 +303,8 @@ def integrate_series(state0: LatticeState, protocol: DriveProtocol, times,
     ring = config.boundary == "ring" or state0.ring
     sites = state0.sites.astype(float)
     _check_ring(_couplings(protocol, dispersion, 0.0), sites, ring)
+    if not times:
+        return []
     psi0 = state0.amplitudes.astype(complex)
 
     finals, edge = _integrate_block(psi0, times, protocol, sites, ring,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j_array
+from .bessel import bessel_j_orders
 from .drives import DriveProtocol
 from .lattice import LatticeState
 
@@ -44,8 +44,6 @@ __all__ = [
     "evolve",
     "evolve_single_band",
 ]
-
-_KERNEL_DROP = 1e-17
 
 
 @dataclass(frozen=True)
@@ -109,15 +107,6 @@ def propagator_params(protocol: DriveProtocol, t: float) -> PropagatorParams:
                             chi_list=(complex(protocol.chi(t)),))
 
 
-def _bessel_kernel(x: float) -> np.ndarray:
-    """J_0..J_mmax(x), cut where the orders have decayed below 1e-17."""
-    bound = int(np.ceil(x + 14.0 * max(x, 1.0) ** (1.0 / 3.0))) + 28
-    arr = bessel_j_array(bound, x)
-    keep = np.nonzero(np.abs(arr) >= _KERNEL_DROP)[0]
-    mmax = int(keep[-1]) if keep.size else 0
-    return arr[:mmax + 1]
-
-
 def element(protocol: DriveProtocol, t: float, n: int, nprime) -> complex:
     """Matrix element(s) <n| U(t) |n'>; nprime may be an array."""
     pi_t = protocol.phase(t)
@@ -127,11 +116,11 @@ def element(protocol: DriveProtocol, t: float, n: int, nprime) -> complex:
     nprime = np.atleast_1d(np.asarray(nprime, dtype=int))
     m = nprime - int(n)
 
-    kernel = _bessel_kernel(x)
+    kernel = bessel_j_orders(x)
+    mmax = kernel.size // 2
     j_m = np.zeros(m.shape)
-    inside = np.abs(m) < kernel.size
-    am = np.abs(m[inside])
-    j_m[inside] = kernel[am] * np.where((m[inside] < 0) & (am % 2 == 1), -1.0, 1.0)
+    inside = np.abs(m) <= mmax
+    j_m[inside] = kernel[m[inside] + mmax]
 
     vals = np.exp(-1j * (m * (phi + 0.5 * np.pi) + n * pi_t.eta)) * j_m
     return vals.item() if scalar else vals
@@ -191,15 +180,12 @@ def _apply_bloch(state: LatticeState, chi_list: dict, eta: float,
     return _crop(out, lo, state)
 
 
-def _shift_coefficients(chi: complex) -> np.ndarray:
-    """Coefficients a_m of U_R = sum_m a_m K^m, ordered m = -mmax..mmax."""
-    x = 2.0 * abs(chi)
+def _shift_coefficients(chi: complex, kernel: np.ndarray) -> np.ndarray:
+    """Coefficients a_m of U_R = sum_m a_m K^m, ordered m = -mmax..mmax,
+    from the kernel J_m(2|chi|) on the same orders."""
     phi = 0.0 if chi == 0 else -np.angle(chi)
-    kernel = _bessel_kernel(x)
-    mmax = kernel.size - 1
-    m = np.arange(-mmax, mmax + 1)
-    j_m = kernel[np.abs(m)] * np.where((m < 0) & (np.abs(m) % 2 == 1), -1.0, 1.0)
-    return j_m * np.exp(-1j * m * (phi + 0.5 * np.pi))
+    m = np.arange(kernel.size) - kernel.size // 2
+    return kernel * np.exp(-1j * m * (phi + 0.5 * np.pi))
 
 
 def evolve(state: LatticeState, protocol: DriveProtocol, t: float,
@@ -214,14 +200,14 @@ def evolve(state: LatticeState, protocol: DriveProtocol, t: float,
     t = float(t)
     eta = float(protocol.eta(t))
     chi = complex(protocol.chi(t))
-    mmax = _bessel_kernel(2.0 * abs(chi)).size - 1
+    kernel = bessel_j_orders(2.0 * abs(chi))
+    mmax = kernel.size // 2
     if path == "bloch":
         return _apply_bloch(state, {1: chi}, eta, pad=mmax + 4)
     if path != "site":
         raise ValueError(f"unknown path {path!r}")
 
-    coeff = _shift_coefficients(chi)
-    mmax = (coeff.size - 1) // 2
+    coeff = _shift_coefficients(chi, kernel)
     if state.ring:
         out = np.zeros_like(state.amplitudes)
         for k, a in enumerate(coeff):
@@ -251,5 +237,5 @@ def evolve_single_band(state: LatticeState, dispersion: SingleBandDispersion,
     pad = 4
     for m, chi in chi_list.items():
         if m > 0:
-            pad += m * (_bessel_kernel(2.0 * abs(chi)).size + 3)
+            pad += m * (bessel_j_orders(2.0 * abs(chi)).size // 2 + 4)
     return _apply_bloch(state, chi_list, eta, pad=pad)

@@ -178,21 +178,24 @@ class Scenario:
         return evolve(state, self.drive, t)
 
 
+_CLOSED_FORM_DRIVES = {
+    "dc": (DCDrive, ("f0", "g0")),
+    "harmonic": (HarmonicDrive, ("f0", "f1", "omega", "g0")),
+    "fourier": (FourierDrive, ("f0", "modes", "omega", "g0")),
+}
+
+
 def _build_drive(sec: _Section, base_dir: Path):
     kind = sec.get("kind", str, required=True)
-    if kind == "dc":
-        drive = DCDrive(sec.get("f0", float, required=True),
-                        sec.get("g0", float, required=True))
-    elif kind == "harmonic":
-        drive = HarmonicDrive(sec.get("f0", float, required=True),
-                              sec.get("f1", float, required=True),
-                              sec.get("omega", float, required=True),
-                              sec.get("g0", float, required=True))
-    elif kind == "fourier":
-        drive = FourierDrive(sec.get("f0", float, required=True),
-                             tuple(sec.get("modes", "floats", required=True)),
-                             sec.get("omega", float, required=True),
-                             sec.get("g0", float, required=True))
+    if kind in _CLOSED_FORM_DRIVES:
+        cls, keys = _CLOSED_FORM_DRIVES[kind]
+        args = [tuple(sec.get(key, "floats", required=True)) if key == "modes"
+                else sec.get(key, float, required=True) for key in keys]
+        try:
+            drive = cls(*args)
+        except ValueError as exc:
+            key, _, why = str(exc).partition(" ")
+            _fail("drive", key, why)
     elif kind == "tabulated":
         f_file = sec.get("f_file", str, required=True)
         g_file = sec.get("g_file", str, required=True)

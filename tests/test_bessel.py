@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from driventb.bessel import bessel_j, bessel_j_array, bessel_j_multivar, bessel_zero
+from driventb.bessel import (bessel_cutoff, bessel_j, bessel_j_array,
+                             bessel_j_multivar, bessel_j_multivar_orders,
+                             bessel_j_orders, bessel_zero)
 
 
 def series_j(n, x, tol=1e-18):
@@ -87,6 +89,36 @@ def test_accuracy_grid_against_scipy():
 def test_argument_range_error():
     with pytest.raises(ValueError):
         bessel_j(0, 2e6)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-9, 0.5, 1.0, 7.3, 50.0, 333.3, 2e3,
+                               1.5e4, 1e5])
+def test_orders_first_dropped_order_is_below_tolerance(x):
+    sp = pytest.importorskip("scipy.special")
+    kernel = bessel_j_orders(x)
+    n = kernel.size // 2
+    assert n <= bessel_cutoff(x)
+    # both ends kept, both first dropped orders below 1e-17
+    assert min(abs(kernel[0]), abs(kernel[-1])) >= 1e-17
+    assert abs(sp.jv(n + 1, x)) < 1e-17
+    assert abs(sp.jv(-n - 1, x)) < 1e-17
+
+
+def test_orders_are_the_array_with_mirrored_signs():
+    for x in (0.0, 2.5, -2.5, 40.0):
+        kernel = bessel_j_orders(x)
+        n = kernel.size // 2
+        assert np.array_equal(kernel[n:],
+                              bessel_j_array(bessel_cutoff(x), x)[:n + 1])
+        # J_{-k} = (-1)^k J_k
+        signs = (-1.0) ** np.arange(n + 1)
+        assert np.array_equal(kernel[n::-1], signs * kernel[n:])
+
+
+def test_multivar_orders_parseval_and_single_mode():
+    c = bessel_j_multivar_orders([5.0, 0.0, 10.0])
+    assert abs(np.sum(c ** 2) - 1.0) < 1e-13
+    assert np.array_equal(bessel_j_multivar_orders([3.0]), bessel_j_orders(3.0))
 
 
 def test_multivar_all_zero_betas_is_kronecker():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from driventb import (DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive,
                       bessel_j, bessel_j_multivar, bessel_zero, drift_rate,
@@ -277,3 +279,33 @@ class TestIntExpEta:
             vals = np.exp(-1j * m * h.eta(tau))
             oracle = np.trapezoid(vals, tau)
             assert h.int_exp_eta(t, m) == pytest.approx(oracle, abs=1e-8)
+
+
+class TestTruncation:
+    """Every Bessel series keeps all coefficients >= 1e-17 (ROADMAP item 3)."""
+
+    @given(beta=st.floats(0.0, 2e4))
+    @example(beta=1e3)
+    @example(beta=5e3)
+    @example(beta=2e4)
+    def test_harmonic_coefficients_satisfy_parseval(self, beta):
+        h = HarmonicDrive(1.0, 0.7 * beta, 0.7, 0.5)
+        _, coeff = h._exp_eta_coefficients(1.0)
+        assert abs(np.sum(np.abs(coeff) ** 2) - 1.0) < 1e-13
+
+    def test_fourier_coefficients_keep_the_strong_third_mode(self):
+        sp = pytest.importorskip("scipy.special")
+        fo = FourierDrive(1.0, (5.0, 0.0, 30.0), 1.0, 0.5)
+        assert np.allclose(fo.betas, (5.0, 0.0, 10.0), rtol=0.0, atol=1e-15)
+        offset, coeff = fo._exp_eta_coefficients(1.0)
+        assert abs(np.sum(np.abs(coeff) ** 2) - 1.0) < 1e-13
+        # referee: exp(-i (5 sin u + 10 sin 3u)) convolved from scipy's J_k
+        k = np.arange(-80, 81)
+
+        def reference(nu):
+            return float(np.sum(sp.jv(nu - 3 * k, -5.0) * sp.jv(k, -10.0)))
+
+        for nu in (-offset, offset):
+            assert coeff[offset + nu] == pytest.approx(reference(nu), rel=1e-9)
+        assert abs(reference(-offset - 1)) < 1e-17
+        assert abs(reference(offset + 1)) < 1e-17

@@ -68,6 +68,10 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(s, DCDrive(1.0, 1.0), -1.0)
 
+    def test_empty_times_return_no_states(self):
+        s = single_site(0, (-8, 8))
+        assert integrate_series(s, DCDrive(1.0, 1.0), []) == []
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(boundary="absorbing")
@@ -78,7 +82,8 @@ class TestIntegrate:
         ("dt", 0.0), ("dt", np.inf), ("dt", np.nan),
         ("error_per_time", 0.0), ("error_per_time", -1e-8),
         ("error_per_time", np.inf), ("leak_tolerance", -1e-8),
-        ("leak_tolerance", np.nan),
+        ("leak_tolerance", np.nan), ("max_refinements", 0),
+        ("max_refinements", -1),
     ])
     def test_config_rejects_values_that_cannot_converge(self, field, value):
         # error_per_time = 0 would run all 12 halvings before failing

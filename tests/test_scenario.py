@@ -36,6 +36,9 @@ quantities = observables state_snapshots
 snapshot_times = 0.0 6.283185307179586
 """
 
+HARMONIC = "kind = harmonic\nf1 = {f1}\nomega = {omega}"
+FOURIER = "kind = fourier\nmodes = {modes}\nomega = 1"
+
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
@@ -81,9 +84,20 @@ class TestConfigParsing:
          r"\[oracle\] leak_tolerance:"),
         (lambda s: s + "\n[oracle]\nboundary = absorbing\n",
          r"\[oracle\] boundary:"),
+        (lambda s: s.replace("f0 = 1.0", "f0 = nan"), r"\[drive\] f0:"),
+        (lambda s: s.replace("kind = dc", HARMONIC.format(f1=1.0, omega=0)),
+         r"\[drive\] omega:"),
+        (lambda s: s.replace("kind = dc", HARMONIC.format(f1=2e6, omega=2)),
+         r"\[drive\] f1:"),
+        (lambda s: s.replace("kind = dc", FOURIER.format(modes="600 800")),
+         r"\[drive\] modes:"),
+        (lambda s: s.replace("kind = dc", FOURIER.format(modes="1 inf")),
+         r"\[drive\] modes:"),
     ], ids=["window", "samples", "t_max", "drive-kind", "quantity", "sigma",
             "missing-f0", "oracle-dt", "oracle-error_per_time",
-            "oracle-leak_tolerance", "oracle-boundary"])
+            "oracle-leak_tolerance", "oracle-boundary", "drive-f0",
+            "drive-omega", "drive-f1", "drive-modes-range",
+            "drive-modes-finite"])
     def test_validation_errors_name_the_field(self, tmp_path, mangle, needle):
         path = write_cfg(tmp_path, mangle(BLOCH_CFG))
         with pytest.raises(ConfigError, match=needle):
