@@ -70,31 +70,35 @@ class ClassicalEnsemble:
         return self.p.size
 
 
-def _advance(p0, q0, protocol: DriveProtocol, t, delta: float):
-    theta0 = np.asarray(p0, dtype=float) * delta
-    eta = np.asarray(protocol.eta(t), dtype=float)
-    u, v = protocol.uv(t)
-    p_t = (theta0 - eta) / delta
-    q_t = np.asarray(q0, dtype=float) + np.asarray(v) * np.cos(theta0) \
-        - np.asarray(u) * np.sin(theta0)
-    return p_t, q_t
-
-
 def trajectory(state0: ClassicalState, protocol: DriveProtocol, t: float,
                delta: float = 1.0) -> ClassicalState:
     """Exact trajectory of pdot = -f/delta, qdot = -2 g delta sin(p delta)."""
-    p_t, q_t = _advance(state0.p, state0.q, protocol, float(t), delta)
-    return ClassicalState(p=float(p_t), q=float(q_t))
+    t = float(t)
+    theta0 = state0.p * delta
+    u, v = protocol.uv(t)
+    return ClassicalState(p=float((theta0 - protocol.eta(t)) / delta),
+                          q=float(state0.q + v * np.cos(theta0) - u * np.sin(theta0)))
 
 
 def ensemble_moments(ensemble: ClassicalEnsemble, protocol: DriveProtocol,
-                     t: float, delta: float = 1.0) -> tuple[float, float]:
-    """Weighted (mean, variance) of the position q_t/d under exact trajectories."""
-    _, q_t = _advance(ensemble.p, ensemble.q, protocol, float(t), delta)
-    w = ensemble.weights
-    mean = float(np.dot(w, q_t))
-    var = float(np.dot(w, q_t ** 2) - mean ** 2)
-    return mean, var
+                     t, delta: float = 1.0):
+    """Weighted (mean, variance) of the position q_t/d under exact trajectories.
+
+    ``t`` is a scalar (two floats back) or an array (two arrays of its
+    shape). (u, v) are evaluated once and the times advanced one at a time,
+    so memory holds one ensemble, never times x samples.
+    """
+    u, v = (np.broadcast_to(x, np.shape(t))
+            for x in protocol.uv(np.asarray(t, dtype=float)))
+    cos0, sin0 = np.cos(ensemble.p * delta), np.sin(ensemble.p * delta)
+    means, variances = np.empty(np.shape(t)), np.empty(np.shape(t))
+    for i in np.ndindex(np.shape(t)):
+        q_t = ensemble.q + v[i] * cos0 - u[i] * sin0
+        means[i] = np.dot(ensemble.weights, q_t)
+        variances[i] = np.dot(ensemble.weights, q_t ** 2) - means[i] ** 2
+    if np.ndim(t) == 0:
+        return float(means), float(variances)
+    return means, variances
 
 
 def classical_invariant(state: ClassicalState, protocol: DriveProtocol,

@@ -11,7 +11,8 @@ dynamics needs is condensed into scalar functions of time,
     v_t   = 2 int_0^t g_tau sin(eta_tau) dtau = -2 Im chi_t,
 
 which this module evaluates in closed form where one exists (dc, harmonic,
-finite cosine series) and by adaptive quadrature for tabulated fields.
+finite cosine series) and by fixed-order Gauss-Legendre quadrature for
+tabulated fields, a whole time grid in a few array operations.
 
 Sign conventions:
     dc:        f_t = f0
@@ -31,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .bessel import _DROP, bessel_j_multivar_orders, bessel_j_orders
 
@@ -46,6 +48,11 @@ __all__ = [
 ]
 
 _RESONANCE_RTOL = 1e-9
+# a harmonic with |d| max(t, 1) below this goes through _eint, not Horner
+_NEAR_RESONANT = 1.0
+# Gauss-Legendre rule for tables; a panel spans at most _PANEL_PHASE rad
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_PANEL_PHASE = 1.0
 
 
 @dataclass(frozen=True)
@@ -91,31 +98,8 @@ def _scalar_or_array(value, scalar: bool):
     return value.item() if scalar else value
 
 
-def simpson_doubling(fn, a: float, b: float, tol: float = 1e-11,
-                     min_panels: int = 8, max_doublings: int = 22):
-    """Composite Simpson with panel doubling and Richardson acceptance.
-
-    ``fn`` must accept an array of nodes. Two refinements have to agree to
-    ``tol`` before the Richardson extrapolated value is returned.
-    """
-    if b == a:
-        return 0.0 * fn(np.array([a]))[0]
-
-    def simpson(n):
-        x = np.linspace(a, b, 2 * n + 1)
-        y = fn(x)
-        h = (b - a) / (2 * n)
-        return (h / 3.0) * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum())
-
-    n = min_panels
-    prev = simpson(n)
-    for _ in range(max_doublings):
-        n *= 2
-        cur = simpson(n)
-        if abs(cur - prev) < 15.0 * tol:
-            return cur + (cur - prev) / 15.0
-        prev = cur
-    raise ValueError("quadrature did not converge (panel cap exceeded)")
+def _at_weight(scale: float) -> str:
+    return "" if scale == 1.0 else f" at band weight {scale:g}"
 
 
 class DriveProtocol:
@@ -131,17 +115,29 @@ class DriveProtocol:
         raise NotImplementedError
 
     def g(self, t):
-        raise NotImplementedError
+        """g_t; the closed-form drives hop with a constant g0."""
+        t = np.asarray(t, dtype=float)
+        return np.full(t.shape, self.g0) if t.ndim else self.g0  # type: ignore[attr-defined]
 
     def eta(self, t):
         raise NotImplementedError
 
-    def chi(self, t):
+    def _integral(self, t: np.ndarray, scale: float, with_g: bool) -> np.ndarray:
+        """int_0^t [g_tau] exp(-i scale eta_tau) dtau at every entry of t."""
         raise NotImplementedError
+
+    def chi(self, t):
+        return _scalar_or_array(self._integral(np.asarray(t, dtype=float), 1.0, True),
+                                np.ndim(t) == 0)
 
     def int_exp_eta(self, t, scale: float = 1.0):
         """int_0^t exp(-i scale eta_tau) dtau."""
-        raise NotImplementedError
+        return _scalar_or_array(self._integral(np.asarray(t, dtype=float), scale, False),
+                                np.ndim(t) == 0)
+
+    def check_scale(self, scale: float) -> None:
+        """Raise ValueError, naming the field, when exp(-i scale eta_t) is
+        outside the range the phase integrals support."""
 
     def uv(self, t):
         """(u_t, v_t) = (2 Re chi_t, -2 Im chi_t)."""
@@ -247,22 +243,12 @@ class DCDrive(DriveProtocol):
         t = np.asarray(t, dtype=float)
         return np.full(t.shape, self.f0) if t.ndim else self.f0
 
-    def g(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, self.g0) if t.ndim else self.g0
-
     def eta(self, t):
         return self.f0 * np.asarray(t, dtype=float)
 
-    def chi(self, t):
-        scalar = np.ndim(t) == 0
-        return _scalar_or_array(self.g0 * _eint(self.f0, np.asarray(t, dtype=float)),
-                                scalar)
-
-    def int_exp_eta(self, t, scale: float = 1.0):
-        scalar = np.ndim(t) == 0
-        return _scalar_or_array(_eint(scale * self.f0, np.asarray(t, dtype=float)),
-                                scalar)
+    def _integral(self, t, scale: float, with_g: bool):
+        integral = _eint(scale * self.f0, t)
+        return self.g0 * integral if with_g else integral
 
     def uv(self, t):
         t = np.asarray(t, dtype=float)
@@ -276,13 +262,26 @@ class DCDrive(DriveProtocol):
         return 2.0 * self.g0 if self.f0 == 0.0 else 0.0
 
 
+@dataclass(frozen=True)
 class _CoefficientDrive(DriveProtocol):
     """Shared closed form for drives where exp(-i s eta~_t) has a known
     harmonic expansion sum_nu c_nu(s) exp(i nu w t)."""
 
+    _coeff_cache: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
+
+    def _exp_eta_series(self, scale: float) -> np.ndarray:
+        """The coefficients [c_{-N}(s), ..., c_N(s)]."""
+        raise NotImplementedError
+
     def _exp_eta_coefficients(self, scale: float):
         """Return (offset, c) with c[k] the coefficient of exp(i (k-offset) w t)."""
-        raise NotImplementedError
+        key = float(scale)
+        cached = self._coeff_cache.get(key)
+        if cached is None:
+            coeff = self._exp_eta_series(key)
+            cached = self._coeff_cache[key] = (coeff.size // 2, coeff)
+        return cached
 
     def _linear_chi_coefficient(self) -> complex:
         n = self.resonance_order()
@@ -292,24 +291,29 @@ class _CoefficientDrive(DriveProtocol):
         # past the trimmed support the coefficient is below the drop tolerance
         return self.g0 * coeff[offset + n] if offset + n < coeff.size else 0.0
 
-    def _sum_over_harmonics(self, t, scale: float):
-        t = np.asarray(t, dtype=float)
+    def _integral(self, t, scale: float, with_g: bool):
+        """sum_k c_k int_0^t exp(-i d_k tau) dtau, d_k = s w_B - (k-offset) w.
+
+        Away from resonance a term is a_k (1 - exp(-i d_k t)), a_k = c_k/(i d_k),
+        so the sum is sum_k a_k - exp(-i d_m t) P(exp(i w t)), P a Laurent
+        polynomial around the slowest harmonic m, by Horner on each side.
+        Terms with |d_k| max(t, 1) < 1 would cancel there; _eint sums them.
+        """
         offset, coeff = self._exp_eta_coefficients(scale)
+        d = scale * self.omega_bloch - (np.arange(coeff.size) - offset) * self.omega
+        span = max(float(np.max(np.abs(t), initial=0.0)), 1.0)
+        kept = np.abs(coeff) >= _DROP
+        near = kept & (np.abs(d) * span < _NEAR_RESONANT)
         total = np.zeros(t.shape, dtype=complex)
-        wb = scale * self.omega_bloch
-        for k, c in enumerate(coeff):
-            if abs(c) < _DROP:
-                continue
-            total += c * _eint(wb - (k - offset) * self.omega, t)
-        return total
-
-    def int_exp_eta(self, t, scale: float = 1.0):
-        scalar = np.ndim(t) == 0
-        return _scalar_or_array(self._sum_over_harmonics(t, scale), scalar)
-
-    def chi(self, t):
-        scalar = np.ndim(t) == 0
-        return _scalar_or_array(self.g0 * self._sum_over_harmonics(t, 1.0), scalar)
+        for k in np.flatnonzero(near):
+            total += coeff[k] * _eint(d[k], t)
+        a = np.divide(coeff, 1j * d, out=np.zeros(coeff.size, dtype=complex),
+                      where=kept & ~near)
+        m = int(np.argmin(np.abs(d)))
+        z = np.exp(1j * self.omega * t)
+        poly = polyval(z, a[m:]) + polyval(np.conj(z), np.r_[0.0, a[:m][::-1]])
+        total += a.sum() - np.exp(-1j * d[m] * t) * poly
+        return self.g0 * total if with_g else total
 
 
 @dataclass(frozen=True)
@@ -325,8 +329,11 @@ class HarmonicDrive(_CoefficientDrive):
         _require_finite(self, "f0", "f1", "omega", "g0")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
-        if abs(self.f1 / self.omega) >= 1e6:
-            raise ValueError("f1 must satisfy |f1/omega| < 1e6")
+        self.check_scale(1.0)
+
+    def check_scale(self, scale: float) -> None:
+        if abs(scale * self.f1 / self.omega) >= 1e6:
+            raise ValueError("f1 must satisfy |f1/omega| < 1e6" + _at_weight(scale))
 
     @property
     def period(self) -> float:  # type: ignore[override]
@@ -335,18 +342,13 @@ class HarmonicDrive(_CoefficientDrive):
     def f(self, t):
         return self.f0 - self.f1 * np.cos(self.omega * np.asarray(t, dtype=float))
 
-    def g(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, self.g0) if t.ndim else self.g0
-
     def eta(self, t):
         t = np.asarray(t, dtype=float)
         return self.f0 * t - (self.f1 / self.omega) * np.sin(self.omega * t)
 
-    def _exp_eta_coefficients(self, scale: float):
+    def _exp_eta_series(self, scale: float) -> np.ndarray:
         # exp(+i s beta sin(w t)) = sum_nu J_nu(s beta) exp(i nu w t)
-        coeff = bessel_j_orders(scale * self.f1 / self.omega)
-        return coeff.size // 2, coeff
+        return bessel_j_orders(scale * self.f1 / self.omega)
 
     def _spectral_bandwidth(self) -> float:
         return abs(self.f1 / self.omega) + 8.0
@@ -360,8 +362,6 @@ class FourierDrive(_CoefficientDrive):
     modes: tuple
     omega: float
     g0: float
-    _coeff_cache: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(float(m) for m in self.modes))
@@ -370,8 +370,12 @@ class FourierDrive(_CoefficientDrive):
         _require_finite(self, "f0", "modes", "omega", "g0")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
-        if np.sum(np.abs(self.betas)) >= 1e3:
-            raise ValueError("modes must satisfy sum |f_m/(m omega)| < 1e3")
+        self.check_scale(1.0)
+
+    def check_scale(self, scale: float) -> None:
+        if np.sum(np.abs(scale * self.betas)) >= 1e3:
+            raise ValueError("modes must satisfy sum |f_m/(m omega)| < 1e3"
+                             + _at_weight(scale))
 
     @property
     def period(self) -> float:  # type: ignore[override]
@@ -389,10 +393,6 @@ class FourierDrive(_CoefficientDrive):
             out = out + fm * np.cos(m * self.omega * t)
         return out
 
-    def g(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, self.g0) if t.ndim else self.g0
-
     def eta(self, t):
         t = np.asarray(t, dtype=float)
         out = self.f0 * t
@@ -400,14 +400,9 @@ class FourierDrive(_CoefficientDrive):
             out = out + beta * np.sin(m * self.omega * t)
         return out
 
-    def _exp_eta_coefficients(self, scale: float):
+    def _exp_eta_series(self, scale: float) -> np.ndarray:
         # exp(-i s sum_m beta_m sin(m u)) = sum_nu J_nu({-s beta_m}) exp(i nu u)
-        key = float(scale)
-        cached = self._coeff_cache.get(key)
-        if cached is None:
-            coeff = bessel_j_multivar_orders(-scale * self.betas)
-            cached = self._coeff_cache[key] = (coeff.size // 2, coeff)
-        return cached
+        return bessel_j_multivar_orders(-scale * self.betas)
 
     def _spectral_bandwidth(self) -> float:
         m = np.arange(1, len(self.modes) + 1)
@@ -420,9 +415,12 @@ class TabulatedDrive(DriveProtocol):
     The grid must be strictly increasing and start at 0. Periodic tables
     repeat with period t[-1]; aperiodic ones are defined on [0, t[-1]] only.
     eta is exact for the interpolant (trapezoid rule is exact on piecewise
-    linear f); chi and the exp(-i s eta) integrals use per-segment Simpson
-    quadrature with node doubling, so interpolation kinks always sit on
-    quadrature nodes.
+    linear f). chi and the exp(-i s eta) integrals use one 8-node
+    Gauss-Legendre rule on panels that split every table segment so that
+    s eta turns by at most 1 rad across a panel; table nodes are panel
+    edges, so interpolation kinks never sit inside a panel. The integral
+    to a time is the cumulative sum up to its panel plus the same rule on
+    the partial panel; whole periods add up as a closed-form geometric sum.
     """
 
     def __init__(self, times, f_values, g_values, periodic: bool = False):
@@ -446,7 +444,7 @@ class TabulatedDrive(DriveProtocol):
         seg = np.diff(times)
         self._eta_nodes = np.concatenate(
             [[0.0], np.cumsum(0.5 * seg * (f_values[:-1] + f_values[1:]))])
-        self._cumulative_cache: dict = {}
+        self._panel_cache: dict = {}
 
     @classmethod
     def from_files(cls, f_path, g_path, periodic: bool = False) -> "TabulatedDrive":
@@ -512,84 +510,48 @@ class TabulatedDrive(DriveProtocol):
         out = k * self._eta_nodes[-1] + self._eta_base(s)
         return _scalar_or_array(out, scalar)
 
-    def _segment_cumulative(self, scale: float, with_g: bool) -> np.ndarray:
-        """Cumulative integral of [g] exp(-i scale eta) at the table nodes."""
+    def _gauss(self, a, b, scale: float, with_g: bool):
+        """int_a^b [g] exp(-i scale eta) dtau on panels inside one segment each."""
+        half = 0.5 * (b - a)
+        x = (a + half)[..., None] + half[..., None] * _GL_NODES
+        vals = np.exp(-1j * scale * self._eta_base(x))
+        if with_g:
+            vals *= np.interp(x, self.times, self.g_values)
+        return half * (vals @ _GL_WEIGHTS)
+
+    def _panels(self, scale: float, with_g: bool):
+        """Panel edges on [0, T] and the integral of [g] exp(-i scale eta) up
+        to each edge."""
         key = (float(scale), bool(with_g))
-        cached = self._cumulative_cache.get(key)
-        if cached is not None:
-            return cached
-
-        def integrand(x):
-            w = np.interp(x, self.times, self.g_values) if with_g else 1.0
-            return w * np.exp(-1j * scale * self._eta_base(x))
-
-        a = self.times[:-1]
-        b = self.times[1:]
-
-        def simpson(subdiv):
-            frac = np.linspace(0.0, 1.0, 2 * subdiv + 1)
-            nodes = a[:, None] + (b - a)[:, None] * frac[None, :]
-            vals = integrand(nodes.ravel()).reshape(nodes.shape)
-            h = (b - a) / (2 * subdiv)
-            weights = np.ones(2 * subdiv + 1)
-            weights[1:-1:2] = 4.0
-            weights[2:-1:2] = 2.0
-            return (h / 3.0) * (vals @ weights)
-
-        subdiv = 4
-        prev = simpson(subdiv)
-        for _ in range(14):
-            subdiv *= 2
-            cur = simpson(subdiv)
-            if np.max(np.abs(cur - prev)) < 1e-13:
-                break
-            prev = cur
-        result = np.concatenate([[0.0 + 0.0j], np.cumsum(cur)])
-        self._cumulative_cache[key] = result
-        return result
-
-    def _base_integral(self, s, scale: float, with_g: bool):
-        """int_0^s [g] exp(-i scale eta) dtau for s inside the base span."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        nodes = self._segment_cumulative(scale, with_g)
-        idx = np.clip(np.searchsorted(self.times, s, side="right") - 1, 0,
-                      self.times.size - 2)
-        out = nodes[idx].astype(complex)
-
-        def integrand(x):
-            w = np.interp(x, self.times, self.g_values) if with_g else 1.0
-            return w * np.exp(-1j * scale * self._eta_base(x))
-
-        for i, (si, j) in enumerate(zip(s, idx)):
-            t0 = float(self.times[j])
-            if si > t0:
-                out[i] += simpson_doubling(integrand, t0, float(si), tol=1e-13,
-                                           min_panels=4)
-        return out
+        cached = self._panel_cache.get(key)
+        if cached is None:
+            f_max = np.maximum(np.abs(self.f_values[:-1]), np.abs(self.f_values[1:]))
+            count = np.ceil(abs(scale) * f_max * np.diff(self.times) / _PANEL_PHASE)
+            edges = np.append(np.concatenate([
+                np.linspace(a, b, max(int(n), 1), endpoint=False)
+                for a, b, n in zip(self.times[:-1], self.times[1:], count)]),
+                self.times[-1])
+            cumulative = np.concatenate(
+                [[0.0], np.cumsum(self._gauss(edges[:-1], edges[1:], scale, with_g))])
+            cached = self._panel_cache[key] = (edges, cumulative)
+        return cached
 
     def _integral(self, t, scale: float, with_g: bool):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        k, s = self._reduce(t_arr)
-        k = np.atleast_1d(k)
-        base = self._base_integral(np.atleast_1d(s), scale, with_g)
-        if not self.periodic or np.all(k == 0):
-            return base.reshape(np.shape(t_arr))
-        full = self._segment_cumulative(scale, with_g)[-1]
-        q = np.exp(-1j * scale * self._eta_nodes[-1])
-        out = np.empty(t_arr.shape, dtype=complex)
-        flat = out.reshape(-1)
-        for i, (ki, bi) in enumerate(zip(k.reshape(-1), base.reshape(-1))):
-            # int(k T + s) = int_T * sum_{j<k} q^j + q^k * int(s)
-            flat[i] = full * (q ** np.arange(ki)).sum() + q ** ki * bi
-        return out
-
-    def chi(self, t):
-        scalar = np.ndim(t) == 0
-        return _scalar_or_array(self._integral(t, 1.0, with_g=True), scalar)
-
-    def int_exp_eta(self, t, scale: float = 1.0):
-        scalar = np.ndim(t) == 0
-        return _scalar_or_array(self._integral(t, scale, with_g=False), scalar)
+        k, s = self._reduce(np.atleast_1d(t))
+        s = np.clip(s, 0.0, self.times[-1])
+        edges, cumulative = self._panels(scale, with_g)
+        p = np.clip(np.searchsorted(edges, s, side="right") - 1, 0, edges.size - 2)
+        out = cumulative[p] + self._gauss(edges[p], s, scale, with_g)
+        if self.periodic:
+            # int(k T + s) = int_T sum_{j<k} q^j + q^k int(s), q = exp(-i theta)
+            theta = scale * self._eta_nodes[-1]
+            half = 0.5 * (theta - 2.0 * np.pi * np.round(theta / (2.0 * np.pi)))
+            sin_half = np.sin(half)
+            ratio = np.divide(np.sin(k * half), sin_half, out=k.astype(float),
+                              where=sin_half != 0.0)
+            geometric = np.exp(-1j * (k - 1) * half) * ratio
+            out = cumulative[-1] * geometric + np.exp(-2j * k * half) * out
+        return out.reshape(t.shape)
 
     def _spectral_bandwidth(self) -> float:
         return float(self.times.size)

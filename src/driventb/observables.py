@@ -59,12 +59,23 @@ def expect_N(coh: CoherenceParameters, protocol: DriveProtocol, t,
     agreement.
     """
     if form == "cs":
-        u, v = protocol.uv(t)
-        return coh.n_mean + v * coh.c_mean - u * coh.s_mean
+        return _expect_N_uv(coh, *protocol.uv(t))
     if form == "k":
         chi = np.asarray(protocol.chi(t))
         return coh.n_mean - 2.0 * np.imag(chi * coh.K)
     raise ValueError(f"unknown form {form!r}")
+
+
+def _expect_N_uv(coh: CoherenceParameters, u, v):
+    return coh.n_mean + v * coh.c_mean - u * coh.s_mean
+
+
+def _variance_N_uv(coh: CoherenceParameters, u, v):
+    u = np.asarray(u)
+    v = np.asarray(v)
+    d = coh.cs_covariances
+    return (d[2, 2] + 2.0 * v * d[0, 2] - 2.0 * u * d[1, 2]
+            + v * v * d[0, 0] + u * u * d[1, 1] - 2.0 * u * v * d[0, 1])
 
 
 def variance_N(coh: CoherenceParameters, protocol: DriveProtocol, t,
@@ -75,12 +86,7 @@ def variance_N(coh: CoherenceParameters, protocol: DriveProtocol, t,
     form="moments" uses <N^2>_t - <N>_t^2 built from (K, J, L).
     """
     if form == "covariance":
-        u, v = protocol.uv(t)
-        u = np.asarray(u)
-        v = np.asarray(v)
-        d = coh.cs_covariances
-        return (d[2, 2] + 2.0 * v * d[0, 2] - 2.0 * u * d[1, 2]
-                + v * v * d[0, 0] + u * u * d[1, 1] - 2.0 * u * v * d[0, 1])
+        return _variance_N_uv(coh, *protocol.uv(t))
     if form == "moments":
         chi = np.asarray(protocol.chi(t))
         n2_t = (coh.n2_mean - 2.0 * np.imag(chi * coh.J)
@@ -107,17 +113,19 @@ class ObservableSeries:
 
 def observable_series(coh: CoherenceParameters, protocol: DriveProtocol,
                       times) -> ObservableSeries:
+    """The moments on a time grid from one evaluation of eta, chi and (u, v)."""
     times = np.asarray(times, dtype=float)
+    eta = np.asarray(protocol.eta(times), dtype=float)
     u, v = protocol.uv(times)
     return ObservableSeries(
         times=times,
-        eta=np.asarray(protocol.eta(times), dtype=float),
+        eta=eta,
         chi=np.asarray(protocol.chi(times), dtype=complex),
         u=np.broadcast_to(u, times.shape).astype(float),
         v=np.broadcast_to(v, times.shape).astype(float),
-        expect_K=np.asarray(expect_K(coh, protocol, times), dtype=complex),
-        expect_N=np.asarray(expect_N(coh, protocol, times), dtype=float),
-        var_N=np.asarray(variance_N(coh, protocol, times), dtype=float),
+        expect_K=np.asarray(np.exp(-1j * eta) * coh.K, dtype=complex),
+        expect_N=np.asarray(_expect_N_uv(coh, u, v), dtype=float),
+        var_N=np.asarray(_variance_N_uv(coh, u, v), dtype=float),
         var_K=np.full(times.shape, variance_K(coh)),
     )
 

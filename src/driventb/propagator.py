@@ -42,6 +42,7 @@ __all__ = [
     "element",
     "bloch_phase",
     "evolve",
+    "apply_propagator",
     "evolve_single_band",
 ]
 
@@ -198,8 +199,13 @@ def evolve(state: LatticeState, protocol: DriveProtocol, t: float,
     window is recorded in ``leak``.
     """
     t = float(t)
-    eta = float(protocol.eta(t))
-    chi = complex(protocol.chi(t))
+    return apply_propagator(state, float(protocol.eta(t)),
+                            complex(protocol.chi(t)), path)
+
+
+def apply_propagator(state: LatticeState, eta: float, chi: complex,
+                     path: str = "bloch") -> LatticeState:
+    """``evolve`` from precomputed phase integrals (eta_t, chi_t)."""
     kernel = bessel_j_orders(2.0 * abs(chi))
     mmax = kernel.size // 2
     if path == "bloch":

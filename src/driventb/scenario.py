@@ -54,7 +54,8 @@ from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
 from .floquet import invariant_expectation, quasienergy_band
 from .lattice import bloch_grid, coherence_parameters, make_state
 from .oracle import OracleConfig, integrate_series
-from .propagator import SingleBandDispersion, evolve, evolve_single_band
+from .propagator import (SingleBandDispersion, _eta_weight, evolve,
+                         evolve_single_band)
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
            "compare_with_oracle", "localization_map", "band_table"]
@@ -287,6 +288,14 @@ def load_scenario(path) -> Scenario:
             dispersion = SingleBandDispersion(tuple(couplings))
         except ValueError as exc:
             _fail("dispersion", "couplings", str(exc))
+        # the band scales the drive's phase by its largest harmonic weight
+        weight = max((_eta_weight(m, convention) for m, g in
+                      enumerate(dispersion.couplings) if g != 0.0), default=0.0)
+        try:
+            drive.check_scale(weight)
+        except ValueError as exc:
+            key, _, why = str(exc).partition(" ")
+            _fail("drive", key, why)
 
     sec_time = _Section("time", raw.get("time", {}))
     t_max = sec_time.get("t_max", float, required=True)
@@ -362,24 +371,30 @@ def _out_dir(out_dir) -> Path:
     return out
 
 
-def _write_csv(path: Path, scenario: Scenario, header: list, rows):
+def _write_csv(path: Path, scenario: Scenario, header: list, columns,
+               comment: str = ""):
+    """One row per entry of the equal-length columns, each value as %.17g."""
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    columns = [np.asarray(col, dtype=float) for col in columns]
     with open(path, "w") as fh:
-        fh.write(f"# scenario={scenario.name} hash={scenario.config_hash}\n")
+        fh.write(f"# scenario={scenario.name} hash={scenario.config_hash}{comment}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        # blocks of rows keep the Python floats and strings few at a time
+        for start in range(0, columns[0].size, 256):
+            block = [col[start:start + 256].tolist() for col in columns]
+            fh.writelines([row % values for values in zip(*block)])
 
 
 def _emit_observables(scenario: Scenario, out_dir: Path) -> str:
     state = scenario.initial_state()
     coh = coherence_parameters(state)
     series = obs.observable_series(coh, scenario.drive, scenario.times)
-    rows = zip(series.times, series.eta, series.chi.real, series.chi.imag,
+    columns = (series.times, series.eta, series.chi.real, series.chi.imag,
                series.u, series.v, series.expect_N, series.var_N,
                series.expect_K.real, series.expect_K.imag)
     _write_csv(out_dir / "observables.csv", scenario,
                ["t", "eta", "re_chi", "im_chi", "u", "v", "expect_N", "var_N",
-                "re_expect_K", "im_expect_K"], rows)
+                "re_expect_K", "im_expect_K"], columns)
     return "observables.csv"
 
 
@@ -389,13 +404,10 @@ def _emit_snapshots(scenario: Scenario, out_dir: Path) -> list:
     for i, t in enumerate(scenario.snapshot_times):
         snap = scenario.evolve_to(state, float(t))
         name = f"snapshot_{i:04d}.csv"
-        path = out_dir / name
-        with open(path, "w") as fh:
-            fh.write(f"# scenario={scenario.name} hash={scenario.config_hash} "
-                     f"t={t:.17g} leak={snap.leak:.3e}\n")
-            fh.write("n,re_c,im_c,prob\n")
-            for n, c in zip(snap.sites, snap.amplitudes):
-                fh.write(f"{n},{c.real:.17g},{c.imag:.17g},{abs(c) ** 2:.17g}\n")
+        c = snap.amplitudes
+        _write_csv(out_dir / name, scenario, ["n", "re_c", "im_c", "prob"],
+                   (snap.sites, c.real, c.imag, [abs(x) ** 2 for x in c.tolist()]),
+                   comment=f" t={t:.17g} leak={snap.leak:.3e}")
         names.append(name)
     return names
 
@@ -413,19 +425,18 @@ def _emit_band(scenario: Scenario, out_dir: Path) -> str:
     except ValueError as exc:
         raise ConfigError(f"[drive] kind: {exc}") from exc
     _write_csv(out_dir / "band.csv", scenario, ["kappa", "quasienergy"],
-               zip(kappa, eps))
+               (kappa, eps))
     return "band.csv"
 
 
 def _emit_invariant(scenario: Scenario, out_dir: Path) -> str:
     state = scenario.initial_state()
     n0 = coherence_parameters(state).n_mean
-    rows = []
-    for t in scenario.times:
-        rows.append((t, invariant_expectation(state, scenario.drive, float(t)),
-                     n0))
+    times = scenario.times
     _write_csv(out_dir / "invariant.csv", scenario,
-               ["t", "invariant", "n_mean_initial"], rows)
+               ["t", "invariant", "n_mean_initial"],
+               (times, invariant_expectation(state, scenario.drive, times),
+                np.full(times.shape, n0)))
     return "invariant.csv"
 
 
@@ -433,12 +444,10 @@ def _emit_classical(scenario: Scenario, out_dir: Path, n_samples: int = 20000):
     state = scenario.initial_state()
     ens = cls.ensemble_from_state(state, n_samples, seed=scenario.seed)
     _write_csv(out_dir / "ensemble.csv", scenario, ["p", "q", "weight"],
-               zip(ens.p, ens.q, ens.weights))
-    rows = []
-    for t in scenario.times:
-        mean, var = cls.ensemble_moments(ens, scenario.drive, float(t))
-        rows.append((t, mean, var))
-    _write_csv(out_dir / "classical.csv", scenario, ["t", "mean_N", "var_N"], rows)
+               (ens.p, ens.q, ens.weights))
+    times = scenario.times
+    _write_csv(out_dir / "classical.csv", scenario, ["t", "mean_N", "var_N"],
+               (times, *cls.ensemble_moments(ens, scenario.drive, times)))
     return ["classical.csv", "ensemble.csv"]
 
 
@@ -557,6 +566,6 @@ def localization_map(config_path, out_dir=None) -> dict:
     gammas = [HarmonicDrive(drive.f0, x * drive.omega, drive.omega,
                             drive.g0).drift_rate() for x in xs]
     _write_csv(out / "localization_map.csv", scenario,
-               ["f1_over_omega", "gamma"], zip(xs, gammas))
+               ["f1_over_omega", "gamma"], (xs, gammas))
     return {"scenario": scenario.name, "points": int(steps),
             "file": "localization_map.csv"}

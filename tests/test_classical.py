@@ -147,6 +147,19 @@ class TestEnsembles:
             assert mean == pytest.approx(0.0, abs=1e-12)
             assert var == pytest.approx(0.5 * (u * u + v * v), abs=1e-10)
 
+    @pytest.mark.parametrize("proto", [DC, HarmonicDrive(1.0, 2.0, 1.0, 0.5)],
+                             ids=["dc", "harmonic"])
+    def test_array_and_scalar_calls_agree(self, proto):
+        ens = ensemble_from_state(gaussian_state(0, 3.0, 0.4, (-30, 30)), 500,
+                                  seed=2)
+        times = np.linspace(0.0, 9.0, 12).reshape(4, 3)
+        means, variances = ensemble_moments(ens, proto, times)
+        assert means.shape == variances.shape == times.shape
+        for t, mean, var in zip(times.ravel(), means.ravel(), variances.ravel()):
+            scalar = ensemble_moments(ens, proto, t)
+            assert all(isinstance(x, float) for x in scalar)
+            assert scalar == pytest.approx((mean, var), abs=1e-12)
+
     def test_sampler_is_seeded(self):
         state = gaussian_state(0, 3.0, 0.2, (-24, 24))
         a = ensemble_from_state(state, 1000, seed=3)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driventb import (DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive,
@@ -309,3 +309,130 @@ class TestTruncation:
             assert coeff[offset + nu] == pytest.approx(reference(nu), rel=1e-9)
         assert abs(reference(-offset - 1)) < 1e-17
         assert abs(reference(offset + 1)) < 1e-17
+
+
+def _periodic_drive(kind, n, eps, beta, omega):
+    """A harmonic or two-mode Fourier drive with w_B / w = n + eps."""
+    f0 = (n + eps) * omega
+    if kind == "harmonic":
+        return HarmonicDrive(f0, beta * omega, omega, 0.5)
+    return FourierDrive(f0, (beta * omega, -0.7 * beta * omega), omega, 0.5)
+
+
+def _stacked(first_period, period, k, s):
+    """chi(k T + s) by stacking k whole periods one at a time:
+    chi(T) sum_{j<k} q^j + q^k chi(s), q = exp(-i eta(T)), from a drive
+    that is only asked for times in [0, T]."""
+    q = complex(np.exp(-1j * first_period.eta(period)))
+    power, total = 1.0 + 0.0j, 0.0j
+    for _ in range(k):
+        total += power
+        power *= q
+    return first_period.chi(period) * total + power * first_period.chi(s)
+
+
+drive_kinds = st.sampled_from(("harmonic", "fourier"))
+offsets = st.one_of(st.just(0.0), st.floats(1e-9, 1e-2), st.floats(-1e-2, -1e-9))
+
+
+class TestNearResonanceAndLongTimes:
+    """w_B / w = n +- eps down to eps = 1e-9, and up to 1e3 drive periods."""
+
+    @settings(max_examples=25)
+    @given(kind=drive_kinds, n=st.integers(0, 3), eps=offsets,
+           beta=st.floats(0.2, 3.0), frac=st.floats(0.0, 2.0))
+    @example(kind="harmonic", n=1, eps=1e-9, beta=1.3, frac=2.0)
+    @example(kind="fourier", n=2, eps=-1e-9, beta=2.5, frac=1.5)
+    def test_chi_matches_ode_over_two_periods(self, kind, n, eps, beta, frac):
+        protocol = _periodic_drive(kind, n, eps, beta, omega=1.1)
+        t = frac * protocol.period
+        (_, chi_ref), = phase_ode(protocol, [t], steps_per_unit=300)
+        assert abs(protocol.chi(t) - chi_ref) < 1e-8
+
+    @given(kind=drive_kinds, n=st.integers(0, 3), eps=offsets,
+           beta=st.floats(0.2, 3.0), k=st.integers(1, 1000),
+           frac=st.floats(0.0, 1.0))
+    @example(kind="harmonic", n=1, eps=1e-9, beta=1.3, k=1000, frac=0.37)
+    @example(kind="fourier", n=0, eps=0.0, beta=2.0, k=1000, frac=0.81)
+    def test_chi_at_long_times_stacks_whole_periods(self, kind, n, eps, beta,
+                                                    k, frac):
+        protocol = _periodic_drive(kind, n, eps, beta, omega=1.1)
+        s = frac * protocol.period
+        chi = protocol.chi(k * protocol.period + s)
+        reference = _stacked(protocol, protocol.period, k, s)
+        assert abs(chi - reference) < 1e-9 * max(1.0, abs(reference))
+        if eps == 0.0:
+            # resonant: chi(t + T) - chi(t) = a_n T with a_n by quadrature
+            a_n = protocol.fourier_amplitude(n)
+            assert abs(protocol.chi(protocol.period) - a_n * protocol.period) < 1e-10
+
+    def test_off_resonant_chi_keeps_full_precision(self):
+        # referee: the term-by-term sum of g0 J_nu(beta) int exp(-i d_nu t)
+        sp = pytest.importorskip("scipy.special")
+        h = HarmonicDrive(1.37, 1.05, 1.0, 0.7)
+        t = np.linspace(0.0, 50 * h.period, 701)
+        d = h.f0 - np.arange(-30, 31)[:, None] * h.omega
+        terms = (sp.jv(np.arange(-30, 31), h.f1 / h.omega)[:, None]
+                 * (1 - np.exp(-1j * d * t)) / (1j * d))
+        assert np.max(np.abs(h.chi(t) - h.g0 * terms.sum(axis=0))) < 1e-13
+
+    @pytest.mark.parametrize("kind", ["harmonic", "fourier"])
+    def test_grid_and_scalar_calls_agree(self, kind):
+        protocol = _periodic_drive(kind, 1, 1e-7, 1.7, omega=0.9)
+        times = np.linspace(0.0, 1e3 * protocol.period, 2001)
+        grid = protocol.chi(times)
+        scalar = np.array([protocol.chi(t) for t in times[::50]])
+        assert np.max(np.abs(grid[::50] - scalar)) < 1e-10 * np.max(np.abs(grid))
+
+
+class TestTabulatedManyPeriods:
+    """Whole periods of a periodic table against its aperiodic twin."""
+
+    @staticmethod
+    def tables(times, f, g):
+        return (TabulatedDrive(times, f, g, periodic=True),
+                TabulatedDrive(times, f, g, periodic=False))
+
+    def smooth(self, f_mean):
+        tt = np.linspace(0.0, 6.0, 65)
+        u = 2 * np.pi * tt / 6.0
+        f = f_mean + 0.9 * np.cos(u + 0.4) + 0.3 * np.cos(2 * u)
+        g = 0.5 + 0.1 * np.sin(u)
+        f[-1], g[-1] = f[0], g[0]
+        return self.tables(tt, f, g)
+
+    @pytest.mark.parametrize("periods", [1000, 100000])
+    @pytest.mark.parametrize("f_mean", [1.1, 0.0])
+    def test_chi_matches_period_stacking(self, periods, f_mean):
+        tab, first = self.smooth(f_mean)
+        for s in (0.0, 2.345, 5.9):
+            reference = _stacked(first, tab.period, periods, s)
+            chi = tab.chi(periods * tab.period + s)
+            assert abs(chi - reference) < 1e-9 * max(1.0, abs(reference))
+
+    def test_zero_mean_table_grows_linearly(self):
+        # eta(T) = 0 exactly: q = 1 and chi(k T + s) = k chi(T) + chi(s)
+        tab, first = self.tables(np.linspace(0.0, 4.0, 5),
+                                 [0.0, 1.0, 0.0, -1.0, 0.0], np.full(5, 0.5))
+        assert tab.eta(tab.period) == 0.0
+        k, s = 100000, 1.3
+        expected = _stacked(first, tab.period, k, s)
+        assert expected == pytest.approx(k * first.chi(4.0) + first.chi(s))
+        assert abs(tab.chi(k * tab.period + s) - expected) < 1e-9 * abs(expected)
+
+    def test_coarse_table_in_a_strong_field(self):
+        # 20 to 30 rad of phase per segment: each segment needs many panels
+        tt = np.linspace(0.0, 3.0, 4)
+        tab, _ = self.tables(tt, [20.0, 30.0, -25.0, 20.0], [0.5, 0.2, 0.7, 0.5])
+        # checkpoints on every kink keep the RK4 referee at full order
+        times = [0.8, 1.0, 2.0, 2.9, 3.0, 4.0, 4.7]
+        reference = phase_ode(tab, times, steps_per_unit=4000)
+        for t, (_, chi_ref) in zip(times, reference):
+            assert abs(tab.chi(t) - chi_ref) < 1e-9
+
+    def test_grid_and_scalar_calls_agree(self):
+        tab, _ = self.smooth(1.1)
+        times = np.linspace(0.0, 30 * tab.period, 801)
+        grid = tab.chi(times)
+        for t, value in zip(times[::40], grid[::40]):
+            assert tab.chi(t) == pytest.approx(value, abs=1e-13)

@@ -175,6 +175,20 @@ class TestInvariant:
             value = n_t + 2 * (lam * k_t).real
             assert value == pytest.approx(n0, abs=1e-7)
 
+    @pytest.mark.parametrize("proto", [DCDrive(1.0, 1.0), HARMONIC,
+                                       HarmonicDrive(1.0, 3.0, 1.0, 0.4)],
+                             ids=["dc", "harmonic", "harmonic-strong"])
+    def test_array_and_scalar_calls_agree(self, proto):
+        s = gaussian_state(1, 3.0, 0.8, (-64, 64))
+        times = np.linspace(0.0, 4 * np.pi, 9).reshape(3, 3)
+        values = invariant_expectation(s, proto, times)
+        assert values.shape == times.shape
+        for t, value in zip(times.ravel(), values.ravel()):
+            scalar = invariant_expectation(s, proto, t)
+            assert isinstance(scalar, float)
+            assert scalar == pytest.approx(value, abs=1e-12)
+        assert invariant_expectation(s, proto, np.array([])).shape == (0,)
+
     def test_window_leak_raises(self):
         s = gaussian_state(0, 0.8, 0.0, (-6, 6))
         with pytest.raises(WindowLeakError):

@@ -38,6 +38,7 @@ snapshot_times = 0.0 6.283185307179586
 
 HARMONIC = "kind = harmonic\nf1 = {f1}\nomega = {omega}"
 FOURIER = "kind = fourier\nmodes = {modes}\nomega = 1"
+BAND_M3 = "\n[dispersion]\ncouplings = 0 0.1 0 0.2\nconvention = {convention}\n"
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -93,11 +94,17 @@ class TestConfigParsing:
          r"\[drive\] modes:"),
         (lambda s: s.replace("kind = dc", FOURIER.format(modes="1 inf")),
          r"\[drive\] modes:"),
+        # with a band of order 3 the drive's phase enters three times over
+        (lambda s: s.replace("kind = dc", FOURIER.format(modes="400"))
+         + BAND_M3.format(convention="index"), r"\[drive\] modes:.*weight 3"),
+        (lambda s: s.replace("kind = dc", HARMONIC.format(f1=3e5, omega=1))
+         + BAND_M3.format(convention="power2"), r"\[drive\] f1:.*weight 4"),
     ], ids=["window", "samples", "t_max", "drive-kind", "quantity", "sigma",
             "missing-f0", "oracle-dt", "oracle-error_per_time",
             "oracle-leak_tolerance", "oracle-boundary", "drive-f0",
             "drive-omega", "drive-f1", "drive-modes-range",
-            "drive-modes-finite"])
+            "drive-modes-finite", "drive-modes-band-weight",
+            "drive-f1-band-weight"])
     def test_validation_errors_name_the_field(self, tmp_path, mangle, needle):
         path = write_cfg(tmp_path, mangle(BLOCH_CFG))
         with pytest.raises(ConfigError, match=needle):
@@ -332,6 +339,18 @@ CONFIG_DIR = __import__("pathlib").Path(__file__).resolve().parents[1] / "config
 
 
 class TestShippedConfigs:
+    @pytest.mark.parametrize("config", sorted(
+        path.name for path in CONFIG_DIR.glob("*.cfg")
+        if not load_scenario(path).oracle_enabled))
+    def test_rerun_writes_the_same_bytes(self, tmp_path, config):
+        run_scenario(CONFIG_DIR / config, out_dir=tmp_path / "a")
+        run_scenario(CONFIG_DIR / config, out_dir=tmp_path / "b")
+        names = sorted(path.name for path in (tmp_path / "a").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
+        for name in names:
+            assert ((tmp_path / "a" / name).read_bytes()
+                    == (tmp_path / "b" / name).read_bytes()), name
+
     def test_bloch_oscillation_with_oracle_gate(self, tmp_path):
         summary = run_scenario(CONFIG_DIR / "bloch_oscillation.cfg",
                                out_dir=tmp_path)
