@@ -18,8 +18,8 @@ from .lattice import (BlochAmplitudes, CoherenceParameters, LatticeState,
                       apply_shift, bloch_transform, coherence_parameters,
                       gaussian_state, inverse_bloch, make_state, single_site,
                       state_from_amplitudes)
-from .propagator import (PropagatorParams, SingleBandDispersion, bloch_phase,
-                         element, evolve, evolve_single_band, propagator_params)
+from .propagator import (SingleBandDispersion, apply_propagator, bloch_phase,
+                         element, evolve)
 from .observables import (LocalizationReport, ModeReport, ObservableSeries,
                           classify_mode, expect_K, expect_N,
                           expect_N_single_band, localization_report,

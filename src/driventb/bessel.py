@@ -101,6 +101,20 @@ def bessel_j_orders(x: float) -> np.ndarray:
     return out
 
 
+def _spread_product(kernels) -> np.ndarray:
+    """Coefficients of prod_m sum_k a_k z^(m k) over the pairs (m >= 1,
+    [a_{-N}, ..., a_N]): each kernel spread to every m-th order, convolved.
+    An empty product is [1]."""
+    out = None
+    for m, kernel in kernels:
+        if m != 1:
+            spread = np.zeros(m * (kernel.size - 1) + 1, dtype=kernel.dtype)
+            spread[::m] = kernel
+            kernel = spread
+        out = kernel if out is None else np.convolve(out, kernel)
+    return np.ones(1) if out is None else out
+
+
 def bessel_j_multivar_orders(betas) -> np.ndarray:
     """Coefficients ``[J_{-N}({beta_m}), ..., J_N({beta_m})]`` of
     exp(i sum_m beta_m sin(m u)), m = 1..len(betas), cut like
@@ -113,12 +127,7 @@ def bessel_j_multivar_orders(betas) -> np.ndarray:
         raise ValueError("betas must be finite")
     if np.sum(np.abs(betas)) >= 1e3:
         raise ValueError("sum |beta_m| out of supported range (< 1e3)")
-    c = np.ones(1)
-    for m, beta in enumerate(betas, start=1):
-        kernel = bessel_j_orders(beta)
-        spread = np.zeros(m * (kernel.size - 1) + 1)
-        spread[::m] = kernel
-        c = np.convolve(c, spread)
+    c = _spread_product(enumerate(map(bessel_j_orders, betas), start=1))
     mid = c.size // 2
     n = int(np.max(np.abs(np.flatnonzero(np.abs(c) >= _DROP) - mid)))
     return c[mid - n: mid + n + 1]

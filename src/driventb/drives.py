@@ -178,49 +178,15 @@ class DriveProtocol:
         return None
 
     def fourier_amplitude(self, nu: int) -> complex:
-        """a_nu = (1/T) int_0^T g_t exp(-i nu w t - i eta~_t) dt.
-
-        Periodic-trapezoid quadrature with node doubling; spectrally
-        accurate for the analytic closed-form drives.
-        """
-        if self.period is None:
-            raise ValueError("fourier_amplitude requires a periodic protocol")
-        T = self.period
-
-        def mean_of(n_nodes: int) -> complex:
-            tt = T * np.arange(n_nodes) / n_nodes
-            vals = self.g(tt) * np.exp(-1j * (nu * self.omega * tt + self.eta_tilde(tt)))
-            return complex(vals.mean())
-
-        nodes = 64
-        floor = 4 * (self._spectral_bandwidth() + abs(nu) + 8)
-        while nodes < floor:
-            nodes *= 2
-        prev = mean_of(nodes)
-        for _ in range(18):
-            nodes *= 2
-            cur = mean_of(nodes)
-            if abs(cur - prev) < 1e-11:
-                return cur
-            prev = cur
-        raise ValueError("fourier_amplitude quadrature did not converge")
-
-    def _spectral_bandwidth(self) -> float:
-        """Rough harmonic content of g_t exp(-i eta~_t), for quadrature sizing."""
-        return 16.0
-
-    def _linear_chi_coefficient(self) -> complex:
-        """Coefficient a_n of the secular term in chi, at resonance."""
-        n = self.resonance_order()
-        if n is None:
-            return 0.0
-        return self.fourier_amplitude(n)
+        """a_nu = (1/T) int_0^T g_t exp(-i nu w t - i eta~_t) dt."""
+        raise ValueError("fourier_amplitude requires a periodic protocol")
 
     def drift_rate(self) -> float:
         """gamma_n = 2 a_n for resonant drives (signed when a_n is real), else 0."""
-        if self.resonance_order() is None:
+        n = self.resonance_order()
+        if n is None:
             return 0.0
-        a = complex(self._linear_chi_coefficient())
+        a = complex(self.fourier_amplitude(n))
         if abs(a.imag) <= 1e-10 * (abs(a) + 1.0):
             return 2.0 * a.real
         return 2.0 * abs(a)
@@ -283,13 +249,12 @@ class _CoefficientDrive(DriveProtocol):
             cached = self._coeff_cache[key] = (coeff.size // 2, coeff)
         return cached
 
-    def _linear_chi_coefficient(self) -> complex:
-        n = self.resonance_order()
-        if n is None:
-            return 0.0
+    def fourier_amplitude(self, nu: int) -> complex:
+        """a_nu = g0 c_nu(1)."""
         offset, coeff = self._exp_eta_coefficients(1.0)
+        k = offset + int(nu)
         # past the trimmed support the coefficient is below the drop tolerance
-        return self.g0 * coeff[offset + n] if offset + n < coeff.size else 0.0
+        return complex(self.g0 * coeff[k]) if 0 <= k < coeff.size else 0j
 
     def _integral(self, t, scale: float, with_g: bool):
         """sum_k c_k int_0^t exp(-i d_k tau) dtau, d_k = s w_B - (k-offset) w.
@@ -350,9 +315,6 @@ class HarmonicDrive(_CoefficientDrive):
         # exp(+i s beta sin(w t)) = sum_nu J_nu(s beta) exp(i nu w t)
         return bessel_j_orders(scale * self.f1 / self.omega)
 
-    def _spectral_bandwidth(self) -> float:
-        return abs(self.f1 / self.omega) + 8.0
-
 
 @dataclass(frozen=True)
 class FourierDrive(_CoefficientDrive):
@@ -403,10 +365,6 @@ class FourierDrive(_CoefficientDrive):
     def _exp_eta_series(self, scale: float) -> np.ndarray:
         # exp(-i s sum_m beta_m sin(m u)) = sum_nu J_nu({-s beta_m}) exp(i nu u)
         return bessel_j_multivar_orders(-scale * self.betas)
-
-    def _spectral_bandwidth(self) -> float:
-        m = np.arange(1, len(self.modes) + 1)
-        return float(np.sum(m * np.abs(self.betas))) + 8.0
 
 
 class TabulatedDrive(DriveProtocol):
@@ -553,8 +511,30 @@ class TabulatedDrive(DriveProtocol):
             out = cumulative[-1] * geometric + np.exp(-2j * k * half) * out
         return out.reshape(t.shape)
 
-    def _spectral_bandwidth(self) -> float:
-        return float(self.times.size)
+    def fourier_amplitude(self, nu: int) -> complex:
+        """a_nu by the periodic trapezoid rule, doubling the nodes from four
+        per table sample until two estimates agree to 1e-11."""
+        if self.period is None:
+            return super().fourier_amplitude(nu)
+        T = self.period
+
+        def mean_of(n_nodes: int) -> complex:
+            tt = T * np.arange(n_nodes) / n_nodes
+            vals = self.g(tt) * np.exp(-1j * (nu * self.omega * tt + self.eta_tilde(tt)))
+            return complex(vals.mean())
+
+        nodes = 64
+        floor = 4 * (self.times.size + abs(nu) + 8)
+        while nodes < floor:
+            nodes *= 2
+        prev = mean_of(nodes)
+        for _ in range(18):
+            nodes *= 2
+            cur = mean_of(nodes)
+            if abs(cur - prev) < 1e-11:
+                return cur
+            prev = cur
+        raise ValueError("fourier_amplitude quadrature did not converge")
 
 
 def fourier_amplitude(protocol: DriveProtocol, nu: int) -> complex:

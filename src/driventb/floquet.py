@@ -136,7 +136,7 @@ def invariant_expectation(state0: LatticeState, protocol: DriveProtocol,
     n = state0.sites.astype(float)
     values = np.empty(times.shape)
     for i in np.ndindex(times.shape):
-        psi = apply_propagator(state0, float(eta[i]), complex(chi[i]))
+        psi = apply_propagator(state0, float(eta[i]), {1: complex(chi[i])})
         if psi.leak > leak_tol:
             raise WindowLeakError(
                 f"window leak {psi.leak:.3e} exceeds {leak_tol:g}; enlarge the window")

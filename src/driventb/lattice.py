@@ -192,7 +192,8 @@ def apply_shift(state: LatticeState, m: int) -> LatticeState:
     if m == 0:
         return state
     if state.ring:
-        return replace(state, amplitudes=np.roll(state.amplitudes, -m), leak=0.0)
+        wrapped = np.take(state.amplitudes, np.arange(m, m + size), mode="wrap")
+        return replace(state, amplitudes=wrapped, leak=0.0)
     amps = np.zeros(size, dtype=complex)
     if m > 0:
         amps[:size - m] = state.amplitudes[m:]
@@ -309,8 +310,9 @@ def coherence_parameters(state: LatticeState) -> CoherenceParameters:
     c = state.amplitudes
     n = state.sites.astype(float)
     if state.ring:
-        c_m1 = np.roll(c, 1)      # c_{n-1} aligned with c_n
-        c_m2 = np.roll(c, 2)
+        # c_{n-1} and c_{n-2} aligned with c_n
+        c_m1, c_m2 = (np.take(c, np.arange(-k, c.size - k), mode="wrap")
+                      for k in (1, 2))
         K = complex(np.sum(np.conj(c_m1) * c))
         J = complex(np.sum((2.0 * n - 1.0) * np.conj(c_m1) * c))
         L = complex(np.sum(np.conj(c_m2) * c))

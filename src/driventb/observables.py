@@ -23,7 +23,7 @@ import numpy as np
 from .bessel import bessel_zero
 from .drives import DriveProtocol, HarmonicDrive, FourierDrive
 from .lattice import CoherenceParameters, LatticeState
-from .propagator import _dispersion_chis
+from .propagator import _chis
 
 __all__ = [
     "ObservableSeries",
@@ -238,7 +238,7 @@ def expect_N_single_band(state: LatticeState, dispersion, protocol: DriveProtoco
     p = np.abs(c) ** 2
     n_sites = state.sites.astype(float)
     out = float(np.sum(n_sites * p))
-    chis = _dispersion_chis(dispersion, protocol, t, convention)
+    chis = _chis(protocol, t, dispersion, convention)
     for m, chi in chis.items():
         if m == 0:
             continue

@@ -1,28 +1,23 @@
 """The factorized time-evolution operator and its application to states.
 
-The propagator splits into a number-operator phase times a shift-operator
-exponential,
+For a band E(kappa) = sum_m (g_m e^{i m kappa} + c.c.) the propagator is a
+number-operator phase times one shift-operator exponential per harmonic,
 
-    U(t) = exp(-i eta_t N) exp(-i chi_t K) exp(-i chi_t* K^dag),
-
-whose site-basis matrix elements are Bessel functions,
-
-    U_{n n'}(t) = exp(-i (n'-n)(phi_t + pi/2) - i n eta_t) J_{n'-n}(2|chi_t|),
-
-and whose Bloch-basis action is a pure phase e^{-i Phi(kappa)} followed by
-an index shift by eta_t. Both routes are implemented: a site-space Bessel
-convolution and an FFT route that applies the Bloch phase on an enlarged
-ring (the eta shift is always realized as the exact site phase e^{-i eta n},
-never as a kappa interpolation).
-
-The generalization to an arbitrary band E(kappa) = sum_m (g_m e^{i m kappa}
-+ c.c.) replaces chi by one integral per harmonic,
-
+    U(t) = exp(-i eta_t N) prod_m exp(-i chi_m K^m - i chi_m* K^dag m),
     chi_m(t) = g_m int_0^t exp(-i m eta_tau) dtau,
 
-where the weight m in the exponent is fixed by the ladder action
-K^m |n> = |n - m>, i.e. [K^m, N] = m K^m. See README "Conventions" for the
-demonstrably wrong 2^(m-1) alternative, kept available for comparison.
+the weight m being fixed by the ladder action K^m |n> = |n - m>, i.e.
+[K^m, N] = m K^m (README "Conventions" covers the demonstrably wrong
+2^(m-1) alternative, kept for comparison). Tight binding is the band
+{1: chi_t}, with Bessel-function matrix elements
+
+    U_{n n'}(t) = exp(-i (n'-n)(phi_t + pi/2) - i n eta_t) J_{n'-n}(2|chi_t|).
+
+One entry point, ``apply_propagator(state, eta, {m: chi_m})``, serves every
+band; ``evolve`` feeds it a drive's phase integrals. Its "bloch" route
+applies the diagonal phase e^{-i Phi(kappa)} by FFT on an enlarged ring,
+its "site" route convolves with the harmonics' Bessel kernels; the eta
+shift is always the exact site phase e^{-i eta n}.
 """
 
 from __future__ import annotations
@@ -31,33 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j_orders
+from .bessel import _spread_product, bessel_j_orders
 from .drives import DriveProtocol
 from .lattice import LatticeState
 
 __all__ = [
-    "PropagatorParams",
     "SingleBandDispersion",
-    "propagator_params",
     "element",
     "bloch_phase",
     "evolve",
     "apply_propagator",
-    "evolve_single_band",
 ]
-
-
-@dataclass(frozen=True)
-class PropagatorParams:
-    """eta and the shift-exponential coefficients chi_m (m = 1..M) at one time."""
-
-    t: float
-    eta: float
-    chi_list: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "chi_list",
-                           tuple(complex(c) for c in self.chi_list))
 
 
 @dataclass(frozen=True)
@@ -83,11 +62,8 @@ class SingleBandDispersion:
         return len(self.couplings) - 1
 
     def energy(self, kappa):
-        kappa = np.asarray(kappa, dtype=float)
-        e = np.zeros(kappa.shape)
-        for m, g in enumerate(self.couplings):
-            e = e + 2.0 * (g * np.exp(1j * m * kappa)).real
-        return e
+        return _band_phase(dict(enumerate(self.couplings)),
+                           np.asarray(kappa, dtype=float))
 
 
 def _eta_weight(m: int, convention: str) -> float:
@@ -101,29 +77,49 @@ def _eta_weight(m: int, convention: str) -> float:
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def propagator_params(protocol: DriveProtocol, t: float) -> PropagatorParams:
-    """Tight-binding propagator coefficients at time t."""
-    t = float(t)
-    return PropagatorParams(t=t, eta=float(protocol.eta(t)),
-                            chi_list=(complex(protocol.chi(t)),))
+def _chis(protocol: DriveProtocol, t: float, dispersion=None,
+          convention: str = "index") -> dict:
+    """{m: chi_m(t)}: the drive's {1: chi_t}, or one integral per nonzero
+    coupling of the dispersion (whose g replaces the drive's)."""
+    if dispersion is None:
+        return {1: complex(protocol.chi(t))}
+    return {m: g * complex(protocol.int_exp_eta(t, _eta_weight(m, convention)))
+            for m, g in enumerate(dispersion.couplings) if g != 0.0}
+
+
+def _band_phase(chis: dict, kappa):
+    """Phi(kappa) = sum_m (chi_m e^{i m kappa} + c.c.)."""
+    phi = np.zeros(np.shape(kappa))
+    for m, chi in chis.items():
+        phi += 2.0 * (chi * np.exp(1j * m * kappa)).real
+    return phi
+
+
+def _site_kernel(chis: dict) -> np.ndarray:
+    """Coefficients a_j of U_R = sum_j a_j K^j, ordered j = -M..M: harmonic
+    m contributes J_k(2|chi_m|) e^{-ik(phi_m + pi/2)} at j = m k, and the
+    m = 0 offset the global phase e^{-2i Re chi_0}."""
+    kernels = [(1, np.array([np.exp(-2j * chis[0].real)]))] if 0 in chis else []
+    for m, chi in chis.items():
+        if m > 0:
+            j = bessel_j_orders(2.0 * abs(chi))
+            phi = 0.0 if chi == 0 else -np.angle(chi)
+            k = np.arange(j.size) - j.size // 2
+            kernels.append((m, j * np.exp(-1j * k * (phi + 0.5 * np.pi))))
+    return _spread_product(kernels)
 
 
 def element(protocol: DriveProtocol, t: float, n: int, nprime) -> complex:
     """Matrix element(s) <n| U(t) |n'>; nprime may be an array."""
-    pi_t = protocol.phase(t)
-    x = 2.0 * pi_t.chi_abs
-    phi = pi_t.phi
-    scalar = np.ndim(nprime) == 0
-    nprime = np.atleast_1d(np.asarray(nprime, dtype=int))
-    m = nprime - int(n)
-
-    kernel = bessel_j_orders(x)
+    t = float(t)
+    kernel = _site_kernel(_chis(protocol, t))
     mmax = kernel.size // 2
-    j_m = np.zeros(m.shape)
+    scalar = np.ndim(nprime) == 0
+    m = np.atleast_1d(np.asarray(nprime, dtype=int)) - int(n)
     inside = np.abs(m) <= mmax
-    j_m[inside] = kernel[m[inside] + mmax]
-
-    vals = np.exp(-1j * (m * (phi + 0.5 * np.pi) + n * pi_t.eta)) * j_m
+    vals = np.zeros(m.shape, dtype=complex)
+    vals[inside] = kernel[m[inside] + mmax]
+    vals *= np.exp(-1j * n * float(protocol.eta(t)))
     return vals.item() if scalar else vals
 
 
@@ -136,112 +132,60 @@ def bloch_phase(protocol: DriveProtocol, t: float, kappa,
     Phi = sum_m (chi_m e^{i m kappa} + c.c.) including the m = 0 offset.
     """
     kappa = np.asarray(kappa, dtype=float)
-    if dispersion is None:
-        chi_list = {1: complex(protocol.chi(t))}
-    else:
-        chi_list = _dispersion_chis(dispersion, protocol, t, convention)
-    phi_k = np.zeros(kappa.shape)
-    for m, chi in chi_list.items():
-        phi_k = phi_k + 2.0 * (chi * np.exp(1j * m * kappa)).real
-    return np.exp(-1j * phi_k)
-
-
-def _dispersion_chis(dispersion, protocol, t, convention) -> dict:
-    return {m: g * complex(protocol.int_exp_eta(t, _eta_weight(m, convention)))
-            for m, g in enumerate(dispersion.couplings) if g != 0.0}
-
-
-def _crop(amps_ext: np.ndarray, lo_ext: int, state: LatticeState) -> LatticeState:
-    i0 = state.n_min - lo_ext
-    kept = amps_ext[i0: i0 + state.amplitudes.size]
-    leak = float(np.sum(np.abs(amps_ext) ** 2) - np.sum(np.abs(kept) ** 2))
-    return LatticeState(state.n_min, kept, ring=state.ring, leak=max(leak, 0.0))
-
-
-def _apply_bloch(state: LatticeState, chi_list: dict, eta: float,
-                 pad: int) -> LatticeState:
-    """FFT route: diagonal Bloch phase on an enlarged ring, then the site phase."""
-    n = state.amplitudes.size
-    if state.ring:
-        size, lo = n, state.n_min
-        ext = state.amplitudes
-    else:
-        size = 1 << int(np.ceil(np.log2(n + 2 * pad + 1)))
-        lo = state.n_min - pad
-        ext = np.zeros(size, dtype=complex)
-        ext[pad: pad + n] = state.amplitudes
-    kappa = 2.0 * np.pi * np.arange(size) / size
-    phi_k = np.zeros(size)
-    for m, chi in chi_list.items():
-        phi_k += 2.0 * (chi * np.exp(1j * m * kappa)).real
-    out = np.fft.ifft(np.fft.fft(ext) * np.exp(-1j * phi_k))
-    out *= np.exp(-1j * eta * np.arange(lo, lo + size))
-    if state.ring:
-        return LatticeState(lo, out, ring=True, leak=0.0)
-    return _crop(out, lo, state)
-
-
-def _shift_coefficients(chi: complex, kernel: np.ndarray) -> np.ndarray:
-    """Coefficients a_m of U_R = sum_m a_m K^m, ordered m = -mmax..mmax,
-    from the kernel J_m(2|chi|) on the same orders."""
-    phi = 0.0 if chi == 0 else -np.angle(chi)
-    m = np.arange(kernel.size) - kernel.size // 2
-    return kernel * np.exp(-1j * m * (phi + 0.5 * np.pi))
+    return np.exp(-1j * _band_phase(_chis(protocol, t, dispersion, convention),
+                                    kappa))
 
 
 def evolve(state: LatticeState, protocol: DriveProtocol, t: float,
-           path: str = "bloch") -> LatticeState:
+           path: str = "bloch", dispersion: SingleBandDispersion | None = None,
+           convention: str = "index") -> LatticeState:
     """Apply U(t) to a state.
 
-    path="bloch" applies the diagonal Bloch phase by FFT on an enlarged
-    ring; path="site" convolves with the Bessel coefficients of the shift
-    expansion. Both agree to ~1e-10; amplitude cropped back to the state's
-    window is recorded in ``leak``.
+    Without a dispersion the drive's g_t hops between neighbours; with one,
+    ``protocol`` supplies only the field f_t and the band supplies the
+    couplings, each harmonic m weighted by ``convention`` ("index": m,
+    "power2": 2^(m-1)).
     """
     t = float(t)
     return apply_propagator(state, float(protocol.eta(t)),
-                            complex(protocol.chi(t)), path)
+                            _chis(protocol, t, dispersion, convention), path)
 
 
-def apply_propagator(state: LatticeState, eta: float, chi: complex,
+def apply_propagator(state: LatticeState, eta: float, chis: dict,
                      path: str = "bloch") -> LatticeState:
-    """``evolve`` from precomputed phase integrals (eta_t, chi_t)."""
-    kernel = bessel_j_orders(2.0 * abs(chi))
-    mmax = kernel.size // 2
-    if path == "bloch":
-        return _apply_bloch(state, {1: chi}, eta, pad=mmax + 4)
-    if path != "site":
-        raise ValueError(f"unknown path {path!r}")
+    """U = e^{-i eta N} prod_m exp(-i (chi_m K^m + h.c.)) applied to a state.
 
-    coeff = _shift_coefficients(chi, kernel)
-    if state.ring:
-        out = np.zeros_like(state.amplitudes)
-        for k, a in enumerate(coeff):
-            if a != 0.0:
-                out += a * np.roll(state.amplitudes, -(k - mmax))
-        out *= np.exp(-1j * eta * state.sites)
-        return LatticeState(state.n_min, out, ring=True, leak=0.0)
-    # c'_n = sum_m a_m c_{n+m} on the extended window, then the eta phase
-    ext = np.convolve(state.amplitudes, coeff[::-1])
-    lo = state.n_min - mmax
-    ext *= np.exp(-1j * eta * np.arange(lo, lo + ext.size))
-    return _crop(ext, lo, state)
-
-
-def evolve_single_band(state: LatticeState, dispersion: SingleBandDispersion,
-                       protocol: DriveProtocol, t: float,
-                       convention: str = "index") -> LatticeState:
-    """Apply the propagator of an arbitrary-band Hamiltonian via Bloch phases.
-
-    ``protocol`` supplies the field f_t (its g is ignored; the hopping comes
-    from the dispersion couplings). Reduces exactly to ``evolve`` for
-    couplings (0, g) when the protocol carries the same constant g.
+    ``chis`` maps m >= 0 to chi_m; tight binding is {1: chi_t}. path="bloch"
+    applies the diagonal Bloch phase by FFT on an enlarged ring; path="site"
+    convolves, c'_n = sum_j a_j c_{n+j}, with the shift-expansion
+    coefficients. Amplitude cropped back to an open window is recorded in
+    ``leak``.
     """
-    t = float(t)
-    chi_list = _dispersion_chis(dispersion, protocol, t, convention)
-    eta = float(protocol.eta(t))
-    pad = 4
-    for m, chi in chi_list.items():
-        if m > 0:
-            pad += m * (bessel_j_orders(2.0 * abs(chi)).size // 2 + 4)
-    return _apply_bloch(state, chi_list, eta, pad=pad)
+    c, ring = state.amplitudes, state.ring
+    if path == "site":
+        coeff = _site_kernel(chis)[::-1]
+        pad = coeff.size // 2
+        if ring:  # the wrapped state reaches every c_{n+j}, however long the kernel
+            c = np.take(c, np.arange(-pad, c.size + pad), mode="wrap")
+        out = np.convolve(c, coeff, "valid" if ring else "full")
+    elif path == "bloch":
+        pad = 0
+        if not ring:
+            # the kernel reaches sum_m m N_m sites, N_m harmonic m's half-width
+            pad = 4 + sum(m * (bessel_j_orders(2.0 * abs(chi)).size // 2)
+                          for m, chi in chis.items() if m > 0)
+            size = 1 << int(np.ceil(np.log2(c.size + 2 * pad + 1)))
+            ext = np.zeros(size, dtype=complex)
+            ext[pad: pad + c.size] = c
+            c = ext
+        kappa = 2.0 * np.pi * np.arange(c.size) / c.size
+        out = np.fft.ifft(np.fft.fft(c) * np.exp(-1j * _band_phase(chis, kappa)))
+    else:
+        raise ValueError(f"unknown path {path!r}")
+    lo = state.n_min if ring else state.n_min - pad
+    out *= np.exp(-1j * eta * np.arange(lo, lo + out.size))
+    if ring:
+        return LatticeState(lo, out, ring=True, leak=0.0)
+    kept = out[pad: pad + state.amplitudes.size]
+    leak = float(np.sum(np.abs(out) ** 2) - np.sum(np.abs(kept) ** 2))
+    return LatticeState(lo + pad, kept, leak=max(leak, 0.0))

@@ -54,8 +54,7 @@ from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
 from .floquet import invariant_expectation, quasienergy_band
 from .lattice import bloch_grid, coherence_parameters, make_state
 from .oracle import OracleConfig, integrate_series
-from .propagator import (SingleBandDispersion, _eta_weight, evolve,
-                         evolve_single_band)
+from .propagator import SingleBandDispersion, _eta_weight, evolve
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
            "compare_with_oracle", "localization_map", "band_table"]
@@ -97,7 +96,7 @@ def _coerce(section: str, key: str, raw, kind):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
         if kind is float:
-            return float(raw)
+            return _finite(float(raw))
         if kind is int:
             value = float(raw)
             if value != int(value):
@@ -106,16 +105,23 @@ def _coerce(section: str, key: str, raw, kind):
         if kind is str:
             return str(raw).strip()
         if kind == "floats":
-            if isinstance(raw, (list, tuple)):
-                return [float(x) for x in raw]
-            return [float(x) for x in str(raw).replace(",", " ").split()]
+            if not isinstance(raw, (list, tuple)):
+                raw = str(raw).replace(",", " ").split()
+            return _finite([float(x) for x in raw])
         if kind == "strings":
             if isinstance(raw, (list, tuple)):
                 return [str(x) for x in raw]
             return str(raw).split()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(section, key, str(exc))
     raise AssertionError(f"unknown coercion {kind!r}")
+
+
+def _finite(values):
+    """A float or a list of floats, passed through only when all are finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("must be finite")
+    return values
 
 
 class _Section:
@@ -173,10 +179,8 @@ class Scenario:
         return state
 
     def evolve_to(self, state, t: float):
-        if self.dispersion is not None:
-            return evolve_single_band(state, self.dispersion, self.drive, t,
-                                      convention=self.convention)
-        return evolve(state, self.drive, t)
+        return evolve(state, self.drive, t, dispersion=self.dispersion,
+                      convention=self.convention)
 
 
 _CLOSED_FORM_DRIVES = {
@@ -253,6 +257,8 @@ def load_scenario(path) -> Scenario:
     kind = sec_state.get("kind", str, required=True)
     if kind == "single_site":
         state_spec = {"kind": kind, "site": sec_state.get("site", int, default=0)}
+        if not window[0] <= state_spec["site"] <= window[1]:
+            _fail("state", "site", f"outside the window {window}")
     elif kind == "gaussian":
         state_spec = {"kind": kind,
                       "center": sec_state.get("center", float, default=0.0),
@@ -314,6 +320,8 @@ def load_scenario(path) -> Scenario:
             _fail("output", "quantities", f"unknown quantity {q!r}")
     snapshot_times = tuple(sec_out.get("snapshot_times", "floats",
                                        default=[0.0, t_max]))
+    if not all(0.0 <= s <= t_max for s in snapshot_times):
+        _fail("output", "snapshot_times", "must lie in [0, t_max]")
     sec_out.reject_unknown()
 
     if dispersion is not None:
@@ -332,6 +340,8 @@ def load_scenario(path) -> Scenario:
     leak_tol = sec_orc.get("leak_tolerance", float, default=1e-8)
     tolerance = sec_orc.get("tolerance", float, default=1e-6)
     sec_orc.reject_unknown()
+    if tolerance <= 0:
+        _fail("oracle", "tolerance", "must be positive")
     try:
         oracle_config = OracleConfig(boundary=boundary, dt=dt,
                                      error_per_time=err_pt,
@@ -349,6 +359,8 @@ def load_scenario(path) -> Scenario:
     sec_band = _Section("band", raw.get("band", {}))
     kappa_points = sec_band.get("kappa_points", int, default=64)
     sec_band.reject_unknown()
+    if kappa_points < 1:
+        _fail("band", "kappa_points", "must be at least 1")
 
     sec_map = _Section("localization_map", raw.get("localization_map", {}))
     map_range = (sec_map.get("x_min", float, default=0.0),

@@ -11,10 +11,10 @@ import pytest
 from driventb import (DCDrive, FourierDrive, HarmonicDrive, OracleConfig,
                       SingleBandDispersion, bessel_zero, coherence_parameters,
                       element, ensemble_from_state, ensemble_moments, evolve,
-                      evolve_single_band, expect_N, gaussian_state,
-                      houston_state, integrate, integrate_series,
-                      invariant_expectation, monodromy_spectrum,
-                      quasienergy_band, single_site, variance_N)
+                      expect_N, gaussian_state, houston_state, integrate,
+                      integrate_series, invariant_expectation,
+                      monodromy_spectrum, quasienergy_band, single_site,
+                      variance_N)
 from driventb.oracle import apply_hamiltonian
 
 RNG_SEED = 20250809
@@ -204,17 +204,17 @@ def test_criterion_09_single_band_commutator_weight():
     t = 1.3
     ref_free = integrate(state, free, t, dispersion=dispersion)
     dev_free = float(np.max(np.abs(
-        evolve_single_band(state, dispersion, free, t).amplitudes
+        evolve(state, free, t, dispersion=dispersion).amplitudes
         - ref_free.amplitudes)))
 
     dc = DCDrive(1.0, 0.0)
     ref_dc = integrate(state, dc, t, dispersion=dispersion)
     dev_index = float(np.max(np.abs(
-        evolve_single_band(state, dispersion, dc, t).amplitudes
+        evolve(state, dc, t, dispersion=dispersion).amplitudes
         - ref_dc.amplitudes)))
     dev_power2 = float(np.max(np.abs(
-        evolve_single_band(state, dispersion, dc, t,
-                           convention="power2").amplitudes
+        evolve(state, dc, t, dispersion=dispersion,
+               convention="power2").amplitudes
         - ref_dc.amplitudes)))
 
     ok = dev_free < 1e-6 and dev_index < 1e-6 and dev_power2 > 1e-2

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from driventb import (DCDrive, HarmonicDrive, LatticeState,
-                      SingleBandDispersion, bessel_j, bloch_phase, element,
-                      evolve, evolve_single_band, gaussian_state, integrate,
-                      propagator_params, single_site)
+                      SingleBandDispersion, apply_propagator, bessel_j,
+                      bloch_phase, element, evolve, gaussian_state, integrate,
+                      single_site)
+from driventb.bessel import bessel_j_orders
 
 DC = DCDrive(1.0, 1.0)
 
@@ -30,6 +31,17 @@ class TestElement:
         expected = np.array([np.exp(-1j * m * np.pi / 2) * bessel_j(m, 2.0 * t)
                              for m in nprime])
         assert np.max(np.abs(vals - expected)) < 1e-13
+
+    def test_row_matches_single_site_evolve(self):
+        # <n|U|n'> is amplitude n of U|n'>, for each n' in the row
+        proto = HarmonicDrive(0.8, 1.3, 1.1, 0.6)
+        t, n = 3.7, 2
+        nprime = np.arange(-12, 13)
+        row = element(proto, t, n, nprime)
+        for path in ("bloch", "site"):
+            amps = [evolve(single_site(int(k), (-40, 40)), proto, t, path=path)
+                    .amplitudes[n + 40] for k in nprime]
+            assert np.max(np.abs(row - np.array(amps))) < 1e-13
 
     def test_row_unitarity_random(self):
         rng = np.random.default_rng(8)
@@ -92,6 +104,17 @@ class TestEvolve:
         assert out.leak > 1e-4
         assert out.norm() ** 2 + out.leak == pytest.approx(1.0, abs=1e-10)
 
+    def test_apply_propagator_is_evolve(self):
+        proto = HarmonicDrive(1.2, 0.7, 0.9, 0.5)
+        s = gaussian_state(0, 2.0, 0.3, (-24, 24))
+        t = 4.1
+        chis = {1: complex(proto.chi(t))}
+        for path in ("bloch", "site"):
+            a = apply_propagator(s, float(proto.eta(t)), chis, path)
+            b = evolve(s, proto, t, path=path)
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+            assert a.leak == b.leak
+
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError):
             evolve(single_site(0, (-2, 2)), DC, 1.0, path="magic")
@@ -128,9 +151,9 @@ class TestBlochPhase:
         assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-14
 
     def test_params_bundle(self):
-        params = propagator_params(DC, np.pi)
+        params = DC.phase(np.pi)
         assert params.eta == pytest.approx(np.pi)
-        assert params.chi_list[0] == pytest.approx(-2.0j, abs=1e-13)
+        assert params.chi == pytest.approx(-2.0j, abs=1e-13)
 
 
 class TestSingleBand:
@@ -138,7 +161,7 @@ class TestSingleBand:
         disp = SingleBandDispersion((0.0, 0.7))
         proto = DCDrive(1.1, 0.7)
         s = gaussian_state(0, 2.0, 0.2, (-24, 24))
-        a = evolve_single_band(s, disp, proto, 2.3)
+        a = evolve(s, proto, 2.3, dispersion=disp)
         b = evolve(s, proto, 2.3)
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
@@ -149,7 +172,7 @@ class TestSingleBand:
         proto = DCDrive(0.0, 0.0)
         s = gaussian_state(0, 2.0, 0.4, (-32, 32))
         t = 1.7
-        closed = evolve_single_band(s, disp, proto, t)
+        closed = evolve(s, proto, t, dispersion=disp)
         ref = integrate(s, proto, t, dispersion=disp)
         assert np.max(np.abs(closed.amplitudes - ref.amplitudes)) < 1e-7
 
@@ -157,7 +180,7 @@ class TestSingleBand:
         disp = SingleBandDispersion((0.0, 0.4, 0.15, 0.1))
         proto = DCDrive(1.0, 0.0)
         s = gaussian_state(0, 2.5, -0.3, (-32, 32))
-        out = evolve_single_band(s, disp, proto, 2 * np.pi)
+        out = evolve(s, proto, 2 * np.pi, dispersion=disp)
         assert abs(out.overlap(s)) > 1.0 - 1e-10
 
     def test_m0_coupling_is_global_phase(self):
@@ -166,8 +189,8 @@ class TestSingleBand:
         proto = DCDrive(0.9, 0.0)
         s = gaussian_state(0, 2.0, 0.0, (-16, 16))
         t = 1.9
-        with_offset = evolve_single_band(s, disp, proto, t)
-        without = evolve_single_band(s, base, proto, t)
+        with_offset = evolve(s, proto, t, dispersion=disp)
+        without = evolve(s, proto, t, dispersion=base)
         phase = np.exp(-2j * 0.3 * t)
         assert np.max(np.abs(with_offset.amplitudes
                              - phase * without.amplitudes)) < 1e-12
@@ -178,16 +201,37 @@ class TestSingleBand:
         s = gaussian_state(0, 2.0, 0.3, (-40, 40))
         t = 1.3
         ref = integrate(s, proto, t, dispersion=disp)
-        good = evolve_single_band(s, disp, proto, t, convention="index")
-        bad = evolve_single_band(s, disp, proto, t, convention="power2")
+        good = evolve(s, proto, t, dispersion=disp, convention="index")
+        bad = evolve(s, proto, t, dispersion=disp, convention="power2")
         assert np.max(np.abs(good.amplitudes - ref.amplitudes)) < 1e-6
         assert np.max(np.abs(bad.amplitudes - ref.amplitudes)) > 1e-2
+
+    @pytest.mark.parametrize("convention", ["index", "power2"])
+    @pytest.mark.parametrize("ring", [False, True])
+    def test_paths_agree_on_bands(self, ring, convention):
+        # an m = 0 offset and three harmonics; on the 8-site ring the site
+        # kernel reaches far past the ring and wraps several times over
+        disp = SingleBandDispersion((0.3, 0.5, -0.2, 0.15j))
+        proto = HarmonicDrive(0.7, 0.9, 1.3, 0.0)
+        rng = np.random.default_rng(12)
+        size = 8 if ring else 33
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        s = LatticeState(-4 if ring else -16, amps / np.linalg.norm(amps),
+                         ring=ring)
+        for t in (0.9, 2.7):
+            a = evolve(s, proto, t, path="bloch", dispersion=disp,
+                       convention=convention)
+            b = evolve(s, proto, t, path="site", dispersion=disp,
+                       convention=convention)
+            assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+            assert a.leak == pytest.approx(b.leak, abs=1e-12)
+            assert bessel_j_orders(2.0 * abs(0.5 * proto.int_exp_eta(t))).size > 8
 
     def test_unknown_convention_rejected(self):
         disp = SingleBandDispersion((0.0, 0.5))
         with pytest.raises(ValueError):
-            evolve_single_band(single_site(0, (-4, 4)), disp, DC, 1.0,
-                               convention="other")
+            evolve(single_site(0, (-4, 4)), DC, 1.0, dispersion=disp,
+                   convention="other")
 
     def test_dispersion_validation(self):
         with pytest.raises(ValueError):

@@ -99,12 +99,31 @@ class TestConfigParsing:
          + BAND_M3.format(convention="index"), r"\[drive\] modes:.*weight 3"),
         (lambda s: s.replace("kind = dc", HARMONIC.format(f1=3e5, omega=1))
          + BAND_M3.format(convention="power2"), r"\[drive\] f1:.*weight 4"),
+        # non-finite values fail at load, not as NaN outputs or a traceback
+        (lambda s: s.replace("t_max = 6.283185307179586", "t_max = nan"),
+         r"\[time\] t_max: must be finite"),
+        (lambda s: s.replace("window = -48 48", "window = -16 inf"),
+         r"\[lattice\] window: must be finite"),
+        (lambda s: s.replace("samples = 32", "samples = inf"),
+         r"\[time\] samples:"),
+        (lambda s: s + "\n[oracle]\ntolerance = 0\n", r"\[oracle\] tolerance:"),
+        (lambda s: s + "\n[band]\nkappa_points = 0\n",
+         r"\[band\] kappa_points:"),
+        (lambda s: s.replace("snapshot_times = 0.0", "snapshot_times = -1.0"),
+         r"\[output\] snapshot_times:"),
+        (lambda s: s.replace("snapshot_times = 0.0", "snapshot_times = 7.0"),
+         r"\[output\] snapshot_times:"),
+        (lambda s: s.replace("kind = gaussian", "kind = single_site\nsite = 49")
+         .replace("center = 0\nsigma = 6\nkappa0 = 0.0\n", ""),
+         r"\[state\] site:"),
     ], ids=["window", "samples", "t_max", "drive-kind", "quantity", "sigma",
             "missing-f0", "oracle-dt", "oracle-error_per_time",
             "oracle-leak_tolerance", "oracle-boundary", "drive-f0",
             "drive-omega", "drive-f1", "drive-modes-range",
             "drive-modes-finite", "drive-modes-band-weight",
-            "drive-f1-band-weight"])
+            "drive-f1-band-weight", "t_max-nan", "window-inf", "samples-inf",
+            "oracle-tolerance", "band-kappa_points", "snapshot-negative",
+            "snapshot-past-t_max", "state-site-outside"])
     def test_validation_errors_name_the_field(self, tmp_path, mangle, needle):
         path = write_cfg(tmp_path, mangle(BLOCH_CFG))
         with pytest.raises(ConfigError, match=needle):
@@ -338,18 +357,34 @@ class TestCli:
 CONFIG_DIR = __import__("pathlib").Path(__file__).resolve().parents[1] / "configs"
 
 
+def assert_rerun_writes_the_same_bytes(path, tmp_path):
+    run_scenario(path, out_dir=tmp_path / "a")
+    run_scenario(path, out_dir=tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes()), name
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("config", sorted(
         path.name for path in CONFIG_DIR.glob("*.cfg")
         if not load_scenario(path).oracle_enabled))
     def test_rerun_writes_the_same_bytes(self, tmp_path, config):
-        run_scenario(CONFIG_DIR / config, out_dir=tmp_path / "a")
-        run_scenario(CONFIG_DIR / config, out_dir=tmp_path / "b")
-        names = sorted(path.name for path in (tmp_path / "a").iterdir())
-        assert names == sorted(path.name for path in (tmp_path / "b").iterdir())
-        for name in names:
-            assert ((tmp_path / "a" / name).read_bytes()
-                    == (tmp_path / "b" / name).read_bytes()), name
+        assert_rerun_writes_the_same_bytes(CONFIG_DIR / config, tmp_path)
+
+    @pytest.mark.parametrize("config", ["single_band_m3.cfg",
+                                        "single_band_m3_power2.cfg"])
+    def test_band_rerun_writes_the_same_bytes(self, tmp_path, config):
+        # the shipped band configs run the oracle; their closed-form
+        # snapshots are rerun from a copy with the oracle off
+        text = (CONFIG_DIR / config).read_text()
+        assert "enabled = true" in text
+        path = write_cfg(tmp_path, text.replace("enabled = true",
+                                                "enabled = false"), config)
+        assert load_scenario(path).dispersion is not None
+        assert_rerun_writes_the_same_bytes(path, tmp_path)
 
     def test_bloch_oscillation_with_oracle_gate(self, tmp_path):
         summary = run_scenario(CONFIG_DIR / "bloch_oscillation.cfg",
