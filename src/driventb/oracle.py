@@ -12,6 +12,11 @@ a step, so the march tabulates the stage coefficients per chunk of steps
 and makes each stage one gather, one scaling and one row sum into
 preallocated arrays (see _Stages).
 
+When f and the band are constant over an interval, H is static, and a 1-d
+state on an open window takes the banded RK4 step P = R(-ihH), R(z) = 1 +
+z + z^2/2 + z^3/6 + z^4/24, as one gather, scaling and row sum per step
+(see _step_map). Rings, 2-d blocks and time-dependent H keep the stages.
+
 Boundaries:
   * "open": hard truncation. States must stay away from the edges; the
     largest probability seen within the outermost sites is tracked and an
@@ -99,51 +104,66 @@ def _check_ring(couplings, sites, ring):
 
 
 class _Stages:
-    """H(t) psi at a run of RK4 stage times, as one gather, scale and sum.
+    """A banded operator at a run of RK4 stage times: term r of row n is buffer
+    row ``rows[r, n]`` times ``gains[j, r, n]`` at stage j. A state of L sites
+    sits in L + 1 buffer rows; the last, read off an open window, stays zero."""
 
-    A state of L sites sits in a buffer of L + 1 rows whose last row stays
-    zero. Row 0 of the terms is the diagonal f_t n psi_n; then each hop
-    term nonzero at some stage time reads its neighbour through ``rows``:
-    2 Re g_0 psi_n, then g_m psi_{n+m} and g_m* psi_{n-m} for each m in
-    turn. On an open window a neighbour outside reads the zero row; on a
-    ring it wraps, and its gain carries the seam twist e^{-i L eta_t} (or
-    the conjugate) once. Summing the terms row by row rounds exactly like
-    adding them one at a time, in this order.
-    """
-
-    def __init__(self, f_vals, couplings, twists, sites, shape):
-        size = shape[0]
-        sites_at = np.arange(size)
-        seams = (None, None) if twists is None else (
-            twists[:, None], np.conj(twists)[:, None])
-        rows, gains = [sites_at], [f_vals[:, None] * sites]
-        for m in np.flatnonzero(np.any(couplings != 0.0, axis=0)):
-            g = couplings[:, m, None]
-            if m == 0:
-                rows.append(sites_at)
-                gains.append(2.0 * g.real)
-                continue
-            for hop, gain, seam in ((m, g, seams[0]), (-m, np.conj(g), seams[1])):
-                to = sites_at + hop
-                across = (to < 0) | (to >= size)
-                if seam is None:
-                    rows.append(np.where(across, size, to))
-                else:
-                    rows.append(to % size)
-                    gain = np.where(across, gain * seam, gain)
-                gains.append(gain)
-        self.rows = np.array(rows)
-        table = np.empty((f_vals.size, len(rows), size), dtype=complex)
-        for r, gain in enumerate(gains):
-            table[:, r] = gain
-        self.gains = table.reshape(table.shape + (1,) * (len(shape) - 1))
+    def __init__(self, rows, gains, shape):
+        self.rows = rows
+        self.gains = gains.reshape(gains.shape + (1,) * (len(shape) - 1))
         self.terms = np.empty((len(rows),) + tuple(shape), dtype=complex)
 
-    def apply(self, j, buf, out):
-        """out = H(t_j) psi, with psi in all but the last row of ``buf``."""
+    def apply(self, j, buf, out=None):
+        """A_j psi, with psi in all but the last row of ``buf``."""
         buf.take(self.rows, axis=0, out=self.terms, mode="clip")
         np.multiply(self.gains[j], self.terms, out=self.terms)
-        np.add.reduce(self.terms, axis=0, out=out)
+        return np.add.reduce(self.terms, axis=0, out=out)
+
+
+def _hamiltonian(f_vals, couplings, twists, sites, shape):
+    """H(t) at each stage time as _Stages: f_t n psi_n, then each hop term
+    nonzero at some stage time (2 Re g_0 psi_n, then g_m psi_{n+m} and g_m*
+    psi_{n-m} for each m, twisted across a ring's seam), summed in order."""
+    size = shape[0]
+    sites_at = np.arange(size)
+    seams = (None, None) if twists is None else (
+        twists[:, None], np.conj(twists)[:, None])
+    rows, gains = [sites_at], [f_vals[:, None] * sites]
+    for m in np.flatnonzero(np.any(couplings != 0.0, axis=0)):
+        g = couplings[:, m, None]
+        if m == 0:
+            rows.append(sites_at)
+            gains.append(2.0 * g.real)
+            continue
+        for hop, gain, seam in ((m, g, seams[0]), (-m, np.conj(g), seams[1])):
+            to = sites_at + hop
+            across = (to < 0) | (to >= size)
+            if seam is None:
+                rows.append(np.where(across, size, to))
+            else:
+                rows.append(to % size)
+                gain = np.where(across, gain * seam, gain)
+            gains.append(gain)
+    table = np.empty((f_vals.size, len(rows), size), dtype=complex)
+    for r, gain in enumerate(gains):
+        table[:, r] = gain
+    return _Stages(np.array(rows), table, shape)
+
+
+def _step_map(h, f_val, couplings, sites):
+    """P = R(-ihH) as _Stages: Horner's rule on a comb of 8M + 1 columns
+    (column r marks the sites = r mod 8M + 1) leaves P[i, i + d] at row i,
+    column (i + d) mod 8M + 1. Diagonals that are exactly zero are dropped."""
+    size, width = sites.size, 8 * (couplings.size - 1) + 1
+    block = comb = np.eye(width, dtype=complex)[np.arange(size) % width]
+    for k in (4.0, 3.0, 2.0, 1.0):
+        block = comb - (1j * h / k) * _h_apply(block, f_val, couplings, 1.0,
+                                               sites, False)
+    to = np.arange(size) + np.arange(-(width // 2), width // 2 + 1)[:, None]
+    gains = np.take_along_axis(block.T, to % width, axis=0)
+    keep = np.any(gains != 0.0, axis=1)
+    rows = np.where((to < 0) | (to >= size), size, to)
+    return _Stages(rows[keep], gains[None, keep], (size,))
 
 
 def _buffer(shape):
@@ -153,25 +173,35 @@ def _buffer(shape):
 
 def _h_apply(psi, f_val, couplings, twist, sites, ring):
     """H psi for a 1-d state or an (sites, columns) block at fixed coefficients."""
-    stages = _Stages(np.array([f_val], dtype=float), np.asarray(couplings)[None],
-                     np.array([twist]) if ring else None, sites, psi.shape)
+    stages = _hamiltonian(np.full(1, f_val), np.asarray(couplings)[None],
+                          np.full(1, twist) if ring else None, sites, psi.shape)
     buf = _buffer(psi.shape)
     buf[:-1] = psi
-    out = np.empty(psi.shape, dtype=complex)
-    stages.apply(0, buf, out)
-    return out
+    return stages.apply(0, buf)
 
 
-def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt):
+def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None):
     """RK4 from t0 to t1 with a uniform step close to dt; returns (psi, edge).
 
     Coefficients and edge amplitudes are kept for _CHUNK_STEPS steps at a
-    time, so memory does not grow with the step count.
-    """
+    time. A static H (tested on the whole grid once the first chunk passes)
+    takes its step map; ``memo`` keeps the last map and tallies the marches."""
     span = t1 - t0
     nsteps = max(1, int(np.ceil(abs(span) / dt))) if span != 0.0 else 1
     h = span / nsteps
     half, full, sixth = 0.5j * h, 1j * h, 1j * (h / 6.0)
+    memo = {"steps": 0, "marches": set()} if memo is None else memo
+
+    def coefficients(first, steps):
+        # all RK4 stage times sit on the half-step grid
+        times = t0 + 0.5 * h * np.arange(2 * first, 2 * (first + steps) + 1)
+        twists = np.exp(-1j * sites.size * np.asarray(
+            protocol.eta(times), dtype=float)) if ring else None
+        return (np.full(times.shape, protocol.f(times), dtype=float),
+                _couplings(protocol, dispersion, times), twists)
+
+    def static(f_vals, couplings, twists):
+        return np.all(f_vals == f_vals[0]) and np.all(couplings == couplings[0])
 
     size = psi0.shape[0]
     held, staged = _buffer(psi0.shape), _buffer(psi0.shape)
@@ -185,35 +215,43 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt):
     edge_rows = np.r_[np.arange(size)[:_EDGE_SITES],
                       np.arange(size)[-_EDGE_SITES:]]
     edges = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
-    edge = 0.0
+    edge, step_map = 0.0, None
+    head = coefficients(0, min(nsteps, _CHUNK_STEPS))
+    if track_edge and static(*head) and (
+            nsteps <= _CHUNK_STEPS or static(*coefficients(0, nsteps))):
+        f_val, band = head[0][0], head[1][0]
+        key = (h, f_val, band.tobytes())
+        if memo.get("key") != key:
+            memo["key"], memo["map"] = key, _step_map(h, f_val, band, sites)
+        step_map = memo["map"]
+    memo["steps"] += nsteps
+    memo["marches"].add("stages" if step_map is None else "step map")
     for first in range(0, nsteps, _CHUNK_STEPS):
         steps = min(_CHUNK_STEPS, nsteps - first)
-        # all RK4 stage times sit on the half-step grid
-        times = t0 + 0.5 * h * np.arange(2 * first, 2 * (first + steps) + 1)
-        f_vals = np.broadcast_to(np.asarray(protocol.f(times), dtype=float),
-                                 times.shape)
-        twists = np.exp(-1j * sites.size * np.asarray(
-            protocol.eta(times), dtype=float)) if ring else None
-        stages = None  # drop the last chunk's table before building this one
-        stages = _Stages(f_vals, _couplings(protocol, dispersion, times),
-                         twists, sites, psi0.shape)
+        if step_map is None:
+            stages = None  # drop the last chunk's table before building this one
+            stages = _hamiltonian(*(coefficients(first, steps) if first else head),
+                                  sites, psi0.shape)
         for i in range(steps):
-            a = 2 * i
-            stages.apply(a, held, k1)
-            np.multiply(half, k1, out=tmp)
-            np.subtract(psi, tmp, out=stage)
-            stages.apply(a + 1, staged, k2)
-            np.multiply(half, k2, out=tmp)
-            np.subtract(psi, tmp, out=stage)
-            stages.apply(a + 1, staged, k3)
-            np.multiply(full, k3, out=tmp)
-            np.subtract(psi, tmp, out=stage)
-            stages.apply(a + 2, staged, k4)
-            # psi - i h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-            np.multiply(2.0, k[1:3], out=k[1:3])
-            np.add.reduce(k, axis=0, out=tmp)
-            np.multiply(sixth, tmp, out=tmp)
-            np.subtract(psi, tmp, out=psi)
+            if step_map is not None:
+                step_map.apply(0, held, psi)
+            else:
+                a = 2 * i
+                stages.apply(a, held, k1)
+                np.multiply(half, k1, out=tmp)
+                np.subtract(psi, tmp, out=stage)
+                stages.apply(a + 1, staged, k2)
+                np.multiply(half, k2, out=tmp)
+                np.subtract(psi, tmp, out=stage)
+                stages.apply(a + 1, staged, k3)
+                np.multiply(full, k3, out=tmp)
+                np.subtract(psi, tmp, out=stage)
+                stages.apply(a + 2, staged, k4)
+                # psi - i h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+                np.multiply(2.0, k[1:3], out=k[1:3])
+                np.add.reduce(k, axis=0, out=tmp)
+                np.multiply(sixth, tmp, out=tmp)
+                np.subtract(psi, tmp, out=psi)
             if track_edge:
                 psi.take(edge_rows, out=edges[i], mode="clip")
         if track_edge:
@@ -255,6 +293,7 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
         protocol, sites, dispersion, t_final)
     check_norm = psi0.ndim == 1
     norm0 = float(np.linalg.norm(psi0))
+    memo = {"steps": 0, "marches": set()}
 
     def run(step):
         psi = psi0
@@ -263,7 +302,7 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
         t_prev = 0.0
         for t_next in times:
             psi, e = _march(psi, t_prev, t_next, protocol, sites, ring,
-                            dispersion, step)
+                            dispersion, step, memo)
             edge = max(edge, e)
             out.append(psi)
             t_prev = t_next
@@ -279,8 +318,9 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
         if err < target and drift < 1e-9:
             _log.debug("accepted dt = %.6g after %d refinements: error %.3g "
                        "(target %.3g), norm drift %.3g, peak edge "
-                       "probability %.3g", dt, refinements, err, target, drift,
-                       edge)
+                       "probability %.3g; %s march, %d steps marched", dt,
+                       refinements, err, target, drift, edge,
+                       " + ".join(sorted(memo["marches"])), memo["steps"])
             return cur, edge
         prev = cur
     raise RuntimeError(

@@ -124,6 +124,14 @@ def _finite(values):
     return values
 
 
+def _check_tolerance(tolerance) -> float:
+    """The oracle comparison tolerance, from the config or an override."""
+    tolerance = float(tolerance)
+    if not (np.isfinite(tolerance) and tolerance > 0.0):
+        _fail("oracle", "tolerance", "must be positive")
+    return tolerance
+
+
 class _Section:
     def __init__(self, name: str, data: dict):
         self.name = name
@@ -340,8 +348,7 @@ def load_scenario(path) -> Scenario:
     leak_tol = sec_orc.get("leak_tolerance", float, default=1e-8)
     tolerance = sec_orc.get("tolerance", float, default=1e-6)
     sec_orc.reject_unknown()
-    if tolerance <= 0:
-        _fail("oracle", "tolerance", "must be positive")
+    _check_tolerance(tolerance)
     try:
         oracle_config = OracleConfig(boundary=boundary, dt=dt,
                                      error_per_time=err_pt,
@@ -486,7 +493,7 @@ def run_scenario(config_path, out_dir=None, seed=None, tolerance=None) -> dict:
     if seed is not None:
         scenario.seed = int(seed)
     if tolerance is not None:
-        scenario.tolerance = float(tolerance)
+        scenario.tolerance = _check_tolerance(tolerance)
     out = _out_dir(out_dir)
 
     produced: list = []
@@ -526,7 +533,7 @@ def compare_with_oracle(config_path, out_dir=None, tolerance=None) -> dict:
     """
     scenario = load_scenario(config_path)
     if tolerance is not None:
-        scenario.tolerance = float(tolerance)
+        scenario.tolerance = _check_tolerance(tolerance)
     return _compare(scenario, _out_dir(out_dir))
 
 

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from driventb import (DCDrive, HarmonicDrive, LatticeState, OracleConfig,
                       bessel_j, gaussian_state, integrate, integrate_series,
                       monodromy_spectrum, quasienergy_band, single_site)
 from driventb.floquet import houston_state
-from driventb.oracle import _CHUNK_STEPS, _h_apply, _march, apply_hamiltonian
+from driventb.oracle import (_CHUNK_STEPS, _default_dt, _h_apply, _march,
+                             apply_hamiltonian)
 from helpers import dense_hamiltonian, dense_rk4
 
 # an M = 3 band with complex couplings and an on-site term g_0
@@ -104,6 +106,26 @@ class TestIntegrate:
                        "edge probability"):
             assert needle in message
 
+    @pytest.mark.parametrize("proto,march", [
+        (DCDrive(1.0, 0.8), "step map"),
+        (HarmonicDrive(1.0, 0.7, 0.8, 0.5), "stages"),
+    ], ids=["dc-open", "harmonic-open"])
+    def test_logs_the_march_and_the_steps_marched(self, caplog, proto, march):
+        s = gaussian_state(0, 2.0, 0.3, (-16, 16))
+        times = [0.3, 0.5]
+        with caplog.at_level(logging.DEBUG, logger="driventb.oracle"):
+            integrate_series(s, proto, times)
+        (message,) = [r.getMessage() for r in caplog.records
+                      if r.name == "driventb.oracle"]
+        refinements = int(re.search(r"after (\d+) refinements", message)[1])
+        dt = _default_dt(proto, s.sites.astype(float), None, times[-1])
+        # each run marches every interval, at dt halved once per refinement
+        steps = sum(int(np.ceil(span / (dt * 0.5 ** k)))
+                    for k in range(refinements + 1)
+                    for span in np.diff([0.0] + times))
+        assert steps > 2 * refinements
+        assert message.endswith(f"; {march} march, {steps} steps marched")
+
 
 class TestRing:
     def test_bloch_wave_follows_houston_closed_form(self):
@@ -174,6 +196,14 @@ def _tabulated_drive():
                           0.5 + 0.25 * np.cos(3.0 * tt))
 
 
+def _flat_then_ramp_drive():
+    # f and g are flat up to t = 0.8 (past the first chunk of the
+    # across-chunks march) and ramp after it
+    tt = np.array([0.0, 0.8, 2.0])
+    return TabulatedDrive(tt, np.array([0.9, 0.9, 1.5]),
+                          np.array([0.6, 0.6, 0.2]))
+
+
 class TestMarchMatchesDenseRK4:
     """_march against a stage-by-stage RK4 on a dense H(t), to 1e-13."""
 
@@ -186,6 +216,15 @@ class TestMarchMatchesDenseRK4:
                       SingleBandDispersion(BAND_M3), 10, True, False),
         "block-ring": (HarmonicDrive(0.9, 0.6, 1.3, 0.5), None, 8, True, True),
         "tabulated-g-open": (_tabulated_drive(), None, 21, False, False),
+        "dc-open": (DCDrive(0.9, 0.6), None, 21, False, False),
+        "band-dc-open": (DCDrive(0.9, 0.0), SingleBandDispersion(BAND_M3), 21,
+                         False, False),
+        "band2-offset-dc-open": (
+            DCDrive(0.9, 0.0), SingleBandDispersion((0.2, 0.4 - 0.1j, 0.15j)),
+            21, False, False),
+        "dc-ring": (DCDrive(0.9, 0.6), None, 10, True, False),
+        "flat-then-ramp-open": (_flat_then_ramp_drive(), None, 21, False,
+                                False),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -212,8 +251,16 @@ class TestMarchMatchesDenseRK4:
             psi0 = np.eye(size)[4]
         # a step a little over span / nsteps makes _march take nsteps steps
         dt = (t1 - t0) / (nsteps - 0.5) if t1 != t0 else 1e-3
-        psi, edge = _march(psi0, t0, t1, proto, labels, ring, dispersion, dt)
+        memo = {"steps": 0, "marches": set()}
+        psi, edge = _march(psi0, t0, t1, proto, labels, ring, dispersion, dt,
+                           memo)
         ref, ref_edge = dense_rk4(psi0, t0, t1, nsteps, hamiltonian)
+        # a static H on an open 1-d window marches by the step map
+        grid = t0 + 0.5 * ((t1 - t0) / nsteps) * np.arange(2 * nsteps + 1)
+        static = not (ring or block) and all(
+            np.ptp(v) == 0.0 for v in (proto.f(grid), proto.g(grid)))
+        assert memo["steps"] == nsteps
+        assert memo["marches"] == {"step map" if static else "stages"}
         assert np.max(np.abs(psi - ref)) < 1e-13
         if ring or block:
             assert edge == 0.0

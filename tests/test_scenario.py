@@ -274,8 +274,29 @@ quantities = state_snapshots
         assert good["max_amplitude_deviation"] < 1e-6
         assert bad["max_amplitude_deviation"] > 1e-2
 
+    @pytest.mark.parametrize("entry", [run_scenario, compare_with_oracle])
+    @pytest.mark.parametrize("tolerance", [-1.0, float("nan")],
+                             ids=["negative", "nan"])
+    def test_tolerance_override_is_checked(self, tmp_path, entry, tolerance):
+        path = write_cfg(tmp_path, BLOCH_CFG + "\n[oracle]\nenabled = true\n")
+        with pytest.raises(ConfigError, match=r"^\[oracle\] tolerance: must be "
+                                              r"positive$"):
+            entry(path, out_dir=tmp_path / "out", tolerance=tolerance)
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
+    def test_bad_tolerance_exit_code(self, tmp_path, command, tolerance):
+        runner = CliRunner()
+        path = write_cfg(tmp_path, BLOCH_CFG + "\n[oracle]\nenabled = true\n")
+        result = runner.invoke(main, [command, str(path), "--out-dir",
+                                      str(tmp_path / "out"), "--tolerance",
+                                      tolerance])
+        assert result.exit_code == 1, result.output
+        assert "[oracle] tolerance: must be positive" in result.output
+
     def test_run_and_compare_exit_codes(self, tmp_path):
         runner = CliRunner()
         path = write_cfg(tmp_path, BLOCH_CFG)
@@ -385,6 +406,15 @@ class TestShippedConfigs:
                                                 "enabled = false"), config)
         assert load_scenario(path).dispersion is not None
         assert_rerun_writes_the_same_bytes(path, tmp_path)
+
+    @pytest.mark.parametrize("config", ["single_band_m3.cfg",
+                                        "single_band_m3_power2.cfg"])
+    def test_band_rerun_with_the_oracle_writes_the_same_bytes(self, tmp_path,
+                                                              config):
+        assert load_scenario(CONFIG_DIR / config).oracle_enabled
+        assert_rerun_writes_the_same_bytes(CONFIG_DIR / config, tmp_path)
+        names = {path.name for path in (tmp_path / "a").iterdir()}
+        assert {"comparison.json", "summary.json"} <= names
 
     def test_bloch_oscillation_with_oracle_gate(self, tmp_path):
         summary = run_scenario(CONFIG_DIR / "bloch_oscillation.cfg",
