@@ -87,7 +87,7 @@ def band(config, out_dir):
     """Emit the quasienergy band (kappa, eps_kappa) of a resonant drive."""
     try:
         scenario = load_scenario(config)
-        name = _emit_band(scenario, _out_dir(out_dir))
+        name, = _emit_band(scenario, _out_dir(out_dir))
     except (ConfigError, ValueError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {out_dir}/{name} ({scenario.kappa_points} points)")

@@ -142,7 +142,8 @@ def gaussian_state(n0: float, sigma: float, kappa0: float,
     missing = 1.0 - mass_in / mass_total
     if missing > _GAUSS_MASS_TOL:
         raise ValueError(
-            f"window [{lo}, {hi}] holds only {1.0 - missing:.10f} of the Gaussian mass "
+            f"sigma {sigma:g} at center {n0:g}: window [{lo}, {hi}] holds only "
+            f"{1.0 - missing:.10f} of the Gaussian mass "
             f"(missing {missing:.3e} > {_GAUSS_MASS_TOL:g})")
 
     amps = envelope * np.exp(1j * kappa0 * sites)
@@ -155,9 +156,10 @@ def state_from_amplitudes(amplitudes, window: tuple[int, int],
     lo, hi = _check_window(window)
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.size != hi - lo + 1:
-        raise ValueError("amplitude count does not match the window length")
+        raise ValueError(f"values hold {amps.size} amplitudes for a "
+                         f"{hi - lo + 1}-site window")
     if np.linalg.norm(amps) == 0.0:
-        raise ValueError("zero-norm amplitude list")
+        raise ValueError("values must not all be zero")
     return LatticeState(lo, amps, ring=ring).normalized()
 
 

@@ -14,10 +14,10 @@ the weight m being fixed by the ladder action K^m |n> = |n - m>, i.e.
     U_{n n'}(t) = exp(-i (n'-n)(phi_t + pi/2) - i n eta_t) J_{n'-n}(2|chi_t|).
 
 One entry point, ``apply_propagator(state, eta, {m: chi_m})``, serves every
-band; ``evolve`` feeds it a drive's phase integrals. Its "bloch" route
-applies the diagonal phase e^{-i Phi(kappa)} by FFT on an enlarged ring,
-its "site" route convolves with the harmonics' Bessel kernels; the eta
-shift is always the exact site phase e^{-i eta n}.
+band; ``evolve`` feeds it a drive's phase integrals at one time or over a
+time grid. Its "bloch" route applies the diagonal phase e^{-i Phi(kappa)}
+by FFT on an enlarged ring, its "site" route convolves with the harmonics'
+Bessel kernels; the eta shift is always the exact site phase e^{-i eta n}.
 """
 
 from __future__ import annotations
@@ -77,13 +77,14 @@ def _eta_weight(m: int, convention: str) -> float:
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _chis(protocol: DriveProtocol, t: float, dispersion=None,
+def _chis(protocol: DriveProtocol, t, dispersion=None,
           convention: str = "index") -> dict:
     """{m: chi_m(t)}: the drive's {1: chi_t}, or one integral per nonzero
-    coupling of the dispersion (whose g replaces the drive's)."""
+    coupling of the dispersion (whose g replaces the drive's); complex
+    values at a scalar t, arrays of t's shape at an array."""
     if dispersion is None:
-        return {1: complex(protocol.chi(t))}
-    return {m: g * complex(protocol.int_exp_eta(t, _eta_weight(m, convention)))
+        return {1: protocol.chi(t)}
+    return {m: g * protocol.int_exp_eta(t, _eta_weight(m, convention))
             for m, g in enumerate(dispersion.couplings) if g != 0.0}
 
 
@@ -112,7 +113,7 @@ def _site_kernel(chis: dict) -> np.ndarray:
 def element(protocol: DriveProtocol, t: float, n: int, nprime) -> complex:
     """Matrix element(s) <n| U(t) |n'>; nprime may be an array."""
     t = float(t)
-    kernel = _site_kernel(_chis(protocol, t))
+    kernel = _site_kernel({1: complex(protocol.chi(t))})
     mmax = kernel.size // 2
     scalar = np.ndim(nprime) == 0
     m = np.atleast_1d(np.asarray(nprime, dtype=int)) - int(n)
@@ -136,19 +137,26 @@ def bloch_phase(protocol: DriveProtocol, t: float, kappa,
                                     kappa))
 
 
-def evolve(state: LatticeState, protocol: DriveProtocol, t: float,
+def evolve(state: LatticeState, protocol: DriveProtocol, t,
            path: str = "bloch", dispersion: SingleBandDispersion | None = None,
-           convention: str = "index") -> LatticeState:
-    """Apply U(t) to a state.
+           convention: str = "index"):
+    """Apply U(t) to a state: a scalar t gives the evolved state, a 1-d
+    array of times the list of evolved states, with the phase integrals
+    evaluated once for the whole grid.
 
     Without a dispersion the drive's g_t hops between neighbours; with one,
     ``protocol`` supplies only the field f_t and the band supplies the
     couplings, each harmonic m weighted by ``convention`` ("index": m,
     "power2": 2^(m-1)).
     """
-    t = float(t)
-    return apply_propagator(state, float(protocol.eta(t)),
-                            _chis(protocol, t, dispersion, convention), path)
+    times = np.asarray(t, dtype=float)
+    eta = protocol.eta(times)
+    chis = _chis(protocol, times, dispersion, convention)
+    if times.ndim == 0:
+        return apply_propagator(state, float(eta), chis, path)
+    return [apply_propagator(state, float(eta[i]),
+                             {m: complex(chi[i]) for m, chi in chis.items()}, path)
+            for i in range(times.size)]
 
 
 def apply_propagator(state: LatticeState, eta: float, chis: dict,

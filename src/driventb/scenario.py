@@ -33,9 +33,10 @@ encodings of the same schema are accepted: INI-style sections
     enabled = true
     tolerance = 1e-6
 
-or a JSON object with the same sections as keys. Outputs are deterministic
-(sampling is seeded from [scenario] seed) and every CSV starts with a
-comment line carrying the scenario name and config hash.
+or a JSON object with the same sections, each an object of keys. Every
+key, the initial state included, is checked at load, before anything is
+written. Outputs are deterministic (sampling is seeded from [scenario]
+seed) and every CSV starts with a comment naming the scenario and hash.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,15 +53,12 @@ from . import classical as cls
 from . import observables as obs
 from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
 from .floquet import invariant_expectation, quasienergy_band
-from .lattice import bloch_grid, coherence_parameters, make_state
+from .lattice import LatticeState, bloch_grid, coherence_parameters, make_state
 from .oracle import OracleConfig, integrate_series
 from .propagator import SingleBandDispersion, _eta_weight, evolve
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
            "compare_with_oracle", "localization_map", "band_table"]
-
-_QUANTITIES = ("phase_integrals", "observables", "state_snapshots", "band",
-               "invariant", "classical", "localization_report")
 
 
 class ConfigError(ValueError):
@@ -71,30 +69,34 @@ def _fail(section: str, key: str, why: str):
     raise ConfigError(f"[{section}] {key}: {why}")
 
 
+def _refail(section: str, exc: ValueError):
+    """Re-raise a constructor's error, whose message starts with the key."""
+    key, _, why = str(exc).partition(" ")
+    _fail(section, key, why)
+
+
 def _parse_ini(text: str) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    out: dict = {}
-    for section in parser.sections():
-        out[section] = dict(parser.items(section))
-    return out
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+_BOOLS = {"true": True, "yes": True, "on": True, "1": True,
+          "false": False, "no": False, "off": False, "0": False}
 
 
 def _coerce(section: str, key: str, raw, kind):
     """Coerce an INI string (or JSON value) to the requested type."""
     try:
         if kind is bool:
-            if isinstance(raw, bool):
-                return raw
-            val = str(raw).strip().lower()
-            if val in ("true", "yes", "on", "1"):
-                return True
-            if val in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
+            word = str(raw).strip().lower()
+            value = raw if isinstance(raw, bool) else _BOOLS.get(word)
+            if value is None:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return value
         if kind is float:
             return _finite(float(raw))
         if kind is int:
@@ -124,14 +126,6 @@ def _finite(values):
     return values
 
 
-def _check_tolerance(tolerance) -> float:
-    """The oracle comparison tolerance, from the config or an override."""
-    tolerance = float(tolerance)
-    if not (np.isfinite(tolerance) and tolerance > 0.0):
-        _fail("oracle", "tolerance", "must be positive")
-    return tolerance
-
-
 class _Section:
     def __init__(self, name: str, data: dict):
         self.name = name
@@ -159,8 +153,7 @@ class Scenario:
     name: str
     seed: int
     window: tuple
-    ring: bool
-    state_spec: dict
+    state: LatticeState
     drive: object
     dispersion: object | None
     convention: str
@@ -179,17 +172,6 @@ class Scenario:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.samples)
 
-    def initial_state(self):
-        state = make_state(self.state_spec, self.window)
-        if self.ring:
-            from dataclasses import replace
-            state = replace(state, ring=True)
-        return state
-
-    def evolve_to(self, state, t: float):
-        return evolve(state, self.drive, t, dispersion=self.dispersion,
-                      convention=self.convention)
-
 
 _CLOSED_FORM_DRIVES = {
     "dc": (DCDrive, ("f0", "g0")),
@@ -207,8 +189,7 @@ def _build_drive(sec: _Section, base_dir: Path):
         try:
             drive = cls(*args)
         except ValueError as exc:
-            key, _, why = str(exc).partition(" ")
-            _fail("drive", key, why)
+            _refail("drive", exc)
     elif kind == "tabulated":
         f_file = sec.get("f_file", str, required=True)
         g_file = sec.get("g_file", str, required=True)
@@ -224,8 +205,12 @@ def _build_drive(sec: _Section, base_dir: Path):
     return drive
 
 
-def load_scenario(path) -> Scenario:
-    """Parse and validate a scenario file (INI sections or a JSON object)."""
+def load_scenario(path, seed=None, tolerance=None) -> Scenario:
+    """Parse and validate a scenario file (INI sections or a JSON object).
+
+    ``seed`` and ``tolerance`` override [scenario] seed and [oracle]
+    tolerance and pass the same range checks; the hash is the file's.
+    """
     path = Path(path)
     text = path.read_text()
     if text.lstrip().startswith("{"):
@@ -242,14 +227,20 @@ def load_scenario(path) -> Scenario:
                                    "band", "localization_map"}
     if unknown_sections:
         raise ConfigError(f"unknown section [{sorted(unknown_sections)[0]}]")
+    for section, keys in raw.items():
+        if not isinstance(keys, dict):
+            raise ConfigError(f"[{section}] section must be an object of keys")
 
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, default=str).encode()).hexdigest()[:12]
 
     sec_scen = _Section("scenario", raw.get("scenario", {}))
     name = sec_scen.get("name", str, default=path.stem)
-    seed = sec_scen.get("seed", int, default=0)
+    key_seed = sec_scen.get("seed", int, default=0)
+    seed = key_seed if seed is None else int(seed)
     sec_scen.reject_unknown()
+    if seed < 0:
+        _fail("scenario", "seed", "must be non-negative")
 
     sec_lat = _Section("lattice", raw.get("lattice", {}))
     win = sec_lat.get("window", "floats", required=True)
@@ -264,23 +255,18 @@ def load_scenario(path) -> Scenario:
     sec_state = _Section("state", raw.get("state", {}))
     kind = sec_state.get("kind", str, required=True)
     if kind == "single_site":
-        state_spec = {"kind": kind, "site": sec_state.get("site", int, default=0)}
-        if not window[0] <= state_spec["site"] <= window[1]:
-            _fail("state", "site", f"outside the window {window}")
+        spec = {"kind": kind, "site": sec_state.get("site", int, default=0)}
     elif kind == "gaussian":
-        state_spec = {"kind": kind,
-                      "center": sec_state.get("center", float, default=0.0),
-                      "sigma": sec_state.get("sigma", float, required=True),
-                      "kappa0": sec_state.get("kappa0", float, default=0.0)}
-        if state_spec["sigma"] <= 0:
-            _fail("state", "sigma", "must be positive")
+        spec = {"kind": kind,
+                "center": sec_state.get("center", float, default=0.0),
+                "sigma": sec_state.get("sigma", float, required=True),
+                "kappa0": sec_state.get("kappa0", float, default=0.0)}
     elif kind == "amplitudes":
         values = sec_state.get("values", "floats", required=True)
         if len(values) % 2 != 0:
             _fail("state", "values", "expected re im pairs")
-        state_spec = {"kind": kind,
-                      "values": [complex(values[i], values[i + 1])
-                                 for i in range(0, len(values), 2)]}
+        spec = {"kind": kind, "values": [complex(values[i], values[i + 1])
+                                         for i in range(0, len(values), 2)]}
     else:
         _fail("state", "kind", f"unknown state kind {kind!r}")
     sec_state.reject_unknown()
@@ -308,8 +294,7 @@ def load_scenario(path) -> Scenario:
         try:
             drive.check_scale(weight)
         except ValueError as exc:
-            key, _, why = str(exc).partition(" ")
-            _fail("drive", key, why)
+            _refail("drive", exc)
 
     sec_time = _Section("time", raw.get("time", {}))
     t_max = sec_time.get("t_max", float, required=True)
@@ -324,21 +309,19 @@ def load_scenario(path) -> Scenario:
     quantities = tuple(sec_out.get("quantities", "strings",
                                    default=["observables"]))
     for q in quantities:
-        if q not in _QUANTITIES:
+        if q not in _EMITTERS:
             _fail("output", "quantities", f"unknown quantity {q!r}")
+        if dispersion is not None and q not in ("phase_integrals", "state_snapshots"):
+            _fail("output", "quantities",
+                  f"{q!r} is unavailable with a [dispersion] section "
+                  "(closed-form moments are tight-binding only)")
+        if q in ("band", "localization_report") and drive.resonance_order() is None:
+            _fail("drive", "kind", f"{q!r} requires a resonant periodic drive")
     snapshot_times = tuple(sec_out.get("snapshot_times", "floats",
                                        default=[0.0, t_max]))
     if not all(0.0 <= s <= t_max for s in snapshot_times):
         _fail("output", "snapshot_times", "must lie in [0, t_max]")
     sec_out.reject_unknown()
-
-    if dispersion is not None:
-        allowed = {"phase_integrals", "state_snapshots"}
-        bad = [q for q in quantities if q not in allowed]
-        if bad:
-            _fail("output", "quantities",
-                  f"{bad[0]!r} is unavailable with a [dispersion] section "
-                  "(closed-form moments are tight-binding only)")
 
     sec_orc = _Section("oracle", raw.get("oracle", {}))
     oracle_enabled = sec_orc.get("enabled", bool, default=False)
@@ -346,16 +329,17 @@ def load_scenario(path) -> Scenario:
     dt = sec_orc.get("dt", float, default=None)
     err_pt = sec_orc.get("error_per_time", float, default=1e-8)
     leak_tol = sec_orc.get("leak_tolerance", float, default=1e-8)
-    tolerance = sec_orc.get("tolerance", float, default=1e-6)
+    key_tolerance = sec_orc.get("tolerance", float, default=1e-6)
+    tolerance = key_tolerance if tolerance is None else float(tolerance)
     sec_orc.reject_unknown()
-    _check_tolerance(tolerance)
+    if not 0.0 < tolerance < np.inf:
+        _fail("oracle", "tolerance", "must be positive")
     try:
         oracle_config = OracleConfig(boundary=boundary, dt=dt,
                                      error_per_time=err_pt,
                                      leak_tolerance=leak_tol)
     except ValueError as exc:
-        key, _, why = str(exc).partition(" ")
-        _fail("oracle", key, why)
+        _refail("oracle", exc)
     # the oracle runs a ring when either section asks for one
     n_sites = window[1] - window[0] + 1
     if (dispersion is not None and (ring or boundary == "ring")
@@ -374,14 +358,21 @@ def load_scenario(path) -> Scenario:
                  sec_map.get("x_max", float, default=6.0),
                  sec_map.get("steps", int, default=121))
     sec_map.reject_unknown()
+    if map_range[2] < 1:
+        _fail("localization_map", "steps", "must be at least 1")
 
-    return Scenario(name=name, seed=seed, window=window, ring=ring,
-                    state_spec=state_spec, drive=drive, dispersion=dispersion,
-                    convention=convention, t_max=t_max, samples=samples,
-                    quantities=quantities, snapshot_times=snapshot_times,
-                    oracle_enabled=oracle_enabled, oracle_config=oracle_config,
-                    tolerance=tolerance, kappa_points=kappa_points,
-                    map_range=map_range, config_hash=digest)
+    # built last, so that a fault in any other section is reported first
+    try:
+        state = replace(make_state(spec, window), ring=ring)
+    except ValueError as exc:
+        _refail("state", exc)
+
+    return Scenario(name=name, seed=seed, window=window, state=state,
+                    drive=drive, dispersion=dispersion, convention=convention,
+                    t_max=t_max, samples=samples, quantities=quantities,
+                    snapshot_times=snapshot_times, oracle_enabled=oracle_enabled,
+                    oracle_config=oracle_config, tolerance=tolerance,
+                    kappa_points=kappa_points, map_range=map_range, config_hash=digest)
 
 
 def _out_dir(out_dir) -> Path:
@@ -404,9 +395,8 @@ def _write_csv(path: Path, scenario: Scenario, header: list, columns,
             fh.writelines([row % values for values in zip(*block)])
 
 
-def _emit_observables(scenario: Scenario, out_dir: Path) -> str:
-    state = scenario.initial_state()
-    coh = coherence_parameters(state)
+def _emit_observables(scenario: Scenario, out_dir: Path) -> list:
+    coh = coherence_parameters(scenario.state)
     series = obs.observable_series(coh, scenario.drive, scenario.times)
     columns = (series.times, series.eta, series.chi.real, series.chi.imag,
                series.u, series.v, series.expect_N, series.var_N,
@@ -414,20 +404,18 @@ def _emit_observables(scenario: Scenario, out_dir: Path) -> str:
     _write_csv(out_dir / "observables.csv", scenario,
                ["t", "eta", "re_chi", "im_chi", "u", "v", "expect_N", "var_N",
                 "re_expect_K", "im_expect_K"], columns)
-    return "observables.csv"
+    return ["observables.csv"]
 
 
 def _emit_snapshots(scenario: Scenario, out_dir: Path) -> list:
-    state = scenario.initial_state()
-    names = []
-    for i, t in enumerate(scenario.snapshot_times):
-        snap = scenario.evolve_to(state, float(t))
-        name = f"snapshot_{i:04d}.csv"
+    names = [f"snapshot_{i:04d}.csv" for i in range(len(scenario.snapshot_times))]
+    snaps = evolve(scenario.state, scenario.drive, np.array(scenario.snapshot_times),
+                   dispersion=scenario.dispersion, convention=scenario.convention)
+    for name, t, snap in zip(names, scenario.snapshot_times, snaps):
         c = snap.amplitudes
         _write_csv(out_dir / name, scenario, ["n", "re_c", "im_c", "prob"],
                    (snap.sites, c.real, c.imag, [abs(x) ** 2 for x in c.tolist()]),
                    comment=f" t={t:.17g} leak={snap.leak:.3e}")
-        names.append(name)
     return names
 
 
@@ -438,30 +426,28 @@ def band_table(scenario: Scenario):
     return kappa, band.epsilon(kappa)
 
 
-def _emit_band(scenario: Scenario, out_dir: Path) -> str:
-    try:
+def _emit_band(scenario: Scenario, out_dir: Path) -> list:
+    try:  # `driventb band` reaches here with any drive
         kappa, eps = band_table(scenario)
     except ValueError as exc:
         raise ConfigError(f"[drive] kind: {exc}") from exc
     _write_csv(out_dir / "band.csv", scenario, ["kappa", "quasienergy"],
                (kappa, eps))
-    return "band.csv"
+    return ["band.csv"]
 
 
-def _emit_invariant(scenario: Scenario, out_dir: Path) -> str:
-    state = scenario.initial_state()
-    n0 = coherence_parameters(state).n_mean
+def _emit_invariant(scenario: Scenario, out_dir: Path) -> list:
+    n0 = coherence_parameters(scenario.state).n_mean
     times = scenario.times
     _write_csv(out_dir / "invariant.csv", scenario,
                ["t", "invariant", "n_mean_initial"],
-               (times, invariant_expectation(state, scenario.drive, times),
+               (times, invariant_expectation(scenario.state, scenario.drive, times),
                 np.full(times.shape, n0)))
-    return "invariant.csv"
+    return ["invariant.csv"]
 
 
 def _emit_classical(scenario: Scenario, out_dir: Path, n_samples: int = 20000):
-    state = scenario.initial_state()
-    ens = cls.ensemble_from_state(state, n_samples, seed=scenario.seed)
+    ens = cls.ensemble_from_state(scenario.state, n_samples, seed=scenario.seed)
     _write_csv(out_dir / "ensemble.csv", scenario, ["p", "q", "weight"],
                (ens.p, ens.q, ens.weights))
     times = scenario.times
@@ -470,13 +456,9 @@ def _emit_classical(scenario: Scenario, out_dir: Path, n_samples: int = 20000):
     return ["classical.csv", "ensemble.csv"]
 
 
-def _emit_localization(scenario: Scenario, out_dir: Path) -> str:
-    state = scenario.initial_state()
-    try:
-        report = obs.localization_report(scenario.drive,
-                                         coherence_parameters(state))
-    except ValueError as exc:
-        raise ConfigError(f"[drive] kind: {exc}") from exc
+def _emit_localization(scenario: Scenario, out_dir: Path) -> list:
+    report = obs.localization_report(scenario.drive,
+                                     coherence_parameters(scenario.state))
     payload = {"order": report.order, "gamma": report.gamma,
                "localized": report.localized, "degenerate": report.degenerate,
                "var_slope_coefficient": report.var_slope_coefficient,
@@ -484,32 +466,28 @@ def _emit_localization(scenario: Scenario, out_dir: Path) -> str:
                "scenario": scenario.name, "hash": scenario.config_hash}
     path = out_dir / "localization_report.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return "localization_report.json"
+    return ["localization_report.json"]
+
+
+# quantity -> emitter, in the order the outputs are written
+_EMITTERS = {"phase_integrals": _emit_observables,
+             "observables": _emit_observables,
+             "state_snapshots": _emit_snapshots,
+             "band": _emit_band,
+             "invariant": _emit_invariant,
+             "classical": _emit_classical,
+             "localization_report": _emit_localization}
 
 
 def run_scenario(config_path, out_dir=None, seed=None, tolerance=None) -> dict:
     """Execute a scenario; returns the summary dict (also written as JSON)."""
-    scenario = load_scenario(config_path)
-    if seed is not None:
-        scenario.seed = int(seed)
-    if tolerance is not None:
-        scenario.tolerance = _check_tolerance(tolerance)
+    scenario = load_scenario(config_path, seed=seed, tolerance=tolerance)
     out = _out_dir(out_dir)
 
     produced: list = []
-    wants = set(scenario.quantities)
-    if wants & {"phase_integrals", "observables"}:
-        produced.append(_emit_observables(scenario, out))
-    if "state_snapshots" in wants:
-        produced.extend(_emit_snapshots(scenario, out))
-    if "band" in wants:
-        produced.append(_emit_band(scenario, out))
-    if "invariant" in wants:
-        produced.append(_emit_invariant(scenario, out))
-    if "classical" in wants:
-        produced.extend(_emit_classical(scenario, out))
-    if "localization_report" in wants:
-        produced.append(_emit_localization(scenario, out))
+    for emit in dict.fromkeys(emit for quantity, emit in _EMITTERS.items()
+                              if quantity in scenario.quantities):
+        produced += emit(scenario, out)
 
     summary = {"scenario": scenario.name, "hash": scenario.config_hash,
                "seed": scenario.seed, "outputs": produced, "status": "ok"}
@@ -531,41 +509,40 @@ def compare_with_oracle(config_path, out_dir=None, tolerance=None) -> dict:
     Returns (and writes) a report with per-time maximum amplitude deviation
     and moment deviations, plus a pass/fail verdict at the tolerance.
     """
-    scenario = load_scenario(config_path)
-    if tolerance is not None:
-        scenario.tolerance = _check_tolerance(tolerance)
-    return _compare(scenario, _out_dir(out_dir))
+    return _compare(load_scenario(config_path, tolerance=tolerance),
+                    _out_dir(out_dir))
+
+
+def _moments(state: LatticeState) -> tuple:
+    """(<N>, Var N) of a state's site distribution."""
+    p = state.probabilities
+    mean = float(np.sum(state.sites * p))
+    return mean, float(np.sum(state.sites.astype(float) ** 2 * p)) - mean ** 2
 
 
 def _compare(scenario: Scenario, out: Path) -> dict:
-    state = scenario.initial_state()
-    times = scenario.times
+    state, times = scenario.state, scenario.times
     oracle_states = integrate_series(state, scenario.drive, times,
                                      config=scenario.oracle_config,
                                      dispersion=scenario.dispersion)
+    closed_states = evolve(state, scenario.drive, times,
+                           dispersion=scenario.dispersion,
+                           convention=scenario.convention)
     per_time = []
-    for t, ref in zip(times, oracle_states):
-        closed = scenario.evolve_to(state, float(t))
-        amp_dev = float(np.max(np.abs(closed.amplitudes - ref.amplitudes)))
-        p_ref = ref.probabilities
-        n_ref = float(np.sum(ref.sites * p_ref))
-        n2_ref = float(np.sum(ref.sites.astype(float) ** 2 * p_ref))
-        p_cl = closed.probabilities
-        n_cl = float(np.sum(closed.sites * p_cl))
-        n2_cl = float(np.sum(closed.sites.astype(float) ** 2 * p_cl))
-        per_time.append({"t": float(t), "amplitude": amp_dev,
-                         "mean_N": abs(n_cl - n_ref),
-                         "var_N": abs((n2_cl - n_cl ** 2) - (n2_ref - n_ref ** 2)),
-                         "leak": closed.leak})
-    max_amp = max(row["amplitude"] for row in per_time)
-    max_mean = max(row["mean_N"] for row in per_time)
-    max_var = max(row["var_N"] for row in per_time)
+    for t, ref, closed in zip(times, oracle_states, closed_states):
+        (n_cl, var_cl), (n_ref, var_ref) = _moments(closed), _moments(ref)
+        per_time.append({
+            "t": float(t), "leak": closed.leak,
+            "amplitude": float(np.max(np.abs(closed.amplitudes - ref.amplitudes))),
+            "mean_N": abs(n_cl - n_ref), "var_N": abs(var_cl - var_ref)})
+    worst = {key: max(row[key] for row in per_time)
+             for key in ("amplitude", "mean_N", "var_N")}
     report = {"scenario": scenario.name, "hash": scenario.config_hash,
               "tolerance": scenario.tolerance, "per_time": per_time,
-              "max_amplitude_deviation": max_amp,
-              "max_mean_N_deviation": max_mean,
-              "max_var_N_deviation": max_var,
-              "passed": bool(max_amp <= scenario.tolerance)}
+              "max_amplitude_deviation": worst["amplitude"],
+              "max_mean_N_deviation": worst["mean_N"],
+              "max_var_N_deviation": worst["var_N"],
+              "passed": bool(worst["amplitude"] <= scenario.tolerance)}
     (out / "comparison.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
@@ -581,7 +558,7 @@ def localization_map(config_path, out_dir=None) -> dict:
         raise ConfigError("[drive] f0: localization map requires a resonant drive")
     out = _out_dir(out_dir)
     x_min, x_max, steps = scenario.map_range
-    xs = np.linspace(x_min, x_max, int(steps))
+    xs = np.linspace(x_min, x_max, steps)
     gammas = [HarmonicDrive(drive.f0, x * drive.omega, drive.omega,
                             drive.g0).drift_rate() for x in xs]
     _write_csv(out / "localization_map.csv", scenario,

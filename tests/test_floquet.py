@@ -189,6 +189,16 @@ class TestInvariant:
             assert scalar == pytest.approx(value, abs=1e-12)
         assert invariant_expectation(s, proto, np.array([])).shape == (0,)
 
+    def test_grid_of_several_blocks(self):
+        # 70 times are evolved in blocks; each value still matches its time
+        s = gaussian_state(1, 3.0, 0.8, (-64, 64))
+        times = np.linspace(0.0, 6 * np.pi, 70).reshape(7, 10)
+        values = invariant_expectation(s, HARMONIC, times)
+        assert values.shape == times.shape
+        for t, value in zip(times.ravel(), values.ravel()):
+            assert invariant_expectation(s, HARMONIC, t) == pytest.approx(
+                value, abs=1e-12)
+
     def test_window_leak_raises(self):
         s = gaussian_state(0, 0.8, 0.0, (-6, 6))
         with pytest.raises(WindowLeakError):

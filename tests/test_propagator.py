@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from driventb import (DCDrive, HarmonicDrive, LatticeState,
+from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       SingleBandDispersion, apply_propagator, bessel_j,
                       bloch_phase, element, evolve, gaussian_state, integrate,
                       single_site)
@@ -118,6 +118,38 @@ class TestEvolve:
     def test_unknown_path_rejected(self):
         with pytest.raises(ValueError):
             evolve(single_site(0, (-2, 2)), DC, 1.0, path="magic")
+
+    # (drive, band, bit-identical): a dc phase is the same array program at
+    # one time or over a grid; the harmonic and Fourier chi may move by an
+    # ulp with the grid (their near-resonant terms are picked over its span)
+    GRID_CASES = {
+        "dc": (DCDrive(0.8, 0.6), None, True),
+        "harmonic": (HarmonicDrive(1.0, 1.7, 1.0, 0.5), None, False),
+        "fourier": (FourierDrive(0.9, (0.8, -0.5), 1.1, 0.45), None, False),
+        "band-m3-dc": (DCDrive(1.0, 0.0),
+                       SingleBandDispersion((0.0, 0.1, 0.0, 0.2)), True),
+    }
+
+    @pytest.mark.parametrize("path", ["bloch", "site"])
+    @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_time_grid_matches_one_time_at_a_time(self, case, ring, path):
+        proto, disp, exact = self.GRID_CASES[case]
+        s = gaussian_state(0, 2.5, 0.4, (-40, 40))
+        s = LatticeState(s.n_min, s.amplitudes, ring=ring)
+        times = np.linspace(0.0, 9.0, 13)
+        grid = evolve(s, proto, times, path=path, dispersion=disp)
+        assert isinstance(grid, list) and len(grid) == times.size
+        for t, got in zip(times, grid):
+            one = evolve(s, proto, t, path=path, dispersion=disp)
+            assert isinstance(one, LatticeState)
+            assert got.n_min == one.n_min and got.ring == one.ring
+            dev = np.max(np.abs(got.amplitudes - one.amplitudes))
+            assert dev == 0.0 if exact else dev <= 1e-15
+            assert abs(got.leak - one.leak) <= (0.0 if exact else 1e-15)
+
+    def test_empty_time_grid(self):
+        assert evolve(single_site(0, (-4, 4)), DC, np.array([])) == []
 
     def test_oracle_equivalence_sample(self):
         rng = np.random.default_rng(10)

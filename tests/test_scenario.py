@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from driventb import gaussian_state
 from driventb.cli import main
 from driventb.scenario import (ConfigError, compare_with_oracle, load_scenario,
                                run_scenario)
@@ -36,6 +37,7 @@ quantities = observables state_snapshots
 snapshot_times = 0.0 6.283185307179586
 """
 
+GAUSSIAN = "kind = gaussian\ncenter = 0\nsigma = 6\nkappa0 = 0.0\n"
 HARMONIC = "kind = harmonic\nf1 = {f1}\nomega = {omega}"
 FOURIER = "kind = fourier\nmodes = {modes}\nomega = 1"
 BAND_M3 = "\n[dispersion]\ncouplings = 0 0.1 0 0.2\nconvention = {convention}\n"
@@ -116,6 +118,18 @@ class TestConfigParsing:
         (lambda s: s.replace("kind = gaussian", "kind = single_site\nsite = 49")
          .replace("center = 0\nsigma = 6\nkappa0 = 0.0\n", ""),
          r"\[state\] site:"),
+        # the state is built at load, its constructors' errors named
+        (lambda s: s.replace(GAUSSIAN, "kind = amplitudes\nvalues = 1 0 0 1\n"),
+         r"\[state\] values:"),
+        (lambda s: s.replace(GAUSSIAN, "kind = amplitudes\nvalues = "
+                             + " ".join(["0"] * 194) + "\n"),
+         r"\[state\] values:"),
+        (lambda s: s.replace("sigma = 6", "sigma = 30"), r"\[state\] sigma:"),
+        (lambda s: s.replace("seed = 0", "seed = -1"), r"\[scenario\] seed:"),
+        (lambda s: s + "\n[localization_map]\nsteps = -3\n",
+         r"\[localization_map\] steps:"),
+        (lambda s: s + "\n[localization_map]\nsteps = 0\n",
+         r"\[localization_map\] steps:"),
     ], ids=["window", "samples", "t_max", "drive-kind", "quantity", "sigma",
             "missing-f0", "oracle-dt", "oracle-error_per_time",
             "oracle-leak_tolerance", "oracle-boundary", "drive-f0",
@@ -123,11 +137,36 @@ class TestConfigParsing:
             "drive-modes-finite", "drive-modes-band-weight",
             "drive-f1-band-weight", "t_max-nan", "window-inf", "samples-inf",
             "oracle-tolerance", "band-kappa_points", "snapshot-negative",
-            "snapshot-past-t_max", "state-site-outside"])
+            "snapshot-past-t_max", "state-site-outside",
+            "state-values-count", "state-values-zero", "state-sigma-truncated",
+            "seed-negative", "map-steps-negative", "map-steps-zero"])
     def test_validation_errors_name_the_field(self, tmp_path, mangle, needle):
         path = write_cfg(tmp_path, mangle(BLOCH_CFG))
         with pytest.raises(ConfigError, match=needle):
             load_scenario(path)
+
+    @pytest.mark.parametrize("section,value", [
+        ("scenario", 5), ("drive", ["dc"]), ("state", "gaussian"),
+        ("oracle", None)], ids=["int", "list", "string", "null"])
+    def test_json_section_must_be_an_object(self, tmp_path, section, value):
+        payload = {
+            "lattice": {"window": [-48, 48]},
+            "state": {"kind": "gaussian", "sigma": 6},
+            "drive": {"kind": "dc", "f0": 1.0, "g0": 1.0},
+            "time": {"t_max": 6.0, "samples": 8},
+        }
+        payload[section] = value
+        path = write_cfg(tmp_path, json.dumps(payload), "scenario.json")
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] section must "
+                                              r"be an object of keys$"):
+            load_scenario(path)
+
+    def test_state_is_built_at_load(self, tmp_path):
+        cfg = BLOCH_CFG.replace("window = -48 48", "window = -48 48\nring = true")
+        state = load_scenario(write_cfg(tmp_path, cfg)).state
+        expected = gaussian_state(0.0, 6.0, 0.0, (-48, 48))
+        assert state.ring and state.window == (-48, 48)
+        assert np.array_equal(state.amplitudes, expected.amplitudes)
 
     def test_dispersion_restricts_outputs(self, tmp_path):
         cfg = BLOCH_CFG + "\n[dispersion]\ncouplings = 0 0.5\n"
@@ -232,6 +271,22 @@ class TestRunScenario:
         assert data.shape[1] == 2
         width = data[:, 1].max() - data[:, 1].min()
         assert width == pytest.approx(4 * 0.25 * 0.4400505857449335, abs=1e-3)
+
+    @pytest.mark.parametrize("quantity", ["band", "localization_report"])
+    def test_resonant_quantity_fails_before_writing(self, tmp_path, quantity):
+        cfg = BLOCH_CFG.replace("quantities = observables state_snapshots",
+                                f"quantities = observables {quantity}")
+        with pytest.raises(ConfigError, match=r"^\[drive\] kind:"):
+            run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_override_is_checked(self, tmp_path):
+        path = write_cfg(tmp_path, BLOCH_CFG)
+        with pytest.raises(ConfigError, match=r"^\[scenario\] seed:"):
+            run_scenario(path, out_dir=tmp_path / "out", seed=-1)
+        assert not (tmp_path / "out").exists()
+        scenario = load_scenario(path, seed=7, tolerance=1e-3)
+        assert (scenario.seed, scenario.tolerance) == (7, 1e-3)
 
 
 class TestCompare:
@@ -342,6 +397,21 @@ class TestCli:
         result = runner.invoke(main, ["band", str(path), "--out-dir", str(out)])
         assert result.exit_code == 0, result.output
         assert (out / "band.csv").exists()
+
+    def test_band_command_needs_a_resonant_drive(self, tmp_path):
+        path = write_cfg(tmp_path, BLOCH_CFG)
+        result = CliRunner().invoke(main, ["band", str(path), "--out-dir",
+                                           str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "[drive] kind" in result.output
+
+    def test_bad_seed_exit_code(self, tmp_path):
+        path = write_cfg(tmp_path, BLOCH_CFG)
+        result = CliRunner().invoke(main, ["run", str(path), "--out-dir",
+                                           str(tmp_path / "out"), "--seed", "-1"])
+        assert result.exit_code == 1
+        assert "[scenario] seed" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_localization_map_command(self, tmp_path):
         runner = CliRunner()
