@@ -31,9 +31,7 @@ def bessel_j_array(nmax: int, x: float) -> np.ndarray:
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     x = float(x)
-    ax = abs(x)
-    if not np.isfinite(ax) or ax > _MAX_ARG:
-        raise ValueError(f"|x| = {ax} outside supported range (< {_MAX_ARG:g})")
+    ax = _checked_abs(x)
 
     out = np.zeros(nmax + 1)
     if ax < 1e-8:
@@ -84,10 +82,19 @@ def bessel_j(n: int, x: float) -> float:
     return float(val)
 
 
+def _checked_abs(x: float) -> float:
+    """|x|, or a ValueError when it is past the supported range."""
+    ax = abs(float(x))
+    if not np.isfinite(ax) or ax > _MAX_ARG:
+        raise ValueError(f"|x| = {ax} outside supported range (< {_MAX_ARG:g})")
+    return ax
+
+
 def bessel_cutoff(x: float) -> int:
     """An order past which |J_n(x)| < 1e-17; the margin follows the Airy
-    transition width (|x|/2)^(1/3) around n = |x| (DLMF 10.19)."""
-    ax = abs(float(x))
+    transition width (|x|/2)^(1/3) around n = |x| (DLMF 10.19). Raises
+    ValueError past the range of ``bessel_j_array``."""
+    ax = _checked_abs(x)
     return int(np.ceil(ax + 14.0 * max(ax, 1.0) ** (1.0 / 3.0))) + 28
 
 

@@ -17,7 +17,8 @@ One entry point, ``apply_propagator(state, eta, {m: chi_m})``, serves every
 band; ``evolve`` feeds it a drive's phase integrals at one time or over a
 time grid. Its "bloch" route applies the diagonal phase e^{-i Phi(kappa)}
 by FFT on an enlarged ring, its "site" route convolves with the harmonics'
-Bessel kernels; the eta shift is always the exact site phase e^{-i eta n}.
+Bessel kernels (by FFT when that is cheaper); the eta shift is always the
+exact site phase e^{-i eta n}.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _spread_product, bessel_j_orders
+from .bessel import _spread_product, bessel_cutoff, bessel_j_orders
 from .drives import DriveProtocol
 from .lattice import LatticeState
 
@@ -159,6 +160,18 @@ def evolve(state: LatticeState, protocol: DriveProtocol, t,
             for i in range(times.size)]
 
 
+def _convolve(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """np.convolve(a, b, mode) for mode "full" or "valid", by a power-of-two
+    FFT when the direct sum's a.size * b.size passes 16 n log2 n."""
+    size = a.size + b.size - 1
+    n = 1 << (size - 1).bit_length()
+    if a.size * b.size <= 16 * n * np.log2(n):
+        return np.convolve(a, b, mode)
+    out = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
+    cut = min(a.size, b.size) - 1 if mode == "valid" else 0
+    return out[cut: size - cut]
+
+
 def apply_propagator(state: LatticeState, eta: float, chis: dict,
                      path: str = "bloch") -> LatticeState:
     """U = e^{-i eta N} prod_m exp(-i (chi_m K^m + h.c.)) applied to a state.
@@ -166,22 +179,23 @@ def apply_propagator(state: LatticeState, eta: float, chis: dict,
     ``chis`` maps m >= 0 to chi_m; tight binding is {1: chi_t}. path="bloch"
     applies the diagonal Bloch phase by FFT on an enlarged ring; path="site"
     convolves, c'_n = sum_j a_j c_{n+j}, with the shift-expansion
-    coefficients. Amplitude cropped back to an open window is recorded in
-    ``leak``.
+    coefficients, by FFT when that is cheaper. Amplitude cropped back to an
+    open window is recorded in ``leak``.
     """
     c, ring = state.amplitudes, state.ring
+    # bessel_cutoff bounds N_m, harmonic m's kernel half-width; taken first,
+    # so that an argument past the Bessel range fails before any allocation
+    cutoffs = {m: bessel_cutoff(2.0 * abs(chi)) for m, chi in chis.items() if m > 0}
     if path == "site":
         coeff = _site_kernel(chis)[::-1]
         pad = coeff.size // 2
         if ring:  # the wrapped state reaches every c_{n+j}, however long the kernel
             c = np.take(c, np.arange(-pad, c.size + pad), mode="wrap")
-        out = np.convolve(c, coeff, "valid" if ring else "full")
+        out = _convolve(c, coeff, "valid" if ring else "full")
     elif path == "bloch":
         pad = 0
-        if not ring:
-            # the kernel reaches sum_m m N_m sites, N_m harmonic m's half-width
-            pad = 4 + sum(m * (bessel_j_orders(2.0 * abs(chi)).size // 2)
-                          for m, chi in chis.items() if m > 0)
+        if not ring:  # the kernel reaches sum_m m N_m sites
+            pad = 4 + sum(m * n for m, n in cutoffs.items())
             size = 1 << int(np.ceil(np.log2(c.size + 2 * pad + 1)))
             ext = np.zeros(size, dtype=complex)
             ext[pad: pad + c.size] = c

@@ -45,17 +45,19 @@ import configparser
 import hashlib
 import json
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 
 from . import classical as cls
 from . import observables as obs
+from .bessel import bessel_cutoff
 from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
 from .floquet import invariant_expectation, quasienergy_band
 from .lattice import LatticeState, bloch_grid, coherence_parameters, make_state
 from .oracle import OracleConfig, integrate_series
-from .propagator import SingleBandDispersion, _eta_weight, evolve
+from .propagator import SingleBandDispersion, _chis, _eta_weight, evolve
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
            "compare_with_oracle", "localization_map", "band_table"]
@@ -100,8 +102,9 @@ def _coerce(section: str, key: str, raw, kind):
         if kind is float:
             return _finite(float(raw))
         if kind is int:
-            value = float(raw)
-            if value != int(value):
+            _finite(float(raw))  # the spelling and range of a float, then exactly
+            value = Decimal(raw.strip() if isinstance(raw, str) else raw)
+            if value != value.to_integral_value():
                 raise ValueError(f"not an integer: {raw!r}")
             return int(value)
         if kind is str:
@@ -321,6 +324,8 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
                                        default=[0.0, t_max]))
     if not all(0.0 <= s <= t_max for s in snapshot_times):
         _fail("output", "snapshot_times", "must lie in [0, t_max]")
+    if "state_snapshots" in quantities and not snapshot_times:
+        _fail("output", "snapshot_times", "must list at least one time")
     sec_out.reject_unknown()
 
     sec_orc = _Section("oracle", raw.get("oracle", {}))
@@ -367,12 +372,32 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     except ValueError as exc:
         _refail("state", exc)
 
-    return Scenario(name=name, seed=seed, window=window, state=state,
-                    drive=drive, dispersion=dispersion, convention=convention,
-                    t_max=t_max, samples=samples, quantities=quantities,
-                    snapshot_times=snapshot_times, oracle_enabled=oracle_enabled,
-                    oracle_config=oracle_config, tolerance=tolerance,
-                    kappa_points=kappa_points, map_range=map_range, config_hash=digest)
+    scenario = Scenario(
+        name=name, seed=seed, window=window, state=state, drive=drive,
+        dispersion=dispersion, convention=convention, t_max=t_max,
+        samples=samples, quantities=quantities, snapshot_times=snapshot_times,
+        oracle_enabled=oracle_enabled, oracle_config=oracle_config,
+        tolerance=tolerance, kappa_points=kappa_points, map_range=map_range,
+        config_hash=digest)
+    # the quantities that apply the propagator, on the grids they apply it at
+    if oracle_enabled or "invariant" in quantities:
+        _check_reach(scenario, scenario.times)
+    if "state_snapshots" in quantities:
+        _check_reach(scenario, snapshot_times)
+    return scenario
+
+
+def _check_reach(scenario: Scenario, times):
+    """Fail at [time] t_max where some 2|chi_m| on the grid passes the range
+    of the propagator's Bessel kernels."""
+    chis = _chis(scenario.drive, np.asarray(times, dtype=float),
+                 scenario.dispersion, scenario.convention)
+    reach = max((float(np.max(2.0 * np.abs(chi))) for m, chi in chis.items()
+                 if m > 0), default=0.0)
+    try:
+        bessel_cutoff(reach)
+    except ValueError as exc:
+        _fail("time", "t_max", f"2|chi| on the time grid: {exc}")
 
 
 def _out_dir(out_dir) -> Path:
@@ -509,8 +534,9 @@ def compare_with_oracle(config_path, out_dir=None, tolerance=None) -> dict:
     Returns (and writes) a report with per-time maximum amplitude deviation
     and moment deviations, plus a pass/fail verdict at the tolerance.
     """
-    return _compare(load_scenario(config_path, tolerance=tolerance),
-                    _out_dir(out_dir))
+    scenario = load_scenario(config_path, tolerance=tolerance)
+    _check_reach(scenario, scenario.times)
+    return _compare(scenario, _out_dir(out_dir))
 
 
 def _moments(state: LatticeState) -> tuple:

@@ -104,6 +104,14 @@ def test_orders_first_dropped_order_is_below_tolerance(x):
     assert abs(sp.jv(-n - 1, x)) < 1e-17
 
 
+def test_cutoff_bounds_the_kernel_half_width():
+    # the bloch route sizes its pad from the cutoff, not from the kernel
+    for x in np.logspace(-10, 5, 61):
+        assert bessel_cutoff(x) >= bessel_j_orders(x).size // 2
+    with pytest.raises(ValueError, match="outside supported range"):
+        bessel_cutoff(2e6)
+
+
 def test_orders_are_the_array_with_mirrored_signs():
     for x in (0.0, 2.5, -2.5, 40.0):
         kernel = bessel_j_orders(x)

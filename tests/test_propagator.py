@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,17 @@ from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       SingleBandDispersion, apply_propagator, bessel_j,
                       bloch_phase, element, evolve, gaussian_state, integrate,
                       single_site)
+from driventb import propagator
 from driventb.bessel import bessel_j_orders
+from driventb.propagator import _convolve, _site_kernel
 
 DC = DCDrive(1.0, 1.0)
+
+
+def fft_side(a_size, b_size):
+    """Whether _convolve's cost rule picks the FFT for these sizes."""
+    n = 1 << (a_size + b_size - 2).bit_length()
+    return a_size * b_size > 16 * n * np.log2(n)
 
 
 class TestElement:
@@ -161,6 +171,67 @@ class TestEvolve:
             closed = evolve(s, proto, t)
             ref = integrate(s, proto, t)
             assert np.max(np.abs(closed.amplitudes - ref.amplitudes)) < 1e-6
+
+
+class TestConvolve:
+    @pytest.mark.parametrize("mode", ["full", "valid"])
+    @pytest.mark.parametrize("sizes,fft", [
+        ((40, 7), False), ((5000, 61), False), ((7, 40), False),
+        ((3000, 1501), True), ((1501, 3000), True), ((16385, 6301), True),
+        ((1824, 801), True)])
+    def test_matches_np_convolve(self, sizes, fft, mode):
+        rng = np.random.default_rng(sum(sizes))
+        a, b = (rng.normal(size=k) + 1j * rng.normal(size=k) for k in sizes)
+        assert fft_side(*sizes) == fft
+        got, ref = _convolve(a, b, mode), np.convolve(a, b, mode)
+        assert got.shape == ref.shape
+        if fft:
+            bound = 1e-13 * np.linalg.norm(a) * np.linalg.norm(b)
+            assert np.max(np.abs(got - ref)) <= bound
+        else:
+            assert np.array_equal(got, ref)
+
+    # (sites, ring, {m: chi_m}): the kernels have hundreds of taps, so each
+    # case convolves by FFT; the 64-site ring is far shorter than its kernel
+    SITE_CASES = {
+        "tb-open": (2049, False, {1: 200.0 * np.exp(0.4j)}),
+        "tb-ring": (1024, True, {1: 150.0 * np.exp(-1.1j)}),
+        "tb-short-ring": (64, True, {1: 150.0 * np.exp(2.0j)}),
+        "m3-open": (2049, False, {0: 0.3, 1: 90.0 * np.exp(0.2j),
+                                  3: 35.0 * np.exp(-0.7j)}),
+        "m3-ring": (1024, True, {1: 90.0 * np.exp(0.2j), 3: 35.0j}),
+        "m3-short-ring": (64, True, {0: -0.2, 1: 60.0, 3: 25.0 * np.exp(1.3j)}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SITE_CASES))
+    def test_site_route_matches_direct_convolution(self, case, monkeypatch):
+        sites, ring, chis = self.SITE_CASES[case]
+        rng = np.random.default_rng(sites)
+        amps = rng.normal(size=sites) + 1j * rng.normal(size=sites)
+        s = LatticeState(-(sites // 2), amps / np.linalg.norm(amps), ring=ring)
+        taps = _site_kernel(chis).size
+        assert fft_side(sites + (taps - 1 if ring else 0), taps)
+        got = apply_propagator(s, 0.37, chis, "site")
+        monkeypatch.setattr(propagator, "_convolve", np.convolve)
+        ref = apply_propagator(s, 0.37, chis, "site")
+        assert got.n_min == ref.n_min and got.ring == ring
+        assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-13
+        assert abs(got.leak - ref.leak) <= 1e-13
+
+    @pytest.mark.parametrize("path", ["bloch", "site"])
+    @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
+    def test_past_the_bessel_range_raises_before_allocating(self, path, ring):
+        slow = DCDrive(1e-7, 1.0)  # 2|chi| = 1.9e7 at t = 1e7
+        s = single_site(0, (-32, 31))
+        s = LatticeState(s.n_min, s.amplitudes, ring=ring)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="outside supported range"):
+                evolve(s, slow, 1e7, path=path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestBlochPhase:

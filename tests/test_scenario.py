@@ -280,6 +280,73 @@ class TestRunScenario:
             run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    # dc with f0 = 1e-7 reaches 2|chi| = 1.9e7 by t = 1e7, past the Bessel range
+    SLOW_DC = {"kind = dc\nf0 = 1.0": "kind = dc\nf0 = 1e-7",
+               "t_max = 6.283185307179586": "t_max = 1e7",
+               "snapshot_times = 0.0 6.283185307179586": "snapshot_times = 0 1e7"}
+
+    @pytest.mark.parametrize("quantities,oracle", [
+        ("observables state_snapshots", False), ("invariant", False),
+        ("observables", True)], ids=["snapshots", "invariant", "oracle"])
+    def test_large_chi_fails_at_load(self, tmp_path, quantities, oracle):
+        cfg = BLOCH_CFG.replace("quantities = observables state_snapshots",
+                                f"quantities = {quantities}")
+        for old, new in self.SLOW_DC.items():
+            cfg = cfg.replace(old, new)
+        cfg += "\n[oracle]\nenabled = true\n" if oracle else ""
+        path = write_cfg(tmp_path, cfg)
+        # loading first: a run that got past it would march the oracle to 1e7
+        with pytest.raises(ConfigError, match=r"^\[time\] t_max: 2\|chi\|"):
+            load_scenario(path)
+        with pytest.raises(ConfigError, match=r"^\[time\] t_max: 2\|chi\|"):
+            run_scenario(path, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_large_chi_without_the_propagator_loads(self, tmp_path, monkeypatch):
+        cfg = BLOCH_CFG.replace("quantities = observables state_snapshots",
+                                "quantities = observables")
+        for old, new in self.SLOW_DC.items():
+            cfg = cfg.replace(old, new)
+        path = write_cfg(tmp_path, cfg)
+        assert load_scenario(path).t_max == 1e7
+
+        def no_march(*args, **kwargs):  # marching to t = 1e7 would take hours
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr("driventb.scenario.integrate_series", no_march)
+        with pytest.raises(ConfigError, match=r"^\[time\] t_max:"):
+            compare_with_oracle(path, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_snapshot_times_fail_before_writing(self, tmp_path):
+        cfg = BLOCH_CFG.replace("snapshot_times = 0.0 6.283185307179586",
+                                "snapshot_times =")
+        with pytest.raises(ConfigError, match=r"^\[output\] snapshot_times: "
+                                              r"must list at least one time$"):
+            run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw,value", [
+        ("12345678901234567891", 12345678901234567891), ("1e3", 1000),
+        ("1.2345678901234567891e19", 12345678901234567891), (" 7 ", 7),
+        (12345678901234567891, 12345678901234567891), (2.0, 2)])
+    def test_integer_keys_parse_exactly(self, tmp_path, raw, value):
+        if isinstance(raw, str):
+            path = write_cfg(tmp_path, BLOCH_CFG.replace("seed = 0", f"seed = {raw}"))
+        else:
+            path = write_cfg(tmp_path, json.dumps({
+                "scenario": {"seed": raw}, "lattice": {"window": [-48, 48]},
+                "state": {"kind": "gaussian", "sigma": 6},
+                "drive": {"kind": "dc", "f0": 1.0, "g0": 1.0},
+                "time": {"t_max": 6.0, "samples": 8}}), "scenario.json")
+        assert load_scenario(path).seed == value
+
+    @pytest.mark.parametrize("raw", ["1.5", "12345678901234567891.5", "1e-3"])
+    def test_non_integers_are_rejected(self, tmp_path, raw):
+        path = write_cfg(tmp_path, BLOCH_CFG.replace("seed = 0", f"seed = {raw}"))
+        with pytest.raises(ConfigError, match=r"^\[scenario\] seed: not an integer"):
+            load_scenario(path)
+
     def test_seed_override_is_checked(self, tmp_path):
         path = write_cfg(tmp_path, BLOCH_CFG)
         with pytest.raises(ConfigError, match=r"^\[scenario\] seed:"):
