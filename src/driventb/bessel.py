@@ -4,7 +4,7 @@ Self-contained (no scipy): backward-recurrence J_n, the Jacobi-Anger
 kernels [J_{-N}, ..., J_N] cut by one rule (``bessel_cutoff``, then 1e-17
 off the ends), the many-argument J_nu({beta_m}) of multi-harmonic driving
 as a convolution of those kernels, and positive zeros of J_n for the
-dynamic localization condition.
+dynamic localization condition from one tridiagonal eigenvalue solve.
 """
 
 from __future__ import annotations
@@ -148,48 +148,38 @@ def bessel_j_multivar(nu: int, betas) -> float:
     return float(c[k]) if 0 <= k < c.size else 0.0
 
 
-def bessel_zero(n: int, k: int) -> float:
-    """The k-th positive zero of J_n, for 0 <= n <= 50, 1 <= k <= 50.
+def _bessel_zeros(n: int, count: int, first: int = 1) -> np.ndarray:
+    """Zeros ``first``, ..., ``count`` of J_n, ascending (all of the first
+    ``count`` by default).
 
-    Zeros are bracketed by a sign scan starting below the first zero
-    (J_n is positive there) and refined by bisection to machine precision,
+    They are 2/lambda for the largest eigenvalues lambda of the symmetric
+    tridiagonal matrix with off-diagonals 1/sqrt((n+k)(n+k+1)), k = 1, 2,
+    ... (Ikebe, Kikuchi & Fujishiro, J. Comput. Appl. Math. 38, 169,
+    1991), truncated at ``bessel_cutoff`` of a bound on zero ``count``;
+    one Newton step with J_n' = (n/x) J_n - J_{n+1} then polishes each.
+    """
+    k = n + np.arange(1.0, bessel_cutoff((count + 0.5 * n) * np.pi))
+    off = 1.0 / np.sqrt(k * (k + 1.0))
+    lam = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    zeros = 2.0 / lam[-first:-count - 1:-1]
+    for i, x in enumerate(zeros):
+        j = bessel_j_array(n + 1, x)
+        zeros[i] = x - j[n] / (n / x * j[n] - j[n + 1])
+    return zeros
+
+
+def bessel_zero(n: int, k: int) -> float:
+    """The k-th positive zero of J_n, for integers 0 <= n <= 50, 1 <= k <= 50.
+
+    One tridiagonal eigenvalue solve and a Newton step (``_bessel_zeros``),
     so |J_n(root)| < 1e-12.
     """
-    n = int(n)
-    k = int(k)
+    for name, value in (("order n", n), ("zero index k", k)):
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    n, k = int(n), int(k)
     if not 0 <= n <= 50:
         raise ValueError("order n must be in [0, 50]")
     if not 1 <= k <= 50:
         raise ValueError("zero index k must be in [1, 50]")
-
-    # J_n grows monotonically up to the turning point near x = n, so the
-    # scan can start there; consecutive zeros are never closer than ~2.9.
-    x = max(float(n), 0.5)
-    step = 0.5
-    fa = bessel_j(n, x)
-    found = 0
-    for _ in range(20000):
-        xb = x + step
-        fb = bessel_j(n, xb)
-        if fa == 0.0:
-            found += 1
-            if found == k:
-                return x
-        elif fa * fb < 0.0:
-            found += 1
-            if found == k:
-                a, b = x, xb
-                for _ in range(200):
-                    mid = 0.5 * (a + b)
-                    if mid == a or mid == b:
-                        break
-                    fm = bessel_j(n, mid)
-                    if fm == 0.0:
-                        return mid
-                    if fa * fm < 0.0:
-                        b = mid
-                    else:
-                        a, fa = mid, fm
-                return 0.5 * (a + b)
-        x, fa = xb, fb
-    raise ValueError(f"failed to bracket zero {k} of J_{n}")
+    return float(_bessel_zeros(n, k, first=k)[0])

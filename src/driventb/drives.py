@@ -161,12 +161,6 @@ class DriveProtocol:
         wb = abs(self.omega_bloch)
         return None if wb == 0.0 else 2.0 * np.pi / wb
 
-    def eta_tilde(self, t):
-        """Periodic part of eta: eta_t - w_B t."""
-        if self.period is None:
-            raise ValueError("eta_tilde requires a periodic protocol")
-        return self.eta(t) - self.omega_bloch * np.asarray(t, dtype=float)
-
     def resonance_order(self) -> int | None:
         """n = w_B / w when that is a nonnegative integer, else None."""
         if self.period is None:
@@ -373,9 +367,9 @@ class TabulatedDrive(DriveProtocol):
     The grid must be strictly increasing and start at 0. Periodic tables
     repeat with period t[-1]; aperiodic ones are defined on [0, t[-1]] only.
     eta is exact for the interpolant (trapezoid rule is exact on piecewise
-    linear f). chi and the exp(-i s eta) integrals use one 8-node
+    linear f). chi, the exp(-i s eta) integrals and a_nu use one 8-node
     Gauss-Legendre rule on panels that split every table segment so that
-    s eta turns by at most 1 rad across a panel; table nodes are panel
+    the phase turns by at most 1 rad across a panel; table nodes are panel
     edges, so interpolation kinks never sit inside a panel. The integral
     to a time is the cumulative sum up to its panel plus the same rule on
     the partial panel; whole periods add up as a closed-form geometric sum.
@@ -468,29 +462,34 @@ class TabulatedDrive(DriveProtocol):
         out = k * self._eta_nodes[-1] + self._eta_base(s)
         return _scalar_or_array(out, scalar)
 
-    def _gauss(self, a, b, scale: float, with_g: bool):
-        """int_a^b [g] exp(-i scale eta) dtau on panels inside one segment each."""
+    def _gauss(self, a, b, scale: float, with_g: bool, rate: float = 0.0):
+        """int_a^b [g] exp(-i (scale eta + rate tau)) dtau on panels inside one
+        segment each."""
         half = 0.5 * (b - a)
         x = (a + half)[..., None] + half[..., None] * _GL_NODES
         vals = np.exp(-1j * scale * self._eta_base(x))
+        if rate:
+            vals *= np.exp(-1j * rate * x)
         if with_g:
             vals *= np.interp(x, self.times, self.g_values)
         return half * (vals @ _GL_WEIGHTS)
 
-    def _panels(self, scale: float, with_g: bool):
-        """Panel edges on [0, T] and the integral of [g] exp(-i scale eta) up
-        to each edge."""
-        key = (float(scale), bool(with_g))
+    def _panels(self, scale: float, with_g: bool, rate: float = 0.0):
+        """Panel edges on [0, T] and the integral of [g] exp(-i (scale eta +
+        rate tau)) up to each edge; a panel turns that phase by at most
+        _PANEL_PHASE."""
+        key = (float(scale), bool(with_g), float(rate))
         cached = self._panel_cache.get(key)
         if cached is None:
-            f_max = np.maximum(np.abs(self.f_values[:-1]), np.abs(self.f_values[1:]))
-            count = np.ceil(abs(scale) * f_max * np.diff(self.times) / _PANEL_PHASE)
+            turn = np.abs(scale * self.f_values + rate)
+            count = np.ceil(np.maximum(turn[:-1], turn[1:]) * np.diff(self.times)
+                            / _PANEL_PHASE)
             edges = np.append(np.concatenate([
                 np.linspace(a, b, max(int(n), 1), endpoint=False)
                 for a, b, n in zip(self.times[:-1], self.times[1:], count)]),
                 self.times[-1])
-            cumulative = np.concatenate(
-                [[0.0], np.cumsum(self._gauss(edges[:-1], edges[1:], scale, with_g))])
+            cumulative = np.concatenate([[0.0], np.cumsum(
+                self._gauss(edges[:-1], edges[1:], scale, with_g, rate))])
             cached = self._panel_cache[key] = (edges, cumulative)
         return cached
 
@@ -512,29 +511,12 @@ class TabulatedDrive(DriveProtocol):
         return out.reshape(t.shape)
 
     def fourier_amplitude(self, nu: int) -> complex:
-        """a_nu by the periodic trapezoid rule, doubling the nodes from four
-        per table sample until two estimates agree to 1e-11."""
+        """a_nu = (1/T) int_0^T g exp(-i (eta + (nu w - w_B) tau)) dtau, on the
+        Gauss-Legendre panels of chi with that linear phase rate added."""
         if self.period is None:
             return super().fourier_amplitude(nu)
-        T = self.period
-
-        def mean_of(n_nodes: int) -> complex:
-            tt = T * np.arange(n_nodes) / n_nodes
-            vals = self.g(tt) * np.exp(-1j * (nu * self.omega * tt + self.eta_tilde(tt)))
-            return complex(vals.mean())
-
-        nodes = 64
-        floor = 4 * (self.times.size + abs(nu) + 8)
-        while nodes < floor:
-            nodes *= 2
-        prev = mean_of(nodes)
-        for _ in range(18):
-            nodes *= 2
-            cur = mean_of(nodes)
-            if abs(cur - prev) < 1e-11:
-                return cur
-            prev = cur
-        raise ValueError("fourier_amplitude quadrature did not converge")
+        rate = int(nu) * self.omega - self.omega_bloch
+        return complex(self._panels(1.0, True, rate)[1][-1] / self.period)
 
 
 def fourier_amplitude(protocol: DriveProtocol, nu: int) -> complex:

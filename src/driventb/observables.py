@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import bessel_zero
+from .bessel import _bessel_zeros
 from .drives import DriveProtocol, HarmonicDrive, FourierDrive
 from .lattice import CoherenceParameters, LatticeState
 from .propagator import _chis
@@ -211,14 +211,13 @@ def localization_report(protocol: DriveProtocol,
     nearest: tuple = ()
     if isinstance(protocol, HarmonicDrive) and n <= 50:
         x = abs(protocol.f1 / protocol.omega)
-        zeros = []
-        for k in range(1, 51):
-            zeros.append(bessel_zero(n, k))
-            if zeros[-1] > x:
-                break
-        below = [z for z in zeros if z <= x]
-        above = [z for z in zeros if z > x]
-        nearest = tuple(([below[-1]] if below else []) + above[:1])
+        # j_{n,k} > (k - 1/4) pi: the first floor(x/pi + 1/4) + 1 zeros pass x
+        zeros = _bessel_zeros(n, min(50, int(x / np.pi + 0.25) + 1))
+        # a zero within 1e-14 of x, the zeros' own accuracy, counts as reached,
+        # so a drive tuned to a zero lists it and the next one
+        reached = zeros <= x * (1.0 + 1e-14)
+        below, above = zeros[reached], zeros[~reached]
+        nearest = tuple(np.r_[below[-1:], above[:1]].tolist())
 
     slope = None if coh is None else gamma ** 2 * float(coh.cs_covariances[1, 1])
     return LocalizationReport(order=n, gamma=gamma, localized=localized,

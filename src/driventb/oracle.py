@@ -52,6 +52,8 @@ __all__ = [
 _EDGE_SITES = 3
 _log = logging.getLogger("driventb.oracle")
 _CHUNK_STEPS = 32
+_STATIC_BLOCK = 4096  # steps per block of the constancy test
+_MAX_STEPS = 10 ** 7  # the most RK4 steps a first pass may take
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,9 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None):
     """RK4 from t0 to t1 with a uniform step close to dt; returns (psi, edge).
 
     Coefficients and edge amplitudes are kept for _CHUNK_STEPS steps at a
-    time. A static H (tested on the whole grid once the first chunk passes)
-    takes its step map; ``memo`` keeps the last map and tallies the marches."""
+    time. A static H (tested on the first chunk, then on blocks that share
+    end points) takes its step map; ``memo`` keeps the last map and tallies
+    the marches."""
     span = t1 - t0
     nsteps = max(1, int(np.ceil(abs(span) / dt))) if span != 0.0 else 1
     h = span / nsteps
@@ -217,8 +220,9 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None):
     edges = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
     edge, step_map = 0.0, None
     head = coefficients(0, min(nsteps, _CHUNK_STEPS))
-    if track_edge and static(*head) and (
-            nsteps <= _CHUNK_STEPS or static(*coefficients(0, nsteps))):
+    if track_edge and static(*head) and all(
+            static(*coefficients(first, min(_STATIC_BLOCK, nsteps - first)))
+            for first in range(_CHUNK_STEPS, nsteps, _STATIC_BLOCK)):
         f_val, band = head[0][0], head[1][0]
         key = (h, f_val, band.tobytes())
         if memo.get("key") != key:
@@ -285,12 +289,22 @@ def _default_dt(protocol, sites, dispersion, t_final):
     return dt
 
 
+def _first_dt(protocol, sites, dispersion, t_final, config):
+    """The step of the first pass: ``config.dt`` or the default. Raises
+    ValueError when that pass would take more than _MAX_STEPS steps."""
+    dt = config.dt if config.dt is not None else _default_dt(
+        protocol, sites, dispersion, t_final)
+    if abs(t_final) / dt > _MAX_STEPS:
+        raise ValueError(f"the oracle's first pass would take {abs(t_final) / dt:.3g}"
+                         f" RK4 steps (at most {_MAX_STEPS:.0e})")
+    return dt
+
+
 def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
     """March through the checkpoint times with global step-halving control."""
     t_final = times[-1]
     target = config.error_per_time * max(abs(t_final), 1.0)
-    dt = config.dt if config.dt is not None else _default_dt(
-        protocol, sites, dispersion, t_final)
+    dt = _first_dt(protocol, sites, dispersion, t_final, config)
     check_norm = psi0.ndim == 1
     norm0 = float(np.linalg.norm(psi0))
     memo = {"steps": 0, "marches": set()}

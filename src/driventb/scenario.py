@@ -56,7 +56,7 @@ from .bessel import bessel_cutoff
 from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
 from .floquet import invariant_expectation, quasienergy_band
 from .lattice import LatticeState, bloch_grid, coherence_parameters, make_state
-from .oracle import OracleConfig, integrate_series
+from .oracle import OracleConfig, _first_dt, integrate_series
 from .propagator import SingleBandDispersion, _chis, _eta_weight, evolve
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
@@ -380,7 +380,9 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
         tolerance=tolerance, kappa_points=kappa_points, map_range=map_range,
         config_hash=digest)
     # the quantities that apply the propagator, on the grids they apply it at
-    if oracle_enabled or "invariant" in quantities:
+    if oracle_enabled:
+        _check_oracle(scenario)
+    elif "invariant" in quantities:
         _check_reach(scenario, scenario.times)
     if "state_snapshots" in quantities:
         _check_reach(scenario, snapshot_times)
@@ -398,6 +400,17 @@ def _check_reach(scenario: Scenario, times):
         bessel_cutoff(reach)
     except ValueError as exc:
         _fail("time", "t_max", f"2|chi| on the time grid: {exc}")
+
+
+def _check_oracle(scenario: Scenario):
+    """Fail at [time] t_max where the closed form or the oracle cannot reach
+    t_max: the propagator's range on the time grid, the oracle's step bound."""
+    _check_reach(scenario, scenario.times)
+    try:
+        _first_dt(scenario.drive, scenario.state.sites.astype(float),
+                  scenario.dispersion, scenario.t_max, scenario.oracle_config)
+    except ValueError as exc:
+        _fail("time", "t_max", str(exc))
 
 
 def _out_dir(out_dir) -> Path:
@@ -535,7 +548,7 @@ def compare_with_oracle(config_path, out_dir=None, tolerance=None) -> dict:
     and moment deviations, plus a pass/fail verdict at the tolerance.
     """
     scenario = load_scenario(config_path, tolerance=tolerance)
-    _check_reach(scenario, scenario.times)
+    _check_oracle(scenario)
     return _compare(scenario, _out_dir(out_dir))
 
 

@@ -179,6 +179,10 @@ def test_first_zeros():
 def test_zeros_are_roots(n, k):
     root = bessel_zero(n, k)
     assert abs(bessel_j(n, root)) < 1e-12
+    # the Newton step leaves the eigenvalue's zero within one ulp of exact
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        assert abs(mp.mpf(root) - mp.besseljzero(n, k)) <= np.spacing(root)
 
 
 def test_zeros_are_increasing_in_k():
@@ -193,3 +197,16 @@ def test_zero_argument_validation():
         bessel_zero(0, 0)
     with pytest.raises(ValueError):
         bessel_zero(51, 1)
+    # a real order or index is not truncated to an integer one
+    with pytest.raises(ValueError, match="^order n must be an integer"):
+        bessel_zero(1.5, 1)
+    with pytest.raises(ValueError, match="^zero index k must be an integer"):
+        bessel_zero(1, 1.9)
+
+
+def test_zeros_match_scipy_over_the_supported_range():
+    sp = pytest.importorskip("scipy.special")
+    for n in range(51):
+        reference = sp.jn_zeros(n, 50)
+        for k in range(1, 51):
+            assert abs(bessel_zero(n, k) - reference[k - 1]) <= 1e-12, (n, k)

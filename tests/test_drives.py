@@ -218,13 +218,16 @@ class TestTabulated:
         assert abs(tab.chi(t) - chi_ref) < 5e-9
 
     def test_tracks_the_source_closed_form(self):
-        src = HarmonicDrive(1.0, 1.0, 1.0, 0.5)
-        tab = tabulated_copy(src, src.period, samples=16384, periodic=True)
-        for t in (1.1, 4.2, 9.7):
-            assert abs(tab.chi(t) - src.chi(t)) < 1e-6
-        assert tab.resonance_order() == 1
-        assert tab.fourier_amplitude(1) == pytest.approx(
-            src.fourier_amplitude(1), abs=1e-7)
+        # a resonant source (w_B / w = 1) and a non-resonant one
+        for src, order in ((HarmonicDrive(1.0, 1.0, 1.0, 0.5), 1),
+                           (HarmonicDrive(1.37, 2.2, 1.0, 0.5), None)):
+            tab = tabulated_copy(src, src.period, samples=16384, periodic=True)
+            for t in (1.1, 4.2, 9.7):
+                assert abs(tab.chi(t) - src.chi(t)) < 1e-6
+            assert tab.resonance_order() == order
+            for nu in (-2, 0, 1, 3):
+                assert tab.fourier_amplitude(nu) == pytest.approx(
+                    src.fourier_amplitude(nu), abs=1e-7)
 
     def test_from_files_round_trip(self, tmp_path):
         tt = np.linspace(0.0, 2.0, 33)
@@ -419,6 +422,13 @@ class TestTabulatedManyPeriods:
         expected = _stacked(first, tab.period, k, s)
         assert expected == pytest.approx(k * first.chi(4.0) + first.chi(s))
         assert abs(tab.chi(k * tab.period + s) - expected) < 1e-9 * abs(expected)
+        # a_nu T is chi(T) of the table with f shifted by nu w - w_B; panels
+        # sized by |f| alone would turn that phase by up to 63 rad at nu = 40
+        for nu in (-40, -5, 0, 5, 40):
+            shifted = TabulatedDrive(first.times, first.f_values + nu * tab.omega,
+                                     first.g_values)
+            assert abs(tab.fourier_amplitude(nu) * tab.period
+                       - shifted.chi(tab.period)) < 1e-13
 
     def test_coarse_table_in_a_strong_field(self):
         # 20 to 30 rad of phase per segment: each segment needs many panels

@@ -199,6 +199,29 @@ class TestLocalizationReport:
         with pytest.raises(ValueError):
             localization_report(HarmonicDrive(1.0, 1.0, 0.7, 1.0))
 
+    @pytest.mark.parametrize("n,x,expected", [
+        (1, 18.0, (4, 5)),      # between the 5th and 6th zeros of J_1
+        (0, 0.5, (0,)),         # below the first zero
+        (3, 200.0, (49,)),      # past j_{3,50}: only the last zero
+        (50, 60.0, (0, 1)),     # n = 50, between its first two zeros
+        (1, 3.831705970207512, (0, 1)),  # one ulp below j_{1,1}: at the zero
+    ])
+    def test_nearest_zeros_against_scipy(self, n, x, expected):
+        sp = pytest.importorskip("scipy.special")
+        reference = sp.jn_zeros(n, 50)
+        report = localization_report(HarmonicDrive(float(n), x, 1.0, 0.5))
+        assert len(report.nearest_zeros) == len(expected)
+        for zero, k in zip(report.nearest_zeros, expected):
+            assert zero == pytest.approx(reference[k], abs=1e-12)
+        if len(expected) == 2:
+            assert report.nearest_zeros[0] <= x * (1 + 1e-14)
+            assert x < report.nearest_zeros[1]
+
+    def test_no_zeros_past_order_50(self):
+        report = localization_report(HarmonicDrive(51.0, 3.0, 1.0, 0.5))
+        assert report.order == 51
+        assert report.nearest_zeros == ()
+
 
 class TestSingleBandMean:
     def test_matches_oracle_with_m3_coupling(self):

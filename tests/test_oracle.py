@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from driventb import (DCDrive, HarmonicDrive, LatticeState, OracleConfig,
                       bessel_j, gaussian_state, integrate, integrate_series,
                       monodromy_spectrum, quasienergy_band, single_site)
 from driventb.floquet import houston_state
-from driventb.oracle import (_CHUNK_STEPS, _default_dt, _h_apply, _march,
+from driventb.oracle import (_CHUNK_STEPS, _STATIC_BLOCK, _default_dt,
+                             _first_dt, _h_apply, _march,
                              apply_hamiltonian)
 from helpers import dense_hamiltonian, dense_rk4
 
@@ -125,6 +127,65 @@ class TestIntegrate:
                     for span in np.diff([0.0] + times))
         assert steps > 2 * refinements
         assert message.endswith(f"; {march} march, {steps} steps marched")
+
+
+class _Stop(Exception):
+    """Raised from a patched oracle helper to end a march before it steps."""
+
+
+def _stop(*args, **kwargs):
+    raise _Stop
+
+
+class TestMarchBounds:
+    def test_first_pass_step_bound(self, monkeypatch):
+        s = gaussian_state(0, 2.0, 0.3, (-32, 32))
+        sites = s.sites.astype(float)
+        exact = OracleConfig(dt=1e-6)
+        assert _first_dt(DCDrive(1.0, 1.0), sites, None, 10.0, exact) == 1e-6
+        with pytest.raises(ValueError, match="first pass would take 1e"):
+            _first_dt(DCDrive(1.0, 1.0), sites, None, 10.0 + 1e-5, exact)
+        monkeypatch.setattr("driventb.oracle._march", _stop)
+        # the default dt is 2 pi / 2000 here: about 3e9 steps to t = 1e7
+        with pytest.raises(ValueError, match=r"first pass would take 3.18e\+09"):
+            integrate_series(s, DCDrive(1.0, 1.0), [1.0, 1e7])
+
+    def test_constancy_test_memory_is_bounded(self, monkeypatch):
+        # a 1e5-step dc interval on a 65-site window; the map is built only
+        # after the whole grid has passed the constancy test
+        s = single_site(0, (-32, 32))
+        monkeypatch.setattr("driventb.oracle._step_map", _stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(_Stop):
+                _march(s.amplitudes.astype(complex), 0.0, 1.0, DCDrive(1.0, 1.0),
+                       s.sites.astype(float), False, None, 1.0 / (1e5 - 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+
+    @pytest.mark.parametrize("steps_flat,static", [
+        (_CHUNK_STEPS + 3 * _STATIC_BLOCK + 5, False),
+        (_CHUNK_STEPS + _STATIC_BLOCK, False),
+        (_CHUNK_STEPS + 3 * _STATIC_BLOCK + 10, True),
+    ], ids=["late-block", "block-edge", "flat"])
+    def test_constancy_test_sees_every_block(self, monkeypatch, steps_flat,
+                                             static):
+        # f is flat for steps_flat of 3 _STATIC_BLOCK + _CHUNK_STEPS + 10
+        # steps of h = 1, then ramps: the stage march unless it never does
+        nsteps = _CHUNK_STEPS + 3 * _STATIC_BLOCK + 10
+        tt = np.array([0.0, steps_flat, nsteps + 1.0])
+        proto = TabulatedDrive(tt, np.array([0.9, 0.9, 1.5]), np.full(3, 0.6))
+        memo = {"steps": 0, "marches": set()}
+        s = single_site(0, (-8, 8))
+        monkeypatch.setattr("driventb.oracle._step_map", _stop)
+        monkeypatch.setattr("driventb.oracle._hamiltonian", _stop)
+        with pytest.raises(_Stop):
+            _march(s.amplitudes.astype(complex), 0.0, float(nsteps), proto,
+                   s.sites.astype(float), False, None, 1.0, memo)
+        # the step map stops before it is tallied, the stages after
+        assert memo["marches"] == (set() if static else {"stages"})
 
 
 class TestRing:

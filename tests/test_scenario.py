@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -404,6 +405,26 @@ quantities = state_snapshots
         with pytest.raises(ConfigError, match=r"^\[oracle\] tolerance: must be "
                                               r"positive$"):
             entry(path, out_dir=tmp_path / "out", tolerance=tolerance)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("entry", [run_scenario, compare_with_oracle])
+    def test_long_oracle_march_fails_at_load(self, tmp_path, monkeypatch, entry):
+        # 2|chi| stays below 4, but the first pass would take ~3e9 RK4 steps
+        cfg = BLOCH_CFG.replace("t_max = 6.283185307179586", "t_max = 1e7")
+        cfg = cfg.replace("snapshot_times = 0.0 6.283185307179586",
+                          "snapshot_times = 0 1e7")
+        path = write_cfg(tmp_path, cfg + "\n[oracle]\nenabled = true\n")
+
+        def no_march(*args, **kwargs):  # marching to t = 1e7 would take hours
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr("driventb.scenario.integrate_series", no_march)
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"^\[time\] t_max: the oracle's "
+                                              r"first pass would take 3.18e\+09 "
+                                              r"RK4 steps \(at most 1e\+07\)$"):
+            entry(path, out_dir=tmp_path / "out")
+        assert time.perf_counter() - start < 1.0
         assert not (tmp_path / "out").exists()
 
 
