@@ -12,8 +12,7 @@ Schrodinger integrator cross-checks every one of them.
 
 from .bessel import bessel_j, bessel_j_array, bessel_j_multivar, bessel_zero
 from .drives import (DCDrive, DriveProtocol, FourierDrive, HarmonicDrive,
-                     PhaseIntegrals, TabulatedDrive, drift_rate,
-                     fourier_amplitude)
+                     PhaseIntegrals, TabulatedDrive)
 from .lattice import (BlochAmplitudes, CoherenceParameters, LatticeState,
                       apply_shift, bloch_transform, coherence_parameters,
                       gaussian_state, inverse_bloch, make_state, single_site,

@@ -43,8 +43,6 @@ __all__ = [
     "HarmonicDrive",
     "FourierDrive",
     "TabulatedDrive",
-    "fourier_amplitude",
-    "drift_rate",
 ]
 
 _RESONANCE_RTOL = 1e-9
@@ -517,13 +515,3 @@ class TabulatedDrive(DriveProtocol):
             return super().fourier_amplitude(nu)
         rate = int(nu) * self.omega - self.omega_bloch
         return complex(self._panels(1.0, True, rate)[1][-1] / self.period)
-
-
-def fourier_amplitude(protocol: DriveProtocol, nu: int) -> complex:
-    """Fourier coefficient a_nu of g_t exp(-i eta~_t) for a periodic protocol."""
-    return protocol.fourier_amplitude(int(nu))
-
-
-def drift_rate(protocol: DriveProtocol) -> float:
-    """Secular growth rate gamma of chi_t (chi ~ gamma t / 2); 0 off resonance."""
-    return protocol.drift_rate()

@@ -427,6 +427,44 @@ quantities = state_snapshots
         assert time.perf_counter() - start < 1.0
         assert not (tmp_path / "out").exists()
 
+    def test_long_oracle_march_fails_without_the_oracle_enabled(self, tmp_path,
+                                                                monkeypatch):
+        # [oracle] enabled is off, so only compare_with_oracle checks the march
+        cfg = BLOCH_CFG.replace("t_max = 6.283185307179586", "t_max = 1e7")
+        cfg = cfg.replace("snapshot_times = 0.0 6.283185307179586",
+                          "snapshot_times = 0 1e7")
+        path = write_cfg(tmp_path, cfg)
+        assert not load_scenario(path).oracle_enabled
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr("driventb.scenario.integrate_series", no_march)
+        with pytest.raises(ConfigError, match=r"^\[time\] t_max: the oracle's "
+                                              r"first pass would take 3.18e\+09 "
+                                              r"RK4 steps \(at most 1e\+07\)$"):
+            compare_with_oracle(path, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_enabled_oracle_is_checked_once(self, tmp_path, monkeypatch):
+        import driventb.scenario as scenario
+
+        path = CONFIG_DIR / "bloch_oscillation.cfg"
+        loaded = load_scenario(path)
+        assert loaded.oracle_enabled
+        grids = []
+        check_reach = scenario._check_reach
+
+        def counting(scn, times):
+            grids.append(len(times))
+            check_reach(scn, times)
+
+        monkeypatch.setattr(scenario, "_check_reach", counting)
+        monkeypatch.setattr(scenario, "_compare", lambda scn, out: "compared")
+        assert compare_with_oracle(path, out_dir=tmp_path) == "compared"
+        # once on the time grid, once on the snapshot times
+        assert grids == [loaded.samples, len(loaded.snapshot_times)]
+
 
 class TestCli:
     @pytest.mark.parametrize("command", ["run", "compare"])
