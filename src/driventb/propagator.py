@@ -17,8 +17,8 @@ One entry point, ``apply_propagator(state, eta, {m: chi_m})``, serves every
 band; ``evolve`` feeds it a drive's phase integrals at one time or over a
 time grid. Its "bloch" route applies the diagonal phase e^{-i Phi(kappa)}
 by FFT on an enlarged ring, its "site" route convolves with the harmonics'
-Bessel kernels (by FFT when that is cheaper); the eta shift is always the
-exact site phase e^{-i eta n}.
+Bessel kernels (by FFT when that is cheaper); the eta shift is the site
+phase e^{-i eta n} on the kept sites only, good to about an ulp.
 """
 
 from __future__ import annotations
@@ -90,11 +90,23 @@ def _chis(protocol: DriveProtocol, t, dispersion=None,
 
 
 def _band_phase(chis: dict, kappa):
-    """Phi(kappa) = sum_m (chi_m e^{i m kappa} + c.c.)."""
+    """Phi(kappa) = sum_m (chi_m e^{i m kappa} + c.c.), by real cosines."""
     phi = np.zeros(np.shape(kappa))
     for m, chi in chis.items():
-        phi += 2.0 * (chi * np.exp(1j * m * kappa)).real
+        phi += 2.0 * np.abs(chi) * np.cos(m * kappa + np.angle(chi))
     return phi
+
+
+def _site_phase(theta: float, lo: int, size: int) -> np.ndarray:
+    """e^{-i theta n} for n = lo..lo+size-1: the outer product of a row
+    factor over lo + B k and a column factor over 0 <= j < B ~ sqrt(size).
+    theta splits into a float32 head, whose product with |n| < 2^29 is
+    exact, and a tail, so each factor is good to about an ulp."""
+    b = int(size ** 0.5) + 1
+    n = np.concatenate((lo + b * np.arange(-(-size // b)), np.arange(b)))
+    head = float(np.float32(theta))
+    f = np.exp(-1j * (head * n)) * np.exp(-1j * ((theta - head) * n))
+    return np.outer(f[:-b], f[-b:]).ravel()[:size]
 
 
 def _site_kernel(chis: dict) -> np.ndarray:
@@ -106,8 +118,8 @@ def _site_kernel(chis: dict) -> np.ndarray:
         if m > 0:
             j = bessel_j_orders(2.0 * abs(chi))
             phi = 0.0 if chi == 0 else -np.angle(chi)
-            k = np.arange(j.size) - j.size // 2
-            kernels.append((m, j * np.exp(-1j * k * (phi + 0.5 * np.pi))))
+            kernels.append((m, j * _site_phase(phi + 0.5 * np.pi,
+                                               -(j.size // 2), j.size)))
     return _spread_product(kernels)
 
 
@@ -179,8 +191,8 @@ def apply_propagator(state: LatticeState, eta: float, chis: dict,
     ``chis`` maps m >= 0 to chi_m; tight binding is {1: chi_t}. path="bloch"
     applies the diagonal Bloch phase by FFT on an enlarged ring; path="site"
     convolves, c'_n = sum_j a_j c_{n+j}, with the shift-expansion
-    coefficients, by FFT when that is cheaper. Amplitude cropped back to an
-    open window is recorded in ``leak``.
+    coefficients, by FFT when that is cheaper. The probability on the sites
+    cropped back to an open window is recorded in ``leak``.
     """
     c, ring = state.amplitudes, state.ring
     # bessel_cutoff bounds N_m, harmonic m's kernel half-width; taken first,
@@ -204,10 +216,10 @@ def apply_propagator(state: LatticeState, eta: float, chis: dict,
         out = np.fft.ifft(np.fft.fft(c) * np.exp(-1j * _band_phase(chis, kappa)))
     else:
         raise ValueError(f"unknown path {path!r}")
-    lo = state.n_min if ring else state.n_min - pad
-    out *= np.exp(-1j * eta * np.arange(lo, lo + out.size))
     if ring:
-        return LatticeState(lo, out, ring=True, leak=0.0)
-    kept = out[pad: pad + state.amplitudes.size]
-    leak = float(np.sum(np.abs(out) ** 2) - np.sum(np.abs(kept) ** 2))
-    return LatticeState(lo + pad, kept, leak=max(leak, 0.0))
+        out *= _site_phase(eta, state.n_min, out.size)
+        return LatticeState(state.n_min, out, ring=True, leak=0.0)
+    size = state.amplitudes.size
+    leak = sum(float(np.vdot(e, e).real) for e in (out[:pad], out[pad + size:]))
+    kept = out[pad: pad + size] * _site_phase(eta, state.n_min, size)
+    return LatticeState(state.n_min, kept, leak=leak)

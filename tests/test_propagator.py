@@ -6,10 +6,10 @@ import pytest
 from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       SingleBandDispersion, apply_propagator, bessel_j,
                       bloch_phase, element, evolve, gaussian_state, integrate,
-                      single_site)
+                      invariant_expectation, single_site)
 from driventb import propagator
 from driventb.bessel import bessel_j_orders
-from driventb.propagator import _convolve, _site_kernel
+from driventb.propagator import _band_phase, _convolve, _site_kernel, _site_phase
 
 DC = DCDrive(1.0, 1.0)
 
@@ -114,6 +114,23 @@ class TestEvolve:
         assert out.leak > 1e-4
         assert out.norm() ** 2 + out.leak == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("path", ["bloch", "site"])
+    def test_no_leak_at_t0(self, path):
+        # the cropped edges of an unmoved state hold only FFT round-off; a
+        # difference of norms reported 1.1e-16 here on the bloch route
+        s = gaussian_state(0, 3.0, 0.5, (-32, 32))
+        assert evolve(s, DC, 0.0, path=path).leak < 1e-30
+
+    @pytest.mark.parametrize("path", ["bloch", "site"])
+    def test_leak_is_the_cropped_probability_at_strong_drive(self, path):
+        # 2|chi| = 4 g0 / f0 = 1000 at t = pi / f0 spreads far past the window
+        drive = DCDrive(0.004, 1.0)
+        out = evolve(single_site(0, (-300, 300)), drive, np.pi / 0.004, path=path)
+        assert 2.0 * abs(drive.chi(np.pi / 0.004)) == pytest.approx(1000.0)
+        assert out.leak > 0.1
+        assert abs(float(np.vdot(out.amplitudes, out.amplitudes).real)
+                   + out.leak - 1.0) <= 1e-13
+
     def test_apply_propagator_is_evolve(self):
         proto = HarmonicDrive(1.2, 0.7, 0.9, 0.5)
         s = gaussian_state(0, 2.0, 0.3, (-24, 24))
@@ -171,6 +188,63 @@ class TestEvolve:
             closed = evolve(s, proto, t)
             ref = integrate(s, proto, t)
             assert np.max(np.abs(closed.amplitudes - ref.amplitudes)) < 1e-6
+
+
+class TestSitePhase:
+    @pytest.mark.parametrize("theta", [0.3, -987.6543, 4123.456789])
+    @pytest.mark.parametrize("lo,size", [(-20000, 1), (-20000, 1009),
+                                         (18991, 1009), (-12, 250), (7, 999)])
+    def test_matches_mpmath(self, theta, lo, size):
+        # the reference is e^{-i theta n} of the stored double theta; a plain
+        # exp(-1j * theta * n) rounds theta n and errs up to 7.4e-9 here
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            ref = np.array([complex(mp.expj(-mp.mpf(theta) * n))
+                            for n in range(lo, lo + size)])
+        got = _site_phase(theta, lo, size)
+        assert got.shape == (size,)
+        assert np.max(np.abs(got - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("chis", [{1: 37.2 * np.exp(0.8j)},
+                                      {0: 0.3, 1: 12.5 * np.exp(-2.1j),
+                                       2: -4.0, 3: 7.75j}],
+                             ids=["tight-binding", "band-m3"])
+    def test_band_phase_matches_the_complex_form(self, chis):
+        rng = np.random.default_rng(13)
+        kappa = np.concatenate((2.0 * np.pi * np.arange(4096) / 4096,
+                                rng.uniform(-np.pi, np.pi, 1000)))
+        ref = sum(2.0 * (chi * np.exp(1j * m * kappa)).real
+                  for m, chi in chis.items())
+        bound = 1e-13 * (1.0 + sum(abs(chi) for chi in chis.values()))
+        assert np.max(np.abs(_band_phase(chis, kappa) - ref)) <= bound
+
+
+class TestLongTimeStrongDrive:
+    """A resonant drive for hundreds of periods on a 4,097-site window:
+    2|chi| reaches 1000 and eta 4600, so |eta n| passes 10^6 on the window."""
+
+    DRIVE = HarmonicDrive(3.0, 2.7, 3.0, 0.8)  # n = 1, f1 / omega = 0.9
+
+    def times(self):
+        return np.array([0.5, 0.8, 1.0]) * 1000.0 / abs(self.DRIVE.drift_rate())
+
+    def test_routes_agree(self):
+        s = gaussian_state(0, 10.0, 0.6, (-2048, 2048))
+        times = self.times()
+        assert 2.0 * abs(self.DRIVE.chi(times[-1])) == pytest.approx(1000.0, rel=0.01)
+        assert self.DRIVE.eta(times[-1]) > 4000.0
+        bloch = evolve(s, self.DRIVE, times, path="bloch")
+        site = evolve(s, self.DRIVE, times, path="site")
+        for a, b in zip(bloch, site):
+            assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
+            assert a.leak < 1e-20 and b.leak < 1e-20
+
+    def test_invariant_is_conserved(self):
+        # measured drift 1.7e-13; rounding eta n to a double drifted 3.0e-11
+        s = gaussian_state(0, 10.0, 0.6, (-2048, 2048))
+        n0 = float(np.sum(s.sites * np.abs(s.amplitudes) ** 2))
+        values = invariant_expectation(s, self.DRIVE, self.times())
+        assert np.max(np.abs(values - n0)) <= 1e-12
 
 
 class TestConvolve:
