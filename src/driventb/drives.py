@@ -77,10 +77,11 @@ def _eint(w: float, t):
     """int_0^t exp(-i w tau) dtau with a series branch for small |w t|."""
     t = np.asarray(t, dtype=float)
     wt = w * t
-    series = t * (1.0 - 0.5j * wt - wt * wt / 6.0)
+    small = np.abs(wt) < 1e-6
+    ws = np.where(small, wt, 0.0)  # wt * wt would overflow past |wt| ~ 1e154
+    series = t * (1.0 - 0.5j * ws - ws * ws / 6.0)
     if w == 0.0:
         return series
-    small = np.abs(wt) < 1e-6
     exact = (1.0 - np.exp(-1j * wt)) / (1j * w)
     return np.where(small, series, exact)
 
@@ -148,6 +149,11 @@ class DriveProtocol:
         u, v = self.uv(t)
         return PhaseIntegrals(t=t, eta=float(self.eta(t)), chi=complex(self.chi(t)),
                               u=float(u), v=float(v))
+
+    @property
+    def max_hop(self) -> float:
+        """max_t |g_t|, so that |chi_t| <= max_hop * t."""
+        return abs(self.g0)  # type: ignore[attr-defined]
 
     @property
     def omega_bloch(self) -> float:
@@ -421,6 +427,10 @@ class TabulatedDrive(DriveProtocol):
         return float(self.times[-1])
 
     @property
+    def max_hop(self) -> float:  # type: ignore[override]
+        return float(np.max(np.abs(self.g_values)))
+
+    @property
     def f0(self) -> float:
         """Mean field over the table span (the Bloch frequency when periodic)."""
         return float(self._eta_nodes[-1] / self.times[-1])
@@ -432,7 +442,7 @@ class TabulatedDrive(DriveProtocol):
             raise ValueError("tabulated drives are defined for t >= 0")
         span = self.times[-1]
         if self.periodic:
-            k = np.floor(t / span + 1e-15).astype(int)
+            k = np.floor(t / span + 1e-15)  # a float: no cast to overflow
             return k, t - k * span
         if np.any(t > span * (1.0 + 1e-12)):
             raise ValueError("t beyond the tabulated horizon")

@@ -127,18 +127,27 @@ def gaussian_state(n0: float, sigma: float, kappa0: float,
 
     sigma is the real-space width in sites, kappa0 the carrier Bloch index.
     Raises if the window would cut off more than 1e-8 of the packet's mass;
-    smaller tails are truncated and renormalized.
+    smaller tails are truncated and renormalized. A center more than half a
+    site outside the window, or a sigma wider than it, cuts off at least
+    half, and both fail before any array is built.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     lo, hi = _check_window(window)
+    # below 1e-100, 4 sigma^2 can underflow or (n - n0)^2 / (4 sigma^2) overflow
+    if not 1e-100 <= sigma <= hi - lo + 1:
+        raise ValueError(f"sigma {sigma:g} outside [1e-100, {hi - lo + 1}], the "
+                         "window's length")
+    if not lo - 0.5 < n0 < hi + 0.5:
+        raise ValueError(f"center {n0:g} lies outside the window [{lo}, {hi}]")
     sites = np.arange(lo, hi + 1)
     envelope = np.exp(-((sites - n0) ** 2) / (4.0 * sigma ** 2))
     mass_in = float(np.sum(envelope ** 2))
 
-    reach = int(np.ceil(abs(n0) + 20.0 * sigma)) + 2
-    all_sites = np.arange(-reach, reach + 1)
-    mass_total = float(np.sum(np.exp(-((all_sites - n0) ** 2) / (2.0 * sigma ** 2))))
+    near = np.arange(np.floor(n0 - 20.0 * sigma) - 2, np.ceil(n0 + 20.0 * sigma) + 3)
+    mass_total = float(np.sum(np.exp(-((near - n0) ** 2) / (2.0 * sigma ** 2))))
+    if mass_total == 0.0:
+        raise ValueError(f"sigma {sigma:g} at center {n0:g}: every weight underflows")
     missing = 1.0 - mass_in / mass_total
     if missing > _GAUSS_MASS_TOL:
         raise ValueError(
@@ -158,6 +167,8 @@ def state_from_amplitudes(amplitudes, window: tuple[int, int],
     if amps.size != hi - lo + 1:
         raise ValueError(f"values hold {amps.size} amplitudes for a "
                          f"{hi - lo + 1}-site window")
+    if np.max(np.abs(amps), initial=0.0) >= 1e100:  # so that the norm stays finite
+        raise ValueError("values must satisfy |c_n| < 1e100")
     if np.linalg.norm(amps) == 0.0:
         raise ValueError("values must not all be zero")
     return LatticeState(lo, amps, ring=ring).normalized()

@@ -1,42 +1,14 @@
 """Declarative scenario runner: config in, CSV/JSON series out.
 
 A scenario file describes a lattice window, an initial state, a drive (or
-a band dispersion), a time grid, and the quantities to emit. Two
-encodings of the same schema are accepted: INI-style sections
-
-    [scenario]
-    name = bloch_oscillation
-    seed = 0
-
-    [lattice]
-    window = -64 64
-
-    [state]
-    kind = gaussian
-    center = 0
-    sigma = 8
-    kappa0 = 0.0
-
-    [drive]
-    kind = dc
-    f0 = 1.0
-    g0 = 1.0
-
-    [time]
-    t_max = 12.566
-    samples = 128
-
-    [output]
-    quantities = observables state_snapshots
-
-    [oracle]
-    enabled = true
-    tolerance = 1e-6
-
-or a JSON object with the same sections, each an object of keys. Every
-key, the initial state included, is checked at load, before anything is
-written. Outputs are deterministic (sampling is seeded from [scenario]
-seed) and every CSV starts with a comment naming the scenario and hash.
+a band dispersion), a time grid, and the quantities to emit, as INI-style
+sections of ``key = value`` pairs or as a JSON object with the same
+sections, each an object of keys. ``_SCHEMA`` lists every section and key
+with its type, default and range (README "Config format" shows them in INI
+form). Every key, the initial state included, is checked at load, before
+anything is written. Outputs are deterministic (sampling is seeded from
+[scenario] seed) and every CSV starts with a comment naming the scenario
+and hash.
 """
 
 from __future__ import annotations
@@ -72,19 +44,38 @@ def _fail(section: str, key: str, why: str):
     raise ConfigError(f"[{section}] {key}: {why}")
 
 
-def _refail(section: str, exc: ValueError):
-    """Re-raise a constructor's error, whose message starts with the key."""
+def _refail(section: str, kind, exc: ValueError):
+    """Re-raise a builder's error at the key its message starts with, if that
+    is a key of the section (or of ``kind``), else whole at the section's kind."""
+    keys = _SCHEMA[section] if kind is None else _SCHEMA[section]["kind"][kind][1]
     key, _, why = str(exc).partition(" ")
+    if key not in keys:
+        key, why = "kind", str(exc)
     _fail(section, key, why)
 
 
-def _parse_ini(text: str) -> dict:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+def _parse(text: str) -> dict:
+    """The sections of JSON or INI text: _SCHEMA's, dicts, [drive] among them."""
     try:
-        parser.read_string(text)
-    except configparser.Error as exc:
+        if text.lstrip().startswith("{"):
+            raw = json.loads(text)
+        else:
+            parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+            parser.read_string(text)
+            raw = {name: dict(parser.items(name)) for name in parser.sections()}
+    except (json.JSONDecodeError, configparser.Error) as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    return {section: dict(parser.items(section)) for section in parser.sections()}
+    if not isinstance(raw, dict):
+        raise ConfigError("JSON config must be an object of sections")
+    unknown_sections = set(raw) - set(_SCHEMA)
+    if unknown_sections:
+        raise ConfigError(f"unknown section [{sorted(unknown_sections)[0]}]")
+    for section, keys in raw.items():
+        if not isinstance(keys, dict):
+            raise ConfigError(f"[{section}] section must be an object of keys")
+    if "drive" not in raw:
+        raise ConfigError("[drive] section is required")
+    return raw
 
 
 _BOOLS = {"true": True, "yes": True, "on": True, "1": True,
@@ -95,8 +86,7 @@ def _coerce(section: str, key: str, raw, kind):
     """Coerce an INI string (or JSON value) to the requested type."""
     try:
         if kind is bool:
-            word = str(raw).strip().lower()
-            value = raw if isinstance(raw, bool) else _BOOLS.get(word)
+            value = _BOOLS.get(str(raw).strip().lower())  # JSON true reads "True"
             if value is None:
                 raise ValueError(f"not a boolean: {raw!r}")
             return value
@@ -108,8 +98,8 @@ def _coerce(section: str, key: str, raw, kind):
             if value != value.to_integral_value():
                 raise ValueError(f"not an integer: {raw!r}")
             return int(value)
-        if kind is str:
-            return str(raw).strip()
+        if kind in (str, Path):
+            return kind(str(raw).strip())
         if kind == "floats":
             if not isinstance(raw, (list, tuple)):
                 raw = str(raw).replace(",", " ").split()
@@ -130,24 +120,112 @@ def _finite(values):
     return values
 
 
-class _Section:
-    def __init__(self, name: str, data: dict):
-        self.name = name
-        self.data = dict(data or {})
-        self.seen: set = set()
+_REQUIRED = object()  # the default of a key that must be given
+_PHASE_MAX = 1e150  # |chi|^2 in the moments stays finite below it
+_ETA_MAX = float(np.finfo(np.float32).max)  # _site_phase needs a float32 head of eta
 
-    def get(self, key, kind, default=None, required=False):
-        self.seen.add(key)
-        if key not in self.data:
-            if required:
-                _fail(self.name, key, "required key missing")
-            return default
-        return _coerce(self.name, key, self.data[key], kind)
 
-    def reject_unknown(self):
-        unknown = set(self.data) - self.seen
-        if unknown:
-            _fail(self.name, sorted(unknown)[0], "unknown key")
+def _window_fault(window):
+    if len(window) != 2 or any(n != int(n) for n in window):
+        return "expected two integers n_min n_max"
+    if window[1] < window[0]:
+        return "n_max below n_min"
+    return max(map(abs, window)) >= 2 ** 29 and "sites must satisfy |n| < 2^29"
+
+
+def _count(low: int, why: str):
+    """The check of a grid size: at least ``low`` (else ``why``), at most 2^24."""
+    return lambda n: n < low and why or n > 2 ** 24 and "must be at most 2^24"
+
+
+def _tabulated(f_file: Path, g_file: Path, periodic: bool):
+    """A table drive; a fault in either file is reported at f_file."""
+    try:
+        return TabulatedDrive.from_files(f_file, g_file, periodic=periodic)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"f_file {exc}") from exc
+
+
+_FIELD, _FILE = (float, _REQUIRED, None), (Path, _REQUIRED, None)
+
+# section -> key -> (coercion, default, check), where a check returns why a
+# value is out of range, or a falsy value. [state] and [drive] map each kind
+# to its builder and keys: a drive is built by keyword, a state by make_state.
+_SCHEMA = {
+    "scenario": {"name": (str, None, lambda v: len(v.splitlines()) > 1
+                          and "must be one line"),  # default: the file's stem
+                 "seed": (int, 0, lambda v: v < 0 and "must be non-negative")},
+    "lattice": {"window": ("floats", _REQUIRED, _window_fault),
+                "ring": (bool, False, None)},
+    "state": {"kind": {
+        "single_site": (make_state, {"site": (int, 0, None)}),
+        "gaussian": (make_state, {"center": (float, 0.0, None), "sigma": _FIELD,
+                                  "kappa0": (float, 0.0, None)}),
+        "amplitudes": (make_state, {"values": ("floats", _REQUIRED, lambda v: len(v) % 2
+                                               and "expected re im pairs")})}},
+    "drive": {"kind": {
+        "dc": (DCDrive, {"f0": _FIELD, "g0": _FIELD}),
+        "harmonic": (HarmonicDrive, {"f0": _FIELD, "f1": _FIELD, "omega": _FIELD,
+                                     "g0": _FIELD}),
+        "fourier": (FourierDrive, {"f0": _FIELD, "modes": ("floats", _REQUIRED, None),
+                                   "omega": _FIELD, "g0": _FIELD}),
+        "tabulated": (_tabulated, {"f_file": _FILE, "g_file": _FILE,
+                                   "periodic": (bool, False, None)})}},
+    "dispersion": {"couplings": ("floats", _REQUIRED, lambda v: len(v) < 2
+                                 and "need couplings g_0..g_M with M >= 1"),
+                   "convention": (str, "index", lambda v: v not in ("index", "power2")
+                                  and "must be 'index' or 'power2'")},
+    "time": {"t_max": (float, _REQUIRED, lambda v: v <= 0 and "must be positive"),
+             "samples": (int, _REQUIRED, _count(2, "need at least 2 samples"))},
+    "output": {"quantities": ("strings", ("observables",), lambda qs: next(
+        (f"unknown quantity {q!r}" for q in qs if q not in _EMITTERS), None)),
+               "snapshot_times": ("floats", None, None)},  # default: 0 and t_max
+    "oracle": {"enabled": (bool, False, None),
+               "boundary": (str, None, None),  # default: ring on a ring lattice
+               "dt": (float, None, None), "error_per_time": (float, 1e-8, None),
+               "leak_tolerance": (float, 1e-8, None), "tolerance": (
+                   float, 1e-6, lambda v: not 0.0 < v < np.inf and "must be positive")},
+    "band": {"kappa_points": (int, 64, _count(1, "must be at least 1"))},
+    "localization_map": {"x_min": (float, 0.0, None), "x_max": (float, 6.0, None),
+                         "steps": (int, 121, _count(1, "must be at least 1"))},
+}
+
+
+def _checked(section: str, key: str, value, check):
+    why = check and check(value)
+    if why:
+        _fail(section, key, why)
+    return value
+
+
+def _read(data: dict, section: str, base: Path) -> dict:
+    """A section's values by _SCHEMA, coerced, defaulted and checked key by key,
+    "kind" first where it has kinds; a missing required key is reported before
+    an unknown one, and a path is taken relative to ``base``."""
+    keys = _SCHEMA[section]
+    values = {}
+    if "kind" in keys:
+        kind = values["kind"] = _value(data, section, "kind", (str, _REQUIRED, None))
+        if kind not in keys["kind"]:
+            _fail(section, "kind", f"unknown {section} kind {kind!r}")
+        keys = keys["kind"][kind][1]
+    for key, spec in keys.items():
+        values[key] = _value(data, section, key, spec)
+        if spec[0] is Path:
+            values[key] = base / values[key]
+    unknown = sorted(set(data) - set(values))
+    if unknown:
+        _fail(section, unknown[0], "unknown key")
+    return values
+
+
+def _value(data: dict, section: str, key: str, spec: tuple):
+    kind, default, check = spec
+    if key not in data:
+        if default is _REQUIRED:
+            _fail(section, key, "required key missing")
+        return default
+    return _checked(section, key, _coerce(section, key, data[key], kind), check)
 
 
 @dataclass
@@ -177,38 +255,6 @@ class Scenario:
         return np.linspace(0.0, self.t_max, self.samples)
 
 
-_CLOSED_FORM_DRIVES = {
-    "dc": (DCDrive, ("f0", "g0")),
-    "harmonic": (HarmonicDrive, ("f0", "f1", "omega", "g0")),
-    "fourier": (FourierDrive, ("f0", "modes", "omega", "g0")),
-}
-
-
-def _build_drive(sec: _Section, base_dir: Path):
-    kind = sec.get("kind", str, required=True)
-    if kind in _CLOSED_FORM_DRIVES:
-        cls, keys = _CLOSED_FORM_DRIVES[kind]
-        args = [tuple(sec.get(key, "floats", required=True)) if key == "modes"
-                else sec.get(key, float, required=True) for key in keys]
-        try:
-            drive = cls(*args)
-        except ValueError as exc:
-            _refail("drive", exc)
-    elif kind == "tabulated":
-        f_file = sec.get("f_file", str, required=True)
-        g_file = sec.get("g_file", str, required=True)
-        periodic = sec.get("periodic", bool, default=False)
-        try:
-            drive = TabulatedDrive.from_files(base_dir / f_file, base_dir / g_file,
-                                              periodic=periodic)
-        except (OSError, ValueError) as exc:
-            _fail("drive", "f_file", str(exc))
-    else:
-        _fail("drive", "kind", f"unknown drive kind {kind!r}")
-    sec.reject_unknown()
-    return drive
-
-
 def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     """Parse and validate a scenario file (INI sections or a JSON object).
 
@@ -216,172 +262,82 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     tolerance and pass the same range checks; the hash is the file's.
     """
     path = Path(path)
-    text = path.read_text()
-    if text.lstrip().startswith("{"):
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config parse error: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("JSON config must be an object of sections")
-    else:
-        raw = _parse_ini(text)
-    unknown_sections = set(raw) - {"scenario", "lattice", "state", "drive",
-                                   "dispersion", "time", "output", "oracle",
-                                   "band", "localization_map"}
-    if unknown_sections:
-        raise ConfigError(f"unknown section [{sorted(unknown_sections)[0]}]")
-    for section, keys in raw.items():
-        if not isinstance(keys, dict):
-            raise ConfigError(f"[{section}] section must be an object of keys")
-
+    raw = _parse(path.read_text())
     digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, default=str).encode()).hexdigest()[:12]
-
-    sec_scen = _Section("scenario", raw.get("scenario", {}))
-    name = sec_scen.get("name", str, default=path.stem)
-    key_seed = sec_scen.get("seed", int, default=0)
-    seed = key_seed if seed is None else int(seed)
-    sec_scen.reject_unknown()
-    if seed < 0:
-        _fail("scenario", "seed", "must be non-negative")
-
-    sec_lat = _Section("lattice", raw.get("lattice", {}))
-    win = sec_lat.get("window", "floats", required=True)
-    if len(win) != 2 or win[0] != int(win[0]) or win[1] != int(win[1]):
-        _fail("lattice", "window", "expected two integers n_min n_max")
-    window = (int(win[0]), int(win[1]))
-    if window[1] < window[0]:
-        _fail("lattice", "window", "n_max below n_min")
-    ring = sec_lat.get("ring", bool, default=False)
-    sec_lat.reject_unknown()
-
-    sec_state = _Section("state", raw.get("state", {}))
-    kind = sec_state.get("kind", str, required=True)
-    if kind == "single_site":
-        spec = {"kind": kind, "site": sec_state.get("site", int, default=0)}
-    elif kind == "gaussian":
-        spec = {"kind": kind,
-                "center": sec_state.get("center", float, default=0.0),
-                "sigma": sec_state.get("sigma", float, required=True),
-                "kappa0": sec_state.get("kappa0", float, default=0.0)}
-    elif kind == "amplitudes":
-        values = sec_state.get("values", "floats", required=True)
-        if len(values) % 2 != 0:
-            _fail("state", "values", "expected re im pairs")
-        spec = {"kind": kind, "values": [complex(values[i], values[i + 1])
-                                         for i in range(0, len(values), 2)]}
-    else:
-        _fail("state", "kind", f"unknown state kind {kind!r}")
-    sec_state.reject_unknown()
-
-    if "drive" not in raw:
-        raise ConfigError("[drive] section is required")
-    drive = _build_drive(_Section("drive", raw["drive"]), path.parent)
-
-    dispersion = None
-    convention = "index"
-    if "dispersion" in raw:
-        sec_disp = _Section("dispersion", raw["dispersion"])
-        couplings = sec_disp.get("couplings", "floats", required=True)
-        convention = sec_disp.get("convention", str, default="index")
-        if convention not in ("index", "power2"):
-            _fail("dispersion", "convention", "must be 'index' or 'power2'")
-        sec_disp.reject_unknown()
-        try:
-            dispersion = SingleBandDispersion(tuple(couplings))
-        except ValueError as exc:
-            _fail("dispersion", "couplings", str(exc))
-        # the band scales the drive's phase by its largest harmonic weight
-        weight = max((_eta_weight(m, convention) for m, g in
-                      enumerate(dispersion.couplings) if g != 0.0), default=0.0)
-        try:
-            drive.check_scale(weight)
-        except ValueError as exc:
-            _refail("drive", exc)
-
-    sec_time = _Section("time", raw.get("time", {}))
-    t_max = sec_time.get("t_max", float, required=True)
-    samples = sec_time.get("samples", int, required=True)
-    if t_max <= 0:
-        _fail("time", "t_max", "must be positive")
-    if samples < 2:
-        _fail("time", "samples", "need at least 2 samples")
-    sec_time.reject_unknown()
-
-    sec_out = _Section("output", raw.get("output", {}))
-    quantities = tuple(sec_out.get("quantities", "strings",
-                                   default=["observables"]))
+    cfg = {section: _read(raw.get(section, {}), section, path.parent)
+           for section in _SCHEMA if section in raw or section != "dispersion"}
+    for section, key, value in (("scenario", "seed", seed),
+                                ("oracle", "tolerance", tolerance)):
+        if value is not None:  # an override, checked like the key
+            kind, _, check = _SCHEMA[section][key]
+            cfg[section][key] = _checked(section, key, kind(value), check)
+    # the checks that span keys
+    window = tuple(int(n) for n in cfg["lattice"]["window"])
+    ring = cfg["lattice"]["ring"]
+    disp = cfg.get("dispersion")
+    dispersion = disp and SingleBandDispersion(tuple(disp["couplings"]))
+    convention = disp["convention"] if disp else "index"
+    drive_kind = cfg["drive"].pop("kind")
+    try:
+        drive = _SCHEMA["drive"]["kind"][drive_kind][0](**cfg["drive"])
+        if dispersion:  # the band scales the phase by its largest harmonic weight
+            drive.check_scale(max((_eta_weight(m, convention) for m, g in
+                                   enumerate(dispersion.couplings) if g != 0.0),
+                                  default=0.0))
+    except ValueError as exc:
+        _refail("drive", drive_kind, exc)
+    t_max = cfg["time"]["t_max"]
+    quantities = tuple(cfg["output"]["quantities"])
     for q in quantities:
-        if q not in _EMITTERS:
-            _fail("output", "quantities", f"unknown quantity {q!r}")
-        if dispersion is not None and q not in ("phase_integrals", "state_snapshots"):
+        if dispersion and q not in ("phase_integrals", "state_snapshots"):
             _fail("output", "quantities",
                   f"{q!r} is unavailable with a [dispersion] section "
                   "(closed-form moments are tight-binding only)")
         if q in ("band", "localization_report") and drive.resonance_order() is None:
             _fail("drive", "kind", f"{q!r} requires a resonant periodic drive")
-    snapshot_times = tuple(sec_out.get("snapshot_times", "floats",
-                                       default=[0.0, t_max]))
+    snapshot_times = cfg["output"]["snapshot_times"]
+    snapshot_times = tuple([0.0, t_max] if snapshot_times is None else snapshot_times)
     if not all(0.0 <= s <= t_max for s in snapshot_times):
         _fail("output", "snapshot_times", "must lie in [0, t_max]")
     if "state_snapshots" in quantities and not snapshot_times:
         _fail("output", "snapshot_times", "must list at least one time")
-    sec_out.reject_unknown()
-
-    sec_orc = _Section("oracle", raw.get("oracle", {}))
-    oracle_enabled = sec_orc.get("enabled", bool, default=False)
-    boundary = sec_orc.get("boundary", str, default="ring" if ring else "open")
-    dt = sec_orc.get("dt", float, default=None)
-    err_pt = sec_orc.get("error_per_time", float, default=1e-8)
-    leak_tol = sec_orc.get("leak_tolerance", float, default=1e-8)
-    key_tolerance = sec_orc.get("tolerance", float, default=1e-6)
-    tolerance = key_tolerance if tolerance is None else float(tolerance)
-    sec_orc.reject_unknown()
-    if not 0.0 < tolerance < np.inf:
-        _fail("oracle", "tolerance", "must be positive")
+    orc = cfg["oracle"]
+    boundary = orc["boundary"]
+    if boundary is None:  # the oracle runs a ring lattice as a ring
+        boundary = "ring" if ring else "open"
     try:
-        oracle_config = OracleConfig(boundary=boundary, dt=dt,
-                                     error_per_time=err_pt,
-                                     leak_tolerance=leak_tol)
+        oracle_config = OracleConfig(boundary, orc["dt"], orc["error_per_time"],
+                                     leak_tolerance=orc["leak_tolerance"])
     except ValueError as exc:
-        _refail("oracle", exc)
+        _refail("oracle", None, exc)
     # the oracle runs a ring when either section asks for one
     n_sites = window[1] - window[0] + 1
-    if (dispersion is not None and (ring or boundary == "ring")
-            and n_sites < dispersion.order):
+    if dispersion and (ring or boundary == "ring") and n_sites < dispersion.order:
         _fail("dispersion", "couplings", f"band order {dispersion.order} "
               f"exceeds the {n_sites}-site ring")
-
-    sec_band = _Section("band", raw.get("band", {}))
-    kappa_points = sec_band.get("kappa_points", int, default=64)
-    sec_band.reject_unknown()
-    if kappa_points < 1:
-        _fail("band", "kappa_points", "must be at least 1")
-
-    sec_map = _Section("localization_map", raw.get("localization_map", {}))
-    map_range = (sec_map.get("x_min", float, default=0.0),
-                 sec_map.get("x_max", float, default=6.0),
-                 sec_map.get("steps", int, default=121))
-    sec_map.reject_unknown()
-    if map_range[2] < 1:
-        _fail("localization_map", "steps", "must be at least 1")
-
     # built last, so that a fault in any other section is reported first
+    spec = cfg["state"]
+    if spec["kind"] == "amplitudes":  # re im pairs
+        spec["values"] = np.array(spec["values"], dtype=float).view(complex)
     try:
-        state = replace(make_state(spec, window), ring=ring)
+        state = replace(_SCHEMA["state"]["kind"][spec["kind"]][0](spec, window),
+                        ring=ring)
     except ValueError as exc:
-        _refail("state", exc)
+        _refail("state", spec["kind"], exc)
 
     scenario = Scenario(
-        name=name, seed=seed, window=window, state=state, drive=drive,
+        name=path.stem if cfg["scenario"]["name"] is None else cfg["scenario"]["name"],
+        seed=cfg["scenario"]["seed"], window=window, state=state, drive=drive,
         dispersion=dispersion, convention=convention, t_max=t_max,
-        samples=samples, quantities=quantities, snapshot_times=snapshot_times,
-        oracle_enabled=oracle_enabled, oracle_config=oracle_config,
-        tolerance=tolerance, kappa_points=kappa_points, map_range=map_range,
-        config_hash=digest)
+        samples=cfg["time"]["samples"], quantities=quantities,
+        snapshot_times=snapshot_times, oracle_enabled=orc["enabled"],
+        oracle_config=oracle_config, tolerance=orc["tolerance"],
+        kappa_points=cfg["band"]["kappa_points"],
+        map_range=tuple(cfg["localization_map"].values()), config_hash=digest)
+    _check_phases(scenario)
     # the quantities that apply the propagator, on the grids they apply it at
-    if oracle_enabled:
+    if scenario.oracle_enabled:
         _check_oracle(scenario)
     elif "invariant" in quantities:
         _check_reach(scenario, scenario.times)
@@ -390,11 +346,31 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     return scenario
 
 
+def _check_phases(scenario: Scenario):
+    """Fail at [time] t_max where a phase integral could pass _PHASE_MAX by t_max:
+    products such as f0 t overflow there first, and |chi_m| <= max|g_m| t."""
+    drive, t = scenario.drive, np.array([scenario.t_max])
+    couplings = scenario.dispersion.couplings if scenario.dispersion else ()
+    try:
+        with np.errstate(all="ignore"):  # an overflow is what the probe looks for
+            probe = np.abs([drive.eta(t), *drive.uv(t), *_chis(
+                drive, t, scenario.dispersion, scenario.convention).values(),
+                max([drive.max_hop, *map(abs, couplings)]) * t])
+    except ValueError as exc:
+        _fail("time", "t_max", str(exc))
+    if not probe.max() <= _PHASE_MAX:
+        _fail("time", "t_max", f"phases may reach {probe.max():.3g} > {_PHASE_MAX:g}")
+
+
 def _check_reach(scenario: Scenario, times):
-    """Fail at [time] t_max where some 2|chi_m| on the grid passes the range
-    of the propagator's Bessel kernels."""
-    chis = _chis(scenario.drive, np.asarray(times, dtype=float),
-                 scenario.dispersion, scenario.convention)
+    """Fail at [time] t_max where the propagator cannot run on a time grid: some
+    2|chi_m| past its Bessel kernels' range, or |eta| past _ETA_MAX."""
+    times = np.asarray(times, dtype=float)
+    eta = float(np.max(np.abs(scenario.drive.eta(times)), initial=0.0))
+    if eta > _ETA_MAX:
+        _fail("time", "t_max", f"|eta| on the time grid reaches {eta:.3g}, past "
+              f"{_ETA_MAX:.3g}")
+    chis = _chis(scenario.drive, times, scenario.dispersion, scenario.convention)
     reach = max((float(np.max(2.0 * np.abs(chi))) for m, chi in chis.items()
                  if m > 0), default=0.0)
     try:

@@ -61,6 +61,11 @@ class TestChi:
             0.7 * t * (1 - 0.5j * 1e-9 * t), abs=1e-12)
         assert DCDrive(0.0, 0.7).chi(t) == pytest.approx(0.7 * t, abs=1e-14)
 
+    def test_dc_huge_phase_is_finite(self):
+        # the series branch is evaluated only where |f0 t| < 1e-6
+        chi = DCDrive(1e300, 1.0).chi(np.array([0.0, 1.0, 6.0]))
+        assert np.all(np.isfinite(chi)) and chi[0] == 0.0
+
     def test_harmonic_bounded_at_localization_zero(self):
         h = HarmonicDrive(1.0, J1_ZERO, 1.0, 1.0)
         assert h.drift_rate() == pytest.approx(0.0, abs=1e-10)

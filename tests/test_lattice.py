@@ -40,6 +40,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             gaussian_state(0, 0.0, 0.0, (-8, 8))
 
+    @pytest.mark.parametrize("center,sigma,first", [
+        (0.0, 1e300, "sigma"), (0.0, 1e6, "sigma"), (0.0, 1e-300, "sigma"),
+        (0.5, 0.01, "sigma"), (1e300, 2.0, "center"), (-16.5, 2.0, "center")])
+    def test_gaussian_extremes_fail_before_allocating(self, center, sigma, first):
+        # each fails at load time, not as an OverflowError, a NaN state or a
+        # reference sum of millions of sites
+        with pytest.raises(ValueError, match=f"^{first} "):
+            gaussian_state(center, sigma, 0.0, (-16, 16))
+
+    def test_amplitudes_past_the_norm_range_rejected(self):
+        with pytest.raises(ValueError, match="^values "):
+            state_from_amplitudes([1e300, 1e300], (0, 1))
+
     def test_amplitudes_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             state_from_amplitudes(np.zeros(5), (0, 4))

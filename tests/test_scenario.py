@@ -1,14 +1,20 @@
 import json
+import math
+import re
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from driventb import gaussian_state
+from driventb import WindowLeakError, gaussian_state
 from driventb.cli import main
-from driventb.scenario import (ConfigError, compare_with_oracle, load_scenario,
-                               run_scenario)
+from driventb.scenario import (_EMITTERS, _SCHEMA, ConfigError, _refail,
+                               compare_with_oracle, load_scenario, run_scenario)
 
 BLOCH_CFG = """\
 [scenario]
@@ -131,6 +137,18 @@ class TestConfigParsing:
          r"\[localization_map\] steps:"),
         (lambda s: s + "\n[localization_map]\nsteps = 0\n",
          r"\[localization_map\] steps:"),
+        # values at the edges of the supported range
+        (lambda s: s.replace("center = 0", "center = 1e300"), r"\[state\] center:"),
+        (lambda s: s.replace("sigma = 6", "sigma = 1e300"), r"\[state\] sigma:"),
+        (lambda s: s.replace("sigma = 6", "sigma = 1e-300"), r"\[state\] sigma:"),
+        (lambda s: s.replace("window = -48 48", "window = -48 536870912"),
+         r"\[lattice\] window: sites must satisfy \|n\| < 2\^29"),
+        (lambda s: s.replace("f0 = 1.0", "f0 = 1e40"), r"\[time\] t_max: \|eta\|"),
+        (lambda s: s.replace("f0 = 1.0", "f0 = 1e300"), r"\[time\] t_max: phases"),
+        (lambda s: s.replace("g0 = 1.0", "g0 = 1e300"), r"\[time\] t_max: phases"),
+        (lambda s: s.replace("samples = 32", "samples = 1e300"),
+         r"\[time\] samples: must be at most 2\^24"),
+        (lambda s: s + "\n[oracle]\nboundary =\n", r"\[oracle\] boundary:"),
     ], ids=["window", "samples", "t_max", "drive-kind", "quantity", "sigma",
             "missing-f0", "oracle-dt", "oracle-error_per_time",
             "oracle-leak_tolerance", "oracle-boundary", "drive-f0",
@@ -140,10 +158,31 @@ class TestConfigParsing:
             "oracle-tolerance", "band-kappa_points", "snapshot-negative",
             "snapshot-past-t_max", "state-site-outside",
             "state-values-count", "state-values-zero", "state-sigma-truncated",
-            "seed-negative", "map-steps-negative", "map-steps-zero"])
+            "seed-negative", "map-steps-negative", "map-steps-zero",
+            "center-huge", "sigma-huge", "sigma-tiny", "window-past-2^29",
+            "eta-past-float32", "eta-past-phase-range", "chi-squares-overflow",
+            "samples-huge", "oracle-boundary-empty"])
     def test_validation_errors_name_the_field(self, tmp_path, mangle, needle):
         path = write_cfg(tmp_path, mangle(BLOCH_CFG))
         with pytest.raises(ConfigError, match=needle):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("message,key", [
+        ("sigma 3 is too wide", "sigma"), ("site 4 is a key of another kind", "kind"),
+        ("Maximum allowed size exceeded", "kind")])
+    def test_builder_errors_blame_only_keys_of_the_kind(self, message, key):
+        with pytest.raises(ConfigError) as info:
+            _refail("state", "gaussian", ValueError(message))
+        why = message.partition(" ")[2] if key == "sigma" else message
+        assert str(info.value) == f"[state] {key}: {why}"
+
+    def test_name_must_be_one_line(self, tmp_path):
+        payload = {"scenario": {"name": "two\nlines"}, "lattice": {"window": [-8, 8]},
+                   "state": {"kind": "single_site"},
+                   "drive": {"kind": "dc", "f0": 1.0, "g0": 1.0},
+                   "time": {"t_max": 1.0, "samples": 4}}
+        path = write_cfg(tmp_path, json.dumps(payload), "scenario.json")
+        with pytest.raises(ConfigError, match=r"^\[scenario\] name: must be one line$"):
             load_scenario(path)
 
     @pytest.mark.parametrize("section,value", [
@@ -708,3 +747,152 @@ samples = 4
 """
         with pytest.raises(ConfigError, match="f_file"):
             load_scenario(write_cfg(tmp_path, cfg, "tab.cfg"))
+
+
+def table_keys(section):
+    """Every key _SCHEMA has for a section, the keys of all its kinds included."""
+    keys = set(_SCHEMA[section])
+    for _, kind_keys in _SCHEMA[section].get("kind", {}).values():
+        keys |= set(kind_keys)
+    return keys
+
+
+def coercion(section, key):
+    """The coercion kind of a key, in its section or in one of its kinds."""
+    if key == "kind":
+        return str
+    if key in _SCHEMA[section]:
+        return _SCHEMA[section][key][0]
+    return next(keys[key][0] for _, keys in _SCHEMA[section]["kind"].values()
+                if key in keys)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_config_block_matches_the_schema():
+    block = README.read_text().split("```ini\n")[1].split("```")[0]
+    parts = dict(re.findall(r"^\[(\w+)\][^\n]*\n(.*?)(?=^\[|\Z)", block, re.M | re.S))
+    assert set(parts) == set(_SCHEMA)
+    for section, text in parts.items():
+        words = set(re.findall(r"\w+", text))
+        assert table_keys(section) <= words, section
+        assert set(re.findall(r"^(\w+) =", text, re.M)) <= table_keys(section), section
+
+
+# The fuzzer: a valid config on at most 33 sites and 8 samples with the oracle
+# off, then one to four keys drawn from _SCHEMA set to edge values or dropped.
+EDGES = (1e300, -1e300, 1e-300, -1e-300, 0.0, -1.0, 0.5, math.nan, math.inf,
+         -math.inf)
+# Hypothesis favours the first choices: the sections with physics come first
+SECTIONS = sorted(_SCHEMA, key=lambda name: name not in ("state", "drive", "time"))
+WORDS = ("", "warp", "open", "ring", "index", "power2", "two\nlines",
+         *_SCHEMA["state"]["kind"], *_SCHEMA["drive"]["kind"])
+BASE_DRIVES = {"dc": {"f0": 1.0, "g0": 0.5},
+               "harmonic": {"f0": 1.0, "f1": 1.5, "omega": 1.0, "g0": 0.5},
+               "fourier": {"f0": 2.0, "modes": [0.5, 0.3], "omega": 1.0, "g0": 0.5},
+               "tabulated": {"f_file": "f.txt", "g_file": "g.txt", "periodic": True}}
+DROP = object()
+
+
+def fuzzed_keys(cfg):
+    """(section, key) for every key of _SCHEMA but [oracle] enabled; [state]
+    and [drive] offer "kind" and the keys of the config's kind."""
+    pairs = []
+    for section in SECTIONS:
+        keys = _SCHEMA[section]
+        if "kind" in keys:
+            kind = cfg.get(section, {}).get("kind")
+            keys = ["kind", *keys["kind"].get(kind, (None, {}))[1]]
+        pairs += [(section, key) for key in keys if key != "enabled"]
+    return pairs
+
+
+def edge_values(kind):
+    """A strategy for the edge values of one coercion kind of _SCHEMA."""
+    numbers = st.sampled_from(EDGES)
+    return {float: numbers,
+            int: st.one_of(numbers, st.sampled_from([2.5, 7])),
+            bool: st.sampled_from([True, False, "maybe", 0.5]),
+            str: st.sampled_from(WORDS),
+            Path: st.sampled_from(["f.txt", "missing.txt", "garbage.txt", ""]),
+            "floats": st.lists(numbers, max_size=3),
+            "strings": st.lists(st.sampled_from([*_EMITTERS, "entropy"]), max_size=3),
+            }[kind]
+
+
+def base_config(draw):
+    sites = draw(st.integers(1, 33))
+    state_kind = draw(st.sampled_from(sorted(_SCHEMA["state"]["kind"])))
+    drive_kind = draw(st.sampled_from(sorted(BASE_DRIVES)))
+    cfg = {"scenario": {"name": "fuzz", "seed": draw(st.integers(0, 3))},
+           "lattice": {"window": [-(sites // 2), sites - sites // 2 - 1],
+                       "ring": draw(st.booleans())},
+           "state": {"kind": state_kind, **{
+               "single_site": {"site": 0},
+               "gaussian": {"center": 0.0, "sigma": max(sites / 12, 0.1),
+                            "kappa0": 0.3},
+               "amplitudes": {"values": [1.0, 0.0] * sites}}[state_kind]},
+           "drive": {"kind": drive_kind, **BASE_DRIVES[drive_kind]},
+           "time": {"t_max": draw(st.sampled_from([1.0, 6.0, 30.0])),
+                    "samples": draw(st.integers(2, 8))},
+           "oracle": {"enabled": False}}
+    quantities = ["phase_integrals", "state_snapshots"]
+    if draw(st.booleans()):
+        cfg["dispersion"] = {"couplings": [0.0, 0.3, 0.1], "convention": "index"}
+    else:
+        quantities += [q for q in _EMITTERS if q not in quantities]
+    cfg["output"] = {"quantities": draw(st.lists(st.sampled_from(quantities),
+                                                 min_size=1, max_size=3, unique=True))}
+    return cfg
+
+
+def write_ini(path, cfg):
+    lines = []
+    for section, keys in cfg.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if isinstance(value, list):
+                value = " ".join(map(str, value))
+            lines.append(f"{key} = {str(value).replace(chr(10), ' ')}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_edge_configs_run_or_fail_at_a_named_key(data):
+    """run_scenario returns with every CSV value finite, or raises a
+    ConfigError at a key of the table, or refuses a window too small for
+    the evolved state (WindowLeakError)."""
+    cfg = base_config(data.draw)
+    for _ in range(data.draw(st.integers(1, 4))):
+        section, key = data.draw(st.sampled_from(fuzzed_keys(cfg)))
+        value = data.draw(st.one_of(edge_values(coercion(section, key)), st.just(DROP)))
+        if value is DROP:
+            cfg.get(section, {}).pop(key, None)
+        else:
+            cfg.setdefault(section, {})[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        tt = np.linspace(0.0, 2 * np.pi, 65)
+        np.savetxt(tmp / "f.txt", np.column_stack([tt, 1.0 + 0.5 * np.cos(tt)]))
+        np.savetxt(tmp / "g.txt", np.column_stack([tt, np.full(tt.shape, 0.5)]))
+        (tmp / "garbage.txt").write_bytes(b"\x00\xff not a table\n1 2 3\n")
+        path = tmp / "fuzz.cfg"
+        if data.draw(st.booleans()):
+            path.write_text(json.dumps(cfg))
+        else:
+            write_ini(path, cfg)
+        try:
+            summary = run_scenario(path, out_dir=tmp / "out")
+        except ConfigError as exc:
+            match = re.match(r"\[(\w+)\] (\w+): ", str(exc))
+            assert match and match[2] in table_keys(match[1]), str(exc)
+            return
+        except WindowLeakError:
+            return
+        for name in summary["outputs"]:
+            if name.endswith(".csv"):
+                rows = (tmp / "out" / name).read_text().splitlines()[2:]
+                values = [float(x) for row in rows for x in row.split(",")]
+                assert np.isfinite(values).all(), name
