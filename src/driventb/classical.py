@@ -85,20 +85,15 @@ def ensemble_moments(ensemble: ClassicalEnsemble, protocol: DriveProtocol,
     """Weighted (mean, variance) of the position q_t/d under exact trajectories.
 
     ``t`` is a scalar (two floats back) or an array (two arrays of its
-    shape). (u, v) are evaluated once and the times advanced one at a time,
-    so memory holds one ensemble, never times x samples.
+    shape). q_t = (1, v_t, -u_t) . (q, cos p delta, sin p delta), so its moments
+    at every time follow from one pass's means and covariances of that triple.
     """
-    u, v = (np.broadcast_to(x, np.shape(t))
-            for x in protocol.uv(np.asarray(t, dtype=float)))
-    cos0, sin0 = np.cos(ensemble.p * delta), np.sin(ensemble.p * delta)
-    means, variances = np.empty(np.shape(t)), np.empty(np.shape(t))
-    for i in np.ndindex(np.shape(t)):
-        q_t = ensemble.q + v[i] * cos0 - u[i] * sin0
-        means[i] = np.dot(ensemble.weights, q_t)
-        variances[i] = np.dot(ensemble.weights, q_t ** 2) - means[i] ** 2
-    if np.ndim(t) == 0:
-        return float(means), float(variances)
-    return means, variances
+    x = np.stack((ensemble.q, np.cos(ensemble.p * delta), np.sin(ensemble.p * delta)))
+    mean, cov = x @ ensemble.weights, np.cov(x, bias=True, aweights=ensemble.weights)
+    u, v = protocol.uv(np.asarray(t, dtype=float))
+    a = np.array(np.broadcast_arrays(np.ones(np.shape(t)), v, -u))
+    moments = np.tensordot(mean, a, 1), np.einsum("i...,ij,j...->...", a, cov, a)
+    return tuple(map(float, moments)) if np.ndim(t) == 0 else moments
 
 
 def classical_invariant(state: ClassicalState, protocol: DriveProtocol,

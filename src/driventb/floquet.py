@@ -22,7 +22,7 @@ import numpy as np
 
 from .drives import DriveProtocol
 from .lattice import LatticeState, WindowLeakError
-from .propagator import evolve
+from .propagator import apply_propagator
 
 __all__ = [
     "QuasienergyBand",
@@ -34,9 +34,6 @@ __all__ = [
     "invariant_lambda",
     "invariant_expectation",
 ]
-
-_BLOCK = 32  # times evolved together by invariant_expectation
-
 
 @dataclass(frozen=True)
 class QuasienergyBand:
@@ -110,10 +107,15 @@ class InvariantCoefficients:
     gamma: float = 1.0
 
 
+def _lambda(eta, chi):
+    """lambda_t = -i e^{i eta_t} chi_t, at one time or over arrays."""
+    return -1j * np.exp(1j * eta) * chi
+
+
 def invariant_lambda(protocol: DriveProtocol, t: float) -> InvariantCoefficients:
     """lambda_t = -i e^{i eta_t} chi_t, the solution of lambda' = i(f lambda - g)."""
     t = float(t)
-    lam = -1j * np.exp(1j * float(protocol.eta(t))) * complex(protocol.chi(t))
+    lam = _lambda(float(protocol.eta(t)), complex(protocol.chi(t)))
     return InvariantCoefficients(t=t, lam=complex(lam))
 
 
@@ -122,8 +124,8 @@ def invariant_expectation(state0: LatticeState, protocol: DriveProtocol,
     """<I(t)> on the evolved state; equals <N>_0 for all t.
 
     ``t`` is a scalar (a float back) or an array (an array of its shape);
-    the phase integrals are evaluated as arrays, and the states are evolved
-    a block of times at a time, so the memory held does not grow with the
+    the phase integrals are evaluated once as arrays, and each time's state
+    is evolved from them in turn, so the memory held does not grow with the
     grid. The evolved state is produced by the closed-form propagator; a
     window leak above ``leak_tol`` invalidates the conservation check and
     raises. The K/K^dag and C/S parameterizations of I(t) are both
@@ -134,14 +136,13 @@ def invariant_expectation(state0: LatticeState, protocol: DriveProtocol,
     eta = np.asarray(protocol.eta(flat), dtype=float)
     chi = np.asarray(protocol.chi(flat), dtype=complex)
     u, v = (np.broadcast_to(x, flat.shape) for x in protocol.uv(flat))
-    lam = -1j * np.exp(1j * eta) * chi
+    lam = _lambda(eta, chi)
     a = u * np.sin(eta) - v * np.cos(eta)
     b = u * np.cos(eta) + v * np.sin(eta)
     n = state0.sites.astype(float)
     values = np.empty(flat.shape)
-    states = (psi for start in range(0, flat.size, _BLOCK)
-              for psi in evolve(state0, protocol, flat[start:start + _BLOCK]))
-    for i, psi in enumerate(states):
+    for i in range(flat.size):
+        psi = apply_propagator(state0, float(eta[i]), {1: complex(chi[i])})
         if psi.leak > leak_tol:
             raise WindowLeakError(
                 f"window leak {psi.leak:.3e} exceeds {leak_tol:g}; enlarge the window")

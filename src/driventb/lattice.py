@@ -140,6 +140,8 @@ def gaussian_state(n0: float, sigma: float, kappa0: float,
                          "window's length")
     if not lo - 0.5 < n0 < hi + 0.5:
         raise ValueError(f"center {n0:g} lies outside the window [{lo}, {hi}]")
+    if not np.isfinite(float(kappa0) * max(abs(lo), abs(hi))):
+        raise ValueError(f"kappa0 {kappa0:g} times the window's sites overflows")
     sites = np.arange(lo, hi + 1)
     envelope = np.exp(-((sites - n0) ** 2) / (4.0 * sigma ** 2))
     mass_in = float(np.sum(envelope ** 2))

@@ -16,13 +16,14 @@ the weight m being fixed by the ladder action K^m |n> = |n - m>, i.e.
 One entry point, ``apply_propagator(state, eta, {m: chi_m})``, serves every
 band; ``evolve`` feeds it a drive's phase integrals at one time or over a
 time grid. Its "bloch" route applies the diagonal phase e^{-i Phi(kappa)}
-by FFT on an enlarged ring, its "site" route convolves with the harmonics'
-Bessel kernels (by FFT when that is cheaper); the eta shift is the site
-phase e^{-i eta n} on the kept sites only, good to about an ulp.
+by FFT on a ring enlarged to a 2^a 3^b 5^c length, its "site" route convolves
+with the harmonics' Bessel kernels (by such an FFT when cheaper); the eta shift
+is the site phase e^{-i eta n} on the kept sites only, good to about an ulp.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,9 @@ __all__ = [
     "evolve",
     "apply_propagator",
 ]
+# every 2^a 3^b 5^c <= 2^40, in order: the FFT lengths _fft_size picks from
+_SMOOTH = sorted(p << a for p in (3 ** b * 5 ** c for b in range(26) for c in range(18))
+                 if p <= 1 << 40 for a in range(((1 << 40) // p).bit_length()))
 
 
 @dataclass(frozen=True)
@@ -172,11 +176,16 @@ def evolve(state: LatticeState, protocol: DriveProtocol, t,
             for i in range(times.size)]
 
 
+def _fft_size(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, for n up to 2^40 (a 16 TiB complex array)."""
+    return _SMOOTH[bisect_left(_SMOOTH, n)]
+
+
 def _convolve(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
-    """np.convolve(a, b, mode) for mode "full" or "valid", by a power-of-two
-    FFT when the direct sum's a.size * b.size passes 16 n log2 n."""
+    """np.convolve(a, b, mode) for mode "full" or "valid", by an FFT of length
+    n = _fft_size(size) when the direct sum's a.size * b.size passes 16 n log2 n."""
     size = a.size + b.size - 1
-    n = 1 << (size - 1).bit_length()
+    n = _fft_size(size)
     if a.size * b.size <= 16 * n * np.log2(n):
         return np.convolve(a, b, mode)
     out = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
@@ -208,8 +217,7 @@ def apply_propagator(state: LatticeState, eta: float, chis: dict,
         pad = 0
         if not ring:  # the kernel reaches sum_m m N_m sites
             pad = 4 + sum(m * n for m, n in cutoffs.items())
-            size = 1 << int(np.ceil(np.log2(c.size + 2 * pad + 1)))
-            ext = np.zeros(size, dtype=complex)
+            ext = np.zeros(_fft_size(c.size + 2 * pad + 1), dtype=complex)
             ext[pad: pad + c.size] = c
             c = ext
         kappa = 2.0 * np.pi * np.arange(c.size) / c.size

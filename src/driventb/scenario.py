@@ -130,7 +130,8 @@ def _window_fault(window):
         return "expected two integers n_min n_max"
     if window[1] < window[0]:
         return "n_max below n_min"
-    return max(map(abs, window)) >= 2 ** 29 and "sites must satisfy |n| < 2^29"
+    return (max(map(abs, window)) >= 2 ** 29 and "sites must satisfy |n| < 2^29"
+            or window[1] - window[0] >= 2 ** 24 and "must hold at most 2^24 sites")
 
 
 def _count(low: int, why: str):
@@ -701,11 +702,14 @@ def localization_map(config_path, out_dir=None) -> dict:
         raise ConfigError("[drive] kind: localization map requires a harmonic drive")
     if drive.resonance_order() is None:
         raise ConfigError("[drive] f0: localization map requires a resonant drive")
-    out = _out_dir(out_dir)
     x_min, x_max, steps = scenario.map_range
     xs = np.linspace(x_min, x_max, steps)
-    gammas = [HarmonicDrive(drive.f0, x * drive.omega, drive.omega,
-                            drive.g0).drift_rate() for x in xs]
+    try:  # |f1/omega| is largest at one end of the sweep, where a fault lies
+        gammas = [HarmonicDrive(drive.f0, x * drive.omega, drive.omega,
+                                drive.g0).drift_rate() for x in xs]
+    except ValueError as exc:
+        _fail("localization_map", ("x_min", "x_max")[abs(x_max) >= abs(x_min)], str(exc))
+    out = _out_dir(out_dir)
     _write_csv(out / "localization_map.csv", scenario,
                ["f1_over_omega", "gamma"], (xs, gammas))
     return {"scenario": scenario.name, "points": int(steps),

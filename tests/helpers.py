@@ -187,6 +187,22 @@ def rk4_classical(protocol, p0, q0, t_end, steps=100000, delta=1.0):
     return p, q
 
 
+def ensemble_moments_loop(ensemble, protocol, t, delta=1.0):
+    """Weighted (mean, variance) of q_t = q + v cos p - u sin p, one time at
+    a time over the whole ensemble."""
+    u, v = (np.broadcast_to(x, np.shape(t))
+            for x in protocol.uv(np.asarray(t, dtype=float)))
+    cos0, sin0 = np.cos(ensemble.p * delta), np.sin(ensemble.p * delta)
+    means, variances = np.empty(np.shape(t)), np.empty(np.shape(t))
+    for i in np.ndindex(np.shape(t)):
+        q_t = ensemble.q + v[i] * cos0 - u[i] * sin0
+        means[i] = np.dot(ensemble.weights, q_t)
+        variances[i] = np.dot(ensemble.weights, q_t ** 2) - means[i] ** 2
+    if np.ndim(t) == 0:
+        return float(means), float(variances)
+    return means, variances
+
+
 def random_state(rng, window, ring=False):
     """A normalized random complex state on the window."""
     from driventb import LatticeState

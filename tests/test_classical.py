@@ -5,7 +5,7 @@ from driventb import (ClassicalEnsemble, ClassicalState, DCDrive,
                       HarmonicDrive, classical_invariant, coherence_parameters,
                       ensemble_from_state, ensemble_moments, expect_N,
                       gaussian_state, trajectory, variance_N)
-from helpers import rk4_classical
+from helpers import ensemble_moments_loop, rk4_classical
 
 DC = DCDrive(1.0, 1.0)
 
@@ -159,6 +159,20 @@ class TestEnsembles:
             scalar = ensemble_moments(ens, proto, t)
             assert all(isinstance(x, float) for x in scalar)
             assert scalar == pytest.approx((mean, var), abs=1e-12)
+
+    @pytest.mark.parametrize("proto", [DC, HarmonicDrive(1.0, 2.0, 1.0, 0.5)],
+                             ids=["dc", "harmonic"])
+    @pytest.mark.parametrize("delta", [1.0, 0.7])
+    def test_one_pass_matches_the_per_time_loop(self, proto, delta):
+        state = gaussian_state(25, 4.0, 0.6, (-10, 60))
+        ens = ensemble_from_state(state, 20000, seed=5, delta=delta)
+        times = np.linspace(0.0, 12.0, 37)
+        for t in (times, times.reshape(1, 37), 3.3):
+            got = ensemble_moments(ens, proto, t, delta)
+            ref = ensemble_moments_loop(ens, proto, t, delta)
+            for x, y in zip(got, ref):
+                assert np.shape(x) == np.shape(t)
+                assert np.allclose(x, y, rtol=1e-12, atol=0.0)
 
     def test_sampler_is_seeded(self):
         state = gaussian_state(0, 3.0, 0.2, (-24, 24))

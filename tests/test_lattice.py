@@ -49,6 +49,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{first} "):
             gaussian_state(center, sigma, 0.0, (-16, 16))
 
+    def test_gaussian_carrier_past_the_phase_range(self):
+        with pytest.raises(ValueError, match="kappa0"):
+            gaussian_state(0.0, 0.4, 1e308, (-2, 2))
+        state = gaussian_state(0.0, 0.4, 1e300, (-2, 2))
+        assert np.all(np.isfinite(state.amplitudes))
+
     def test_amplitudes_past_the_norm_range_rejected(self):
         with pytest.raises(ValueError, match="^values "):
             state_from_amplitudes([1e300, 1e300], (0, 1))

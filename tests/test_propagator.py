@@ -8,15 +8,16 @@ from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       bloch_phase, element, evolve, gaussian_state, integrate,
                       invariant_expectation, single_site)
 from driventb import propagator
-from driventb.bessel import bessel_j_orders
-from driventb.propagator import _band_phase, _convolve, _site_kernel, _site_phase
+from driventb.bessel import bessel_cutoff, bessel_j_orders
+from driventb.propagator import (_band_phase, _convolve, _fft_size, _site_kernel,
+                                 _site_phase)
 
 DC = DCDrive(1.0, 1.0)
 
 
 def fft_side(a_size, b_size):
     """Whether _convolve's cost rule picks the FFT for these sizes."""
-    n = 1 << (a_size + b_size - 2).bit_length()
+    n = _fft_size(a_size + b_size - 1)
     return a_size * b_size > 16 * n * np.log2(n)
 
 
@@ -245,6 +246,34 @@ class TestLongTimeStrongDrive:
         n0 = float(np.sum(s.sites * np.abs(s.amplitudes) ** 2))
         values = invariant_expectation(s, self.DRIVE, self.times())
         assert np.max(np.abs(values - n0)) <= 1e-12
+
+
+def smooth_at_or_above(n):
+    """The least 2^a 3^b 5^c >= n, by trial division upward from n."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
+class TestFftSize:
+    def test_matches_a_brute_force_search(self):
+        got = [_fft_size(n) for n in range(1, 5001)]
+        assert got == [smooth_at_or_above(n) for n in range(1, 5001)]
+        assert all(s <= 1 << (n - 1).bit_length() for n, s in enumerate(got, 1))
+
+    def test_covers_the_largest_reachable_length(self):
+        # 2^24 sites (the [lattice] window cap) wrap-padded and convolved with
+        # a kernel at the Bessel range's edge on a ring: L + 4 N. A band of
+        # order M reaches about M (M + 1) / 2 times as far; the table ends at
+        # 2^40, a 16 TiB complex array
+        widest = (1 << 24) + 4 * bessel_cutoff(1e6)
+        assert _fft_size(widest) == smooth_at_or_above(widest) < 1 << 25
+        assert _fft_size((1 << 40) - 1) == 1 << 40
 
 
 class TestConvolve:

@@ -3,6 +3,7 @@ import math
 import re
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from driventb import WindowLeakError, gaussian_state
 from driventb.cli import main
 from driventb.scenario import (_EMITTERS, _SCHEMA, ConfigError, _refail,
-                               compare_with_oracle, load_scenario, run_scenario)
+                               _window_fault, compare_with_oracle, load_scenario,
+                               localization_map, run_scenario)
 
 BLOCH_CFG = """\
 [scenario]
@@ -237,6 +239,25 @@ class TestConfigParsing:
                 "\n[oracle]\nenabled = true\nboundary = ring\n")
         with pytest.raises(ConfigError, match=r"\[dispersion\] couplings"):
             load_scenario(write_cfg(tmp_path, cfg))
+
+    def test_window_past_2_24_sites_fails_before_allocating(self, tmp_path):
+        assert not _window_fault([-(1 << 23), (1 << 23) - 1])
+        path = write_cfg(tmp_path, BLOCH_CFG.replace(
+            "window = -48 48", f"window = {-(1 << 23)} {1 << 23}"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError,
+                               match=r"\[lattice\] window: must hold at most 2\^24"):
+                load_scenario(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_kappa0_past_the_phase_range_names_kappa0(self, tmp_path):
+        path = write_cfg(tmp_path, BLOCH_CFG.replace("kappa0 = 0.0", "kappa0 = 1e308"))
+        with pytest.raises(ConfigError, match=r"\[state\] kappa0: "):
+            load_scenario(path)
 
 
 class TestRunScenario:
@@ -594,6 +615,17 @@ class TestCli:
         assert data.shape == (61, 2)
         # gamma crosses zero inside the sweep (first zero of J_1)
         assert data[:, 1].min() < 0.0 < data[:, 1].max()
+
+    @pytest.mark.parametrize("key,value", [("x_max", "1e7"), ("x_min", "-1e7")])
+    def test_localization_map_range_fails_before_writing(self, tmp_path, key, value):
+        cfg = BLOCH_CFG.replace(
+            "kind = dc\nf0 = 1.0\ng0 = 1.0",
+            "kind = harmonic\nf0 = 1.0\nf1 = 1.0\nomega = 1.0\ng0 = 0.5")
+        cfg += f"\n[localization_map]\n{key} = {value}\n"
+        path = write_cfg(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=rf"\[localization_map\] {key}: "):
+            localization_map(path, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_ensemble(self, tmp_path):
         cfg = BLOCH_CFG.replace("quantities = observables state_snapshots",
