@@ -144,11 +144,11 @@ class DriveProtocol:
         return 2.0 * np.real(chi), -2.0 * np.imag(chi)
 
     def phase(self, t) -> PhaseIntegrals:
-        """Bundle eta, chi, u, v at a single time t."""
+        """Bundle eta, chi and (u, v) = (2 Re chi, -2 Im chi) at a single time t."""
         t = float(t)
-        u, v = self.uv(t)
-        return PhaseIntegrals(t=t, eta=float(self.eta(t)), chi=complex(self.chi(t)),
-                              u=float(u), v=float(v))
+        chi = complex(self.chi(t))
+        return PhaseIntegrals(t=t, eta=float(self.eta(t)), chi=chi,
+                              u=2.0 * chi.real, v=-2.0 * chi.imag)
 
     @property
     def max_hop(self) -> float:
@@ -213,13 +213,6 @@ class DCDrive(DriveProtocol):
     def _integral(self, t, scale: float, with_g: bool):
         integral = _eint(scale * self.f0, t)
         return self.g0 * integral if with_g else integral
-
-    def uv(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.f0 == 0.0:
-            return 2.0 * self.g0 * t, 0.0 * t
-        amp = 2.0 * self.g0 / self.f0
-        return amp * np.sin(self.f0 * t), amp * (1.0 - np.cos(self.f0 * t))
 
     def drift_rate(self) -> float:
         # a nonzero constant field keeps chi bounded; chi = g0 t when f0 = 0

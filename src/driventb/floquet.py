@@ -135,7 +135,7 @@ def invariant_expectation(state0: LatticeState, protocol: DriveProtocol,
     flat = times.ravel()
     eta = np.asarray(protocol.eta(flat), dtype=float)
     chi = np.asarray(protocol.chi(flat), dtype=complex)
-    u, v = (np.broadcast_to(x, flat.shape) for x in protocol.uv(flat))
+    u, v = 2.0 * chi.real, -2.0 * chi.imag
     lam = _lambda(eta, chi)
     a = u * np.sin(eta) - v * np.cos(eta)
     b = u * np.cos(eta) + v * np.sin(eta)

@@ -247,30 +247,40 @@ def bloch_grid(m: int) -> np.ndarray:
     return -np.pi + 2.0 * np.pi * np.arange(int(m)) / int(m)
 
 
+def _fft_factors(lo: int, size: int, m: int):
+    """The factors that make sums over kappa_j = -pi + 2 pi j/M M-point FFTs:
+    e^{-2 pi i lo j/M} for j < M, lo j reduced modulo M in int64, and
+    e^{i pi n} = (-1)^n for n = lo..lo+size-1."""
+    j = np.arange(m, dtype=np.int64)
+    return (np.exp(-2j * np.pi * ((int(lo) % m) * j % m) / m),
+            1.0 - 2.0 * ((lo + np.arange(size)) % 2))
+
+
 def bloch_transform(state: LatticeState, m: int) -> BlochAmplitudes:
-    """psi(kappa_j) = (2 pi)^{-1/2} sum_n c_n e^{-i n kappa_j} on M grid points.
+    """psi(kappa_j) = (2 pi)^{-1/2} sum_n c_n e^{-i n kappa_j} on M grid points,
+    by an M-point FFT.
 
     M must be at least the window length, otherwise site amplitudes alias.
     """
     m = int(m)
-    if m < state.amplitudes.size:
+    c = state.amplitudes
+    if m < c.size:
         raise ValueError("Bloch grid must have at least as many points as sites")
-    kappa = bloch_grid(m)
-    phases = np.exp(-1j * np.outer(kappa, state.sites))
-    values = phases @ state.amplitudes / np.sqrt(2.0 * np.pi)
-    return BlochAmplitudes(kappa, values)
+    shift, sign = _fft_factors(state.n_min, c.size, m)
+    values = shift * np.fft.fft(sign * c, m) / np.sqrt(2.0 * np.pi)
+    return BlochAmplitudes(bloch_grid(m), values)
 
 
 def inverse_bloch(bloch: BlochAmplitudes, window: tuple[int, int]) -> LatticeState:
-    """c_n = sqrt(2 pi)/M sum_j psi(kappa_j) e^{i n kappa_j}."""
+    """c_n = sqrt(2 pi)/M sum_j psi(kappa_j) e^{i n kappa_j} on the grid
+    kappa_j of ``bloch_grid(M)``, by an M-point inverse FFT."""
     lo, hi = _check_window(window)
     m = bloch.kappa.size
     if m < hi - lo + 1:
         raise ValueError("Bloch grid smaller than the target window")
-    sites = np.arange(lo, hi + 1)
-    phases = np.exp(1j * np.outer(sites, bloch.kappa))
-    amps = phases @ bloch.values * np.sqrt(2.0 * np.pi) / m
-    return LatticeState(lo, amps)
+    shift, sign = _fft_factors(lo, hi - lo + 1, m)
+    amps = np.fft.ifft(np.conj(shift) * bloch.values)[:sign.size]
+    return LatticeState(lo, sign * amps * np.sqrt(2.0 * np.pi))
 
 
 @dataclass(frozen=True)

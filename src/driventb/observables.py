@@ -113,16 +113,14 @@ class ObservableSeries:
 
 def observable_series(coh: CoherenceParameters, protocol: DriveProtocol,
                       times) -> ObservableSeries:
-    """The moments on a time grid from one evaluation of eta, chi and (u, v)."""
+    """The moments on a time grid from one evaluation of eta and chi, with
+    (u, v) = (2 Re chi, -2 Im chi)."""
     times = np.asarray(times, dtype=float)
     eta = np.asarray(protocol.eta(times), dtype=float)
-    u, v = protocol.uv(times)
+    chi = np.asarray(protocol.chi(times), dtype=complex)
+    u, v = 2.0 * chi.real, -2.0 * chi.imag
     return ObservableSeries(
-        times=times,
-        eta=eta,
-        chi=np.asarray(protocol.chi(times), dtype=complex),
-        u=np.broadcast_to(u, times.shape).astype(float),
-        v=np.broadcast_to(v, times.shape).astype(float),
+        times=times, eta=eta, chi=chi, u=u, v=v,
         expect_K=np.asarray(np.exp(-1j * eta) * coh.K, dtype=complex),
         expect_N=np.asarray(_expect_N_uv(coh, u, v), dtype=float),
         var_N=np.asarray(_variance_N_uv(coh, u, v), dtype=float),
@@ -226,8 +224,7 @@ def localization_report(protocol: DriveProtocol,
                               nearest_zeros=nearest)
 
 
-def expect_N_single_band(state: LatticeState, dispersion, protocol: DriveProtocol,
-                         t, convention: str = "index"):
+def expect_N_single_band(state: LatticeState, dispersion, protocol: DriveProtocol, t):
     """<N>_t for an arbitrary band, from generalized coherence moments.
 
     <N>_t = <N>_0 - 2 sum_m m Im(chi_m(t) <K^m>_0) with <K^m>_0 =
@@ -237,7 +234,7 @@ def expect_N_single_band(state: LatticeState, dispersion, protocol: DriveProtoco
     p = np.abs(c) ** 2
     n_sites = state.sites.astype(float)
     out = float(np.sum(n_sites * p))
-    chis = _chis(protocol, t, dispersion, convention)
+    chis = _chis(protocol, t, dispersion)
     for m, chi in chis.items():
         if m == 0:
             continue

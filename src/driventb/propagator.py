@@ -7,9 +7,9 @@ number-operator phase times one shift-operator exponential per harmonic,
     chi_m(t) = g_m int_0^t exp(-i m eta_tau) dtau,
 
 the weight m being fixed by the ladder action K^m |n> = |n - m>, i.e.
-[K^m, N] = m K^m (README "Conventions" covers the demonstrably wrong
-2^(m-1) alternative, kept for comparison). Tight binding is the band
-{1: chi_t}, with Bessel-function matrix elements
+[K^m, N] = m K^m; the band owns that rule (README "Conventions" covers the
+demonstrably wrong 2^(m-1) alternative, kept for comparison). Tight binding
+is the band {1: chi_t}, with Bessel-function matrix elements
 
     U_{n n'}(t) = exp(-i (n'-n)(phi_t + pi/2) - i n eta_t) J_{n'-n}(2|chi_t|).
 
@@ -49,10 +49,12 @@ class SingleBandDispersion:
     """Band E(kappa) = sum_{m=0..M} (g_m e^{i m kappa} + g_m* e^{-i m kappa}).
 
     couplings[m] is g_m in reciprocal-time units; the tight-binding model is
-    couplings = (0, g0). M must be at least 1.
+    couplings = (0, g0). M must be at least 1. ``convention`` names the
+    weight rule of ``weight``: "index" (the algebra's) or "power2".
     """
 
     couplings: tuple
+    convention: str = "index"
 
     def __post_init__(self):
         object.__setattr__(self, "couplings",
@@ -61,6 +63,8 @@ class SingleBandDispersion:
             raise ValueError("need couplings g_0..g_M with M >= 1")
         if not np.all(np.isfinite(np.asarray(self.couplings))):
             raise ValueError("couplings must be finite")
+        if self.convention not in ("index", "power2"):
+            raise ValueError(f"unknown convention {self.convention!r}")
 
     @property
     def order(self) -> int:
@@ -70,26 +74,21 @@ class SingleBandDispersion:
         return _band_phase(dict(enumerate(self.couplings)),
                            np.asarray(kappa, dtype=float))
 
-
-def _eta_weight(m: int, convention: str) -> float:
-    """Exponent weight w in chi_m = g_m int exp(-i w eta); the algebra fixes w = m."""
-    if m == 0:
-        return 0.0
-    if convention == "index":
-        return float(m)
-    if convention == "power2":
-        return float(2 ** (m - 1))
-    raise ValueError(f"unknown convention {convention!r}")
+    def weight(self, m: int) -> float:
+        """Exponent weight w in chi_m = g_m int exp(-i w eta): m under "index",
+        as [K^m, N] = m K^m fixes it, 2^(m-1) under "power2"."""
+        if m == 0:
+            return 0.0
+        return float(m if self.convention == "index" else 2 ** (m - 1))
 
 
-def _chis(protocol: DriveProtocol, t, dispersion=None,
-          convention: str = "index") -> dict:
+def _chis(protocol: DriveProtocol, t, dispersion=None) -> dict:
     """{m: chi_m(t)}: the drive's {1: chi_t}, or one integral per nonzero
     coupling of the dispersion (whose g replaces the drive's); complex
     values at a scalar t, arrays of t's shape at an array."""
     if dispersion is None:
         return {1: protocol.chi(t)}
-    return {m: g * protocol.int_exp_eta(t, _eta_weight(m, convention))
+    return {m: g * protocol.int_exp_eta(t, dispersion.weight(m))
             for m, g in enumerate(dispersion.couplings) if g != 0.0}
 
 
@@ -142,33 +141,29 @@ def element(protocol: DriveProtocol, t: float, n: int, nprime) -> complex:
 
 
 def bloch_phase(protocol: DriveProtocol, t: float, kappa,
-                dispersion: SingleBandDispersion | None = None,
-                convention: str = "index"):
+                dispersion: SingleBandDispersion | None = None):
     """The unit-modulus Bloch-diagonal factor e^{-i Phi(kappa)} of U_R(t).
 
     Tight binding: Phi = 2|chi_t| cos(kappa - phi_t). With a dispersion:
     Phi = sum_m (chi_m e^{i m kappa} + c.c.) including the m = 0 offset.
     """
     kappa = np.asarray(kappa, dtype=float)
-    return np.exp(-1j * _band_phase(_chis(protocol, t, dispersion, convention),
-                                    kappa))
+    return np.exp(-1j * _band_phase(_chis(protocol, t, dispersion), kappa))
 
 
 def evolve(state: LatticeState, protocol: DriveProtocol, t,
-           path: str = "bloch", dispersion: SingleBandDispersion | None = None,
-           convention: str = "index"):
+           path: str = "bloch", dispersion: SingleBandDispersion | None = None):
     """Apply U(t) to a state: a scalar t gives the evolved state, a 1-d
     array of times the list of evolved states, with the phase integrals
     evaluated once for the whole grid.
 
     Without a dispersion the drive's g_t hops between neighbours; with one,
     ``protocol`` supplies only the field f_t and the band supplies the
-    couplings, each harmonic m weighted by ``convention`` ("index": m,
-    "power2": 2^(m-1)).
+    couplings, each harmonic m weighted by ``dispersion.weight(m)``.
     """
     times = np.asarray(t, dtype=float)
     eta = protocol.eta(times)
-    chis = _chis(protocol, times, dispersion, convention)
+    chis = _chis(protocol, times, dispersion)
     if times.ndim == 0:
         return apply_propagator(state, float(eta), chis, path)
     return [apply_propagator(state, float(eta[i]),

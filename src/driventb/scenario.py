@@ -30,7 +30,7 @@ from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
 from .floquet import invariant_expectation, quasienergy_band
 from .lattice import LatticeState, bloch_grid, coherence_parameters, make_state
 from .oracle import OracleConfig, _first_dt, integrate_series
-from .propagator import SingleBandDispersion, _chis, _eta_weight, evolve
+from .propagator import SingleBandDispersion, _chis, evolve
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
            "compare_with_oracle", "localization_map", "band_table"]
@@ -55,7 +55,9 @@ def _refail(section: str, kind, exc: ValueError):
 
 
 def _parse(text: str) -> dict:
-    """The sections of JSON or INI text: _SCHEMA's, dicts, [drive] among them."""
+    """The sections of JSON or INI text: _SCHEMA's, dicts, [drive] among them.
+    Text that starts with "{" is JSON, so its top level is an object; any
+    other text is INI, where a JSON array or scalar fails."""
     try:
         if text.lstrip().startswith("{"):
             raw = json.loads(text)
@@ -65,8 +67,6 @@ def _parse(text: str) -> dict:
             raw = {name: dict(parser.items(name)) for name in parser.sections()}
     except (json.JSONDecodeError, configparser.Error) as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("JSON config must be an object of sections")
     unknown_sections = set(raw) - set(_SCHEMA)
     if unknown_sections:
         raise ConfigError(f"unknown section [{sorted(unknown_sections)[0]}]")
@@ -239,7 +239,6 @@ class Scenario:
     state: LatticeState
     drive: object
     dispersion: object | None
-    convention: str
     t_max: float
     samples: int
     quantities: tuple
@@ -277,13 +276,13 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     window = tuple(int(n) for n in cfg["lattice"]["window"])
     ring = cfg["lattice"]["ring"]
     disp = cfg.get("dispersion")
-    dispersion = disp and SingleBandDispersion(tuple(disp["couplings"]))
-    convention = disp["convention"] if disp else "index"
+    dispersion = disp and SingleBandDispersion(tuple(disp["couplings"]),
+                                               disp["convention"])
     drive_kind = cfg["drive"].pop("kind")
     try:
         drive = _SCHEMA["drive"]["kind"][drive_kind][0](**cfg["drive"])
         if dispersion:  # the band scales the phase by its largest harmonic weight
-            drive.check_scale(max((_eta_weight(m, convention) for m, g in
+            drive.check_scale(max((dispersion.weight(m) for m, g in
                                    enumerate(dispersion.couplings) if g != 0.0),
                                   default=0.0))
     except ValueError as exc:
@@ -330,7 +329,7 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     scenario = Scenario(
         name=path.stem if cfg["scenario"]["name"] is None else cfg["scenario"]["name"],
         seed=cfg["scenario"]["seed"], window=window, state=state, drive=drive,
-        dispersion=dispersion, convention=convention, t_max=t_max,
+        dispersion=dispersion, t_max=t_max,
         samples=cfg["time"]["samples"], quantities=quantities,
         snapshot_times=snapshot_times, oracle_enabled=orc["enabled"],
         oracle_config=oracle_config, tolerance=orc["tolerance"],
@@ -349,14 +348,14 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
 
 def _check_phases(scenario: Scenario):
     """Fail at [time] t_max where a phase integral could pass _PHASE_MAX by t_max:
-    products such as f0 t overflow there first, and |chi_m| <= max|g_m| t."""
+    products such as f0 t overflow there first, |chi_m| <= max|g_m| t, and
+    (u, v) = (2 Re chi, -2 Im chi)."""
     drive, t = scenario.drive, np.array([scenario.t_max])
     couplings = scenario.dispersion.couplings if scenario.dispersion else ()
     try:
         with np.errstate(all="ignore"):  # an overflow is what the probe looks for
-            probe = np.abs([drive.eta(t), *drive.uv(t), *_chis(
-                drive, t, scenario.dispersion, scenario.convention).values(),
-                max([drive.max_hop, *map(abs, couplings)]) * t])
+            probe = np.abs([drive.eta(t), *_chis(drive, t, scenario.dispersion).values(),
+                            max([drive.max_hop, *map(abs, couplings)]) * t])
     except ValueError as exc:
         _fail("time", "t_max", str(exc))
     if not probe.max() <= _PHASE_MAX:
@@ -365,19 +364,24 @@ def _check_phases(scenario: Scenario):
 
 def _check_reach(scenario: Scenario, times):
     """Fail at [time] t_max where the propagator cannot run on a time grid: some
-    2|chi_m| past its Bessel kernels' range, or |eta| past _ETA_MAX."""
+    2|chi_m| past its Bessel kernels' range, or |eta| past _ETA_MAX; and at
+    [dispersion] couplings where an open window's bloch pad, 4 + sum_m m N_m
+    with N_m the kernel half-width of harmonic m, would pass 2^24 sites."""
     times = np.asarray(times, dtype=float)
     eta = float(np.max(np.abs(scenario.drive.eta(times)), initial=0.0))
     if eta > _ETA_MAX:
         _fail("time", "t_max", f"|eta| on the time grid reaches {eta:.3g}, past "
               f"{_ETA_MAX:.3g}")
-    chis = _chis(scenario.drive, times, scenario.dispersion, scenario.convention)
-    reach = max((float(np.max(2.0 * np.abs(chi))) for m, chi in chis.items()
-                 if m > 0), default=0.0)
+    chis = _chis(scenario.drive, times, scenario.dispersion)
+    reach = {m: float(np.max(2.0 * np.abs(chi))) for m, chi in chis.items() if m > 0}
     try:
-        bessel_cutoff(reach)
+        bessel_cutoff(max(reach.values(), default=0.0))
     except ValueError as exc:
         _fail("time", "t_max", f"2|chi| on the time grid: {exc}")
+    pad = 4 + sum(m * bessel_cutoff(x) for m, x in reach.items())
+    if pad > 2 ** 24 and not scenario.state.ring:
+        _fail("dispersion", "couplings", f"the propagator would pad the window by "
+              f"{pad} sites on the time grid, past 2^24")
 
 
 def _check_oracle(scenario: Scenario):
@@ -539,6 +543,16 @@ def _format_rows(block: np.ndarray):
     return tpl.tobytes().translate(None, b"\0")
 
 
+def _emit_phase_integrals(scenario: Scenario, out_dir: Path) -> list:
+    times = scenario.times
+    chis = _chis(scenario.drive, times, scenario.dispersion)
+    _write_csv(out_dir / "phase_integrals.csv", scenario,
+               ["t", "eta", *(f"{part}_chi_{m}" for m in chis for part in ("re", "im"))],
+               (times, scenario.drive.eta(times),
+                *(part for chi in chis.values() for part in (chi.real, chi.imag))))
+    return ["phase_integrals.csv"]
+
+
 def _emit_observables(scenario: Scenario, out_dir: Path) -> list:
     coh = coherence_parameters(scenario.state)
     series = obs.observable_series(coh, scenario.drive, scenario.times)
@@ -554,7 +568,7 @@ def _emit_observables(scenario: Scenario, out_dir: Path) -> list:
 def _emit_snapshots(scenario: Scenario, out_dir: Path) -> list:
     names = [f"snapshot_{i:04d}.csv" for i in range(len(scenario.snapshot_times))]
     snaps = evolve(scenario.state, scenario.drive, np.array(scenario.snapshot_times),
-                   dispersion=scenario.dispersion, convention=scenario.convention)
+                   dispersion=scenario.dispersion)
     for name, t, snap in zip(names, scenario.snapshot_times, snaps):
         c = snap.amplitudes
         _write_csv(out_dir / name, scenario, ["n", "re_c", "im_c", "prob"],
@@ -614,7 +628,7 @@ def _emit_localization(scenario: Scenario, out_dir: Path) -> list:
 
 
 # quantity -> emitter, in the order the outputs are written
-_EMITTERS = {"phase_integrals": _emit_observables,
+_EMITTERS = {"phase_integrals": _emit_phase_integrals,
              "observables": _emit_observables,
              "state_snapshots": _emit_snapshots,
              "band": _emit_band,
@@ -629,9 +643,9 @@ def run_scenario(config_path, out_dir=None, seed=None, tolerance=None) -> dict:
     out = _out_dir(out_dir)
 
     produced: list = []
-    for emit in dict.fromkeys(emit for quantity, emit in _EMITTERS.items()
-                              if quantity in scenario.quantities):
-        produced += emit(scenario, out)
+    for quantity, emit in _EMITTERS.items():
+        if quantity in scenario.quantities:
+            produced += emit(scenario, out)
 
     summary = {"scenario": scenario.name, "hash": scenario.config_hash,
                "seed": scenario.seed, "outputs": produced, "status": "ok"}
@@ -672,8 +686,7 @@ def _compare(scenario: Scenario, out: Path) -> dict:
                                      config=scenario.oracle_config,
                                      dispersion=scenario.dispersion)
     closed_states = evolve(state, scenario.drive, times,
-                           dispersion=scenario.dispersion,
-                           convention=scenario.convention)
+                           dispersion=scenario.dispersion)
     per_time = []
     for t, ref, closed in zip(times, oracle_states, closed_states):
         (n_cl, var_cl), (n_ref, var_ref) = _moments(closed), _moments(ref)

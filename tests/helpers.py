@@ -83,6 +83,22 @@ def write_csv_reference(path, scenario, header, columns, comment=""):
             fh.writelines([row % values for values in zip(*block)])
 
 
+def dense_bloch_transform(state, m):
+    """(kappa, psi): psi(kappa_j) = (2 pi)^{-1/2} sum_n c_n e^{-i n kappa_j}
+    on kappa_j = -pi + 2 pi j/M, by the dense M x N phase matrix."""
+    kappa = -np.pi + 2.0 * np.pi * np.arange(m) / m
+    phases = np.exp(-1j * np.outer(kappa, state.sites))
+    return kappa, phases @ state.amplitudes / np.sqrt(2.0 * np.pi)
+
+
+def dense_inverse_bloch(kappa, values, window):
+    """c_n = sqrt(2 pi)/M sum_j psi(kappa_j) e^{i n kappa_j} on the window,
+    by the dense N x M phase matrix."""
+    sites = np.arange(window[0], window[1] + 1)
+    phases = np.exp(1j * np.outer(sites, kappa))
+    return phases @ values * np.sqrt(2.0 * np.pi) / kappa.size
+
+
 def dense_operators(window):
     """Dense N and K matrices on [n_min, n_max]: N|n> = n|n>, K|n> = |n-1>."""
     lo, hi = window

@@ -213,8 +213,8 @@ def test_criterion_09_single_band_commutator_weight():
         evolve(state, dc, t, dispersion=dispersion).amplitudes
         - ref_dc.amplitudes)))
     dev_power2 = float(np.max(np.abs(
-        evolve(state, dc, t, dispersion=dispersion,
-               convention="power2").amplitudes
+        evolve(state, dc, t, dispersion=SingleBandDispersion(
+            dispersion.couplings, convention="power2")).amplitudes
         - ref_dc.amplitudes)))
 
     ok = dev_free < 1e-6 and dev_index < 1e-6 and dev_power2 > 1e-2

@@ -128,6 +128,23 @@ class TestUV:
         resid = np.abs(2.0 * protocol.chi(tt) - (np.asarray(u) - 1j * np.asarray(v)))
         assert np.max(resid) < 1e-10
 
+    @pytest.mark.parametrize("f0,g0", [(0.8, 0.5), (1.0, 1.0), (-2.3, 0.7),
+                                       (0.0, 0.4)])
+    def test_dc_closed_form_referees_two_chi(self, f0, g0):
+        # the dc closed form of (u, v), written out here apart from chi
+        tt = np.linspace(0.0, 15.0, 40)
+        if f0 == 0.0:
+            u, v = 2.0 * g0 * tt, np.zeros(tt.shape)
+        else:
+            u = 2.0 * g0 / f0 * np.sin(f0 * tt)
+            v = 2.0 * g0 / f0 * (1.0 - np.cos(f0 * tt))
+        proto = DCDrive(f0, g0)
+        assert np.max(np.abs(2.0 * proto.chi(tt) - (u - 1j * v))) < 1e-13
+        pu, pv = proto.uv(tt)
+        assert np.max(np.abs(pu - u)) < 1e-13 and np.max(np.abs(pv - v)) < 1e-13
+        ph = proto.phase(tt[7])
+        assert (ph.u, ph.v) == pytest.approx((u[7], v[7]), abs=1e-13)
+
     def test_phase_bundle_consistency(self):
         proto = HarmonicDrive(1.0, 1.0, 1.0, 0.25)
         ph = proto.phase(2.7)

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from driventb import (LatticeState, apply_shift, bloch_transform,
                       coherence_parameters, gaussian_state, inverse_bloch,
                       make_state, single_site, state_from_amplitudes)
-from helpers import dense_coherence, random_state
+from helpers import (dense_bloch_transform, dense_coherence, dense_inverse_bloch,
+                     random_state)
 
 
 class TestConstruction:
@@ -142,6 +145,41 @@ class TestBloch:
         s = gaussian_state(1, 2.5, -0.4, (-20, 20))
         b = bloch_transform(s, 64)
         assert b.norm_squared() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("lo,size,m", [(-16, 33, 33), (-8, 17, 32), (3, 5, 7),
+                                           (-700, 301, 1000), (250, 100, 211)])
+    def test_matches_the_dense_sums(self, lo, size, m):
+        s = random_state(np.random.default_rng(size), (lo, lo + size - 1))
+        b = bloch_transform(s, m)
+        kappa, values = dense_bloch_transform(s, m)
+        window = (lo - (m - size) // 2, lo - (m - size) // 2 + m - 1)
+        # the dense sums round kappa_j n, so their own error grows with |n|
+        tol = 1e-14 + 2e-15 * max(map(abs, window))
+        assert np.array_equal(b.kappa, kappa)
+        assert np.max(np.abs(b.values - values)) < tol
+        assert np.max(np.abs(inverse_bloch(b, window).amplitudes
+                             - dense_inverse_bloch(kappa, values, window))) < tol
+
+    def test_window_far_out(self):
+        # a shift by 2M sites leaves psi(kappa_j) as it is: e^{-2 i M kappa_j} = 1
+        s = random_state(np.random.default_rng(5), (0, 63))
+        far = LatticeState(2 ** 29 - 128, s.amplitudes)
+        b, b_far = bloch_transform(s, 64), bloch_transform(far, 64)
+        assert np.max(np.abs(b_far.values - b.values)) < 1e-15
+        back = inverse_bloch(b_far, far.window)
+        assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-15
+
+    def test_memory_does_not_grow_with_the_grid_squared(self):
+        # the dense phase matrix of 2^15 sites on 2^16 points would take 32 GiB
+        s = random_state(np.random.default_rng(3), (-2 ** 14, 2 ** 14 - 1))
+        tracemalloc.start()
+        try:
+            back = inverse_bloch(bloch_transform(s, 2 ** 16), s.window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert np.max(np.abs(back.amplitudes - s.amplitudes)) < 1e-14
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):

@@ -407,8 +407,9 @@ class TestSingleBand:
         s = gaussian_state(0, 2.0, 0.3, (-40, 40))
         t = 1.3
         ref = integrate(s, proto, t, dispersion=disp)
-        good = evolve(s, proto, t, dispersion=disp, convention="index")
-        bad = evolve(s, proto, t, dispersion=disp, convention="power2")
+        good = evolve(s, proto, t, dispersion=disp)
+        bad = evolve(s, proto, t, dispersion=SingleBandDispersion(
+            disp.couplings, convention="power2"))
         assert np.max(np.abs(good.amplitudes - ref.amplitudes)) < 1e-6
         assert np.max(np.abs(bad.amplitudes - ref.amplitudes)) > 1e-2
 
@@ -417,7 +418,7 @@ class TestSingleBand:
     def test_paths_agree_on_bands(self, ring, convention):
         # an m = 0 offset and three harmonics; on the 8-site ring the site
         # kernel reaches far past the ring and wraps several times over
-        disp = SingleBandDispersion((0.3, 0.5, -0.2, 0.15j))
+        disp = SingleBandDispersion((0.3, 0.5, -0.2, 0.15j), convention)
         proto = HarmonicDrive(0.7, 0.9, 1.3, 0.0)
         rng = np.random.default_rng(12)
         size = 8 if ring else 33
@@ -425,19 +426,15 @@ class TestSingleBand:
         s = LatticeState(-4 if ring else -16, amps / np.linalg.norm(amps),
                          ring=ring)
         for t in (0.9, 2.7):
-            a = evolve(s, proto, t, path="bloch", dispersion=disp,
-                       convention=convention)
-            b = evolve(s, proto, t, path="site", dispersion=disp,
-                       convention=convention)
+            a = evolve(s, proto, t, path="bloch", dispersion=disp)
+            b = evolve(s, proto, t, path="site", dispersion=disp)
             assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
             assert a.leak == pytest.approx(b.leak, abs=1e-12)
             assert bessel_j_orders(2.0 * abs(0.5 * proto.int_exp_eta(t))).size > 8
 
     def test_unknown_convention_rejected(self):
-        disp = SingleBandDispersion((0.0, 0.5))
         with pytest.raises(ValueError):
-            evolve(single_site(0, (-4, 4)), DC, 1.0, dispersion=disp,
-                   convention="other")
+            SingleBandDispersion((0.0, 0.5), convention="other")
 
     def test_dispersion_validation(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from driventb import WindowLeakError, gaussian_state
 from driventb.cli import main
+from driventb.propagator import _chis
 from driventb.scenario import (_EMITTERS, _SCHEMA, ConfigError, _refail,
                                _window_fault, compare_with_oracle, load_scenario,
                                localization_map, run_scenario)
@@ -203,6 +204,24 @@ class TestConfigParsing:
                                               r"be an object of keys$"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("text,needle", [
+        ("[drive]\nkind = dc\n[[x", r"^config parse error: "),
+        ('{"drive": {"kind": "dc"}', r"^config parse error: "),
+        ("[1, 2]", r"^unknown section \[1, 2\]$"),  # a JSON array reads as INI
+        ("5", r"^config parse error: "),
+        ('{"warp": {}}', r"^unknown section \[warp\]$"),
+        ("[time]\nt_max = 1\nsamples = 4\n", r"^\[drive\] section is required$")],
+        ids=["ini-syntax", "json-syntax", "json-array", "json-number",
+             "unknown-section", "no-drive"])
+    def test_parse_errors(self, tmp_path, text, needle):
+        with pytest.raises(ConfigError, match=needle):
+            load_scenario(write_cfg(tmp_path, text))
+
+    def test_unknown_key_beside_every_required_key(self, tmp_path):
+        cfg = BLOCH_CFG.replace("g0 = 1.0", "g0 = 1.0\ng1 = 2.0")
+        with pytest.raises(ConfigError, match=r"^\[drive\] g1: unknown key$"):
+            load_scenario(write_cfg(tmp_path, cfg))
+
     def test_state_is_built_at_load(self, tmp_path):
         cfg = BLOCH_CFG.replace("window = -48 48", "window = -48 48\nring = true")
         state = load_scenario(write_cfg(tmp_path, cfg)).state
@@ -378,6 +397,62 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match=r"^\[time\] t_max:"):
             compare_with_oracle(path, out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_phase_integrals_of_a_band(self, tmp_path):
+        text = (CONFIG_DIR / "single_band_m3.cfg").read_text()
+        text = text.replace("enabled = true", "enabled = false").replace(
+            "quantities = state_snapshots", "quantities = phase_integrals state_snapshots")
+        path = write_cfg(tmp_path, text)
+        summary = run_scenario(path, out_dir=tmp_path / "out")
+        assert summary["outputs"][0] == "phase_integrals.csv"
+        assert not (tmp_path / "out" / "observables.csv").exists()
+        lines = (tmp_path / "out" / "phase_integrals.csv").read_text().splitlines()
+        assert lines[1] == "t,eta,re_chi_3,im_chi_3"
+        data = np.loadtxt(lines[2:], delimiter=",")
+        scenario = load_scenario(path)
+        chi = _chis(scenario.drive, scenario.times, scenario.dispersion)[3]
+        assert np.array_equal(data, np.column_stack(
+            [scenario.times, scenario.drive.eta(scenario.times), chi.real, chi.imag]))
+
+    def test_phase_integrals_of_tight_binding(self, tmp_path):
+        cfg = BLOCH_CFG.replace("quantities = observables state_snapshots",
+                                "quantities = observables phase_integrals")
+        summary = run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out")
+        assert summary["outputs"] == ["phase_integrals.csv", "observables.csv"]
+        phases, moments = ((tmp_path / "out" / name).read_text().splitlines()
+                           for name in summary["outputs"])
+        assert phases[1] == "t,eta,re_chi_1,im_chi_1"
+        assert moments[1].startswith("t,eta,re_chi,im_chi,")
+        assert [row.split(",") for row in phases[2:]] == [
+            row.split(",")[:4] for row in moments[2:]]
+
+    # 0, then 200 x 10: 2|chi_m| = 2e5 at t = 1e4 under f0 = 0, within the
+    # Bessel range, but the bloch pad 4 + sum_m m N_m is 4,037,024,704 sites
+    WIDE_BAND = BLOCH_CFG.replace("window = -48 48", "window = -32 32").replace(
+        "kind = dc\nf0 = 1.0\ng0 = 1.0", "kind = dc\nf0 = 0.0\ng0 = 0.0").replace(
+        "sigma = 6", "sigma = 2").replace(
+        "quantities = observables state_snapshots", "quantities = state_snapshots"
+    ).replace("snapshot_times = 0.0 6.283185307179586\n", "") + (
+        "\n[dispersion]\ncouplings = 0" + " 10" * 200 + "\n")
+
+    def test_band_pad_past_2_24_fails_at_load(self, tmp_path, monkeypatch):
+        def no_apply(*args, **kwargs):
+            raise AssertionError("the propagator ran")
+
+        monkeypatch.setattr("driventb.propagator.apply_propagator", no_apply)
+        cfg = self.WIDE_BAND.replace("t_max = 6.283185307179586", "t_max = 1e4")
+        path = write_cfg(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=r"^\[dispersion\] couplings: .*"
+                                              r"by 4037024704 sites"):
+            load_scenario(path)
+        with pytest.raises(ConfigError, match=r"^\[dispersion\] couplings:"):
+            run_scenario(path, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        # at t_max = 1 the pad is 1.7e6 sites, and a ring is not padded at all
+        assert load_scenario(write_cfg(tmp_path, self.WIDE_BAND.replace(
+            "t_max = 6.283185307179586", "t_max = 1"))).t_max == 1.0
+        assert load_scenario(write_cfg(tmp_path, cfg.replace(
+            "window = -32 32", "window = -128 127\nring = true"))).t_max == 1e4
 
     def test_empty_snapshot_times_fail_before_writing(self, tmp_path):
         cfg = BLOCH_CFG.replace("snapshot_times = 0.0 6.283185307179586",
@@ -616,6 +691,35 @@ class TestCli:
         # gamma crosses zero inside the sweep (first zero of J_1)
         assert data[:, 1].min() < 0.0 < data[:, 1].max()
 
+    @pytest.mark.parametrize("drive,needle", [
+        ("kind = dc\nf0 = 1.0\ng0 = 1.0",
+         r"^\[drive\] kind: localization map requires a harmonic drive$"),
+        ("kind = harmonic\nf0 = 1.5\nf1 = 1.0\nomega = 1.0\ng0 = 0.5",
+         r"^\[drive\] f0: localization map requires a resonant drive$")],
+        ids=["dc", "non-resonant"])
+    def test_localization_map_needs_a_resonant_harmonic_drive(self, tmp_path, drive,
+                                                              needle):
+        path = write_cfg(tmp_path, BLOCH_CFG.replace("kind = dc\nf0 = 1.0\ng0 = 1.0",
+                                                     drive))
+        with pytest.raises(ConfigError, match=needle):
+            localization_map(path, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        result = CliRunner().invoke(main, ["localization-map", str(path),
+                                           "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "[drive]" in result.output
+
+    def test_run_exit_code_on_oracle_divergence(self, tmp_path):
+        path = write_cfg(tmp_path, BLOCH_CFG + "\n[oracle]\nenabled = true\n")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", str(path), "--out-dir", str(out),
+                                           "--tolerance", "1e-30"])
+        assert result.exit_code == 2, result.output
+        assert "oracle deviation above tolerance" in result.output
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "oracle-divergence"
+        assert not summary["oracle"]["passed"]
+
     @pytest.mark.parametrize("key,value", [("x_max", "1e7"), ("x_min", "-1e7")])
     def test_localization_map_range_fails_before_writing(self, tmp_path, key, value):
         cfg = BLOCH_CFG.replace(
@@ -810,6 +914,17 @@ def test_readme_config_block_matches_the_schema():
         words = set(re.findall(r"\w+", text))
         assert table_keys(section) <= words, section
         assert set(re.findall(r"^(\w+) =", text, re.M)) <= table_keys(section), section
+
+
+def test_readme_quick_start_runs(capsys):
+    block = README.read_text().split("## Library quick start")[1]
+    exec(block.split("```python\n")[1].split("```")[0], {})
+    lines = capsys.readouterr().out.splitlines()
+    deviation, two_chi, _, band_deviation = lines[:4]
+    assert 1e-8 < float(deviation) < 1e-6  # the "~1e-7" beside it
+    assert complex(two_chi) == 0
+    assert 1e-9 < float(band_deviation) < 1e-8  # "~5e-9"
+    assert len(lines) == 6
 
 
 # The fuzzer: a valid config on at most 33 sites and 8 samples with the oracle
