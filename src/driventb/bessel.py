@@ -48,8 +48,6 @@ def bessel_j_array(nmax: int, x: float) -> np.ndarray:
         jp = 0.0       # J_{k+1}, unnormalized
         jc = 1e-30     # J_k
         even_sum = 2.0 * jc if start % 2 == 0 else 0.0
-        if start <= nmax:
-            out[start] = jc
         for k in range(start, 0, -1):
             jm = (2.0 * k / ax) * jc - jp
             jp, jc = jc, jm

@@ -10,13 +10,14 @@ dynamics needs is condensed into scalar functions of time,
     u_t   = 2 int_0^t g_tau cos(eta_tau) dtau = 2 Re chi_t,
     v_t   = 2 int_0^t g_tau sin(eta_tau) dtau = -2 Im chi_t,
 
-which this module evaluates in closed form where one exists (dc, harmonic,
-finite cosine series) and by fixed-order Gauss-Legendre quadrature for
-tabulated fields, a whole time grid in a few array operations.
+which this module evaluates in closed form where one exists (dc, finite
+cosine series, harmonic being the one-mode series) and by fixed-order
+Gauss-Legendre quadrature for tabulated fields, a whole time grid in a few
+array operations.
 
 Sign conventions:
     dc:        f_t = f0
-    harmonic:  f_t = f0 - f1 cos(w t)
+    harmonic:  f_t = f0 - f1 cos(w t),  the fourier drive with modes = (-f1,)
     fourier:   f_t = f0 + sum_m f_m cos(m w t),  beta_m = f_m / (m w)
 
 For a time periodic drive with period T the Bloch frequency is the mean
@@ -220,16 +221,61 @@ class DCDrive(DriveProtocol):
 
 
 @dataclass(frozen=True)
-class _CoefficientDrive(DriveProtocol):
-    """Shared closed form for drives where exp(-i s eta~_t) has a known
-    harmonic expansion sum_nu c_nu(s) exp(i nu w t)."""
+class FourierDrive(DriveProtocol):
+    """Finite cosine-series drive f_t = f0 + sum_m f_m cos(m w t), g_t = g0.
 
+    exp(-i s eta~_t) has the harmonic expansion sum_nu c_nu(s) exp(i nu w t),
+    c_nu(s) = J_nu({-s beta_m}), cached per scale s.
+    """
+
+    f0: float
+    modes: tuple
+    omega: float
+    g0: float
     _coeff_cache: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "modes", tuple(float(m) for m in self.modes))
+        if len(self.modes) < 1:
+            raise ValueError("modes needs at least one cosine amplitude")
+        _require_finite(self, "f0", "modes", "omega", "g0")
+        if self.omega <= 0.0:
+            raise ValueError("omega must be positive")
+        self.check_scale(1.0)
+
+    def check_scale(self, scale: float) -> None:
+        if np.sum(np.abs(scale * self.betas)) >= 1e3:
+            raise ValueError("modes must satisfy sum |f_m/(m omega)| < 1e3"
+                             + _at_weight(scale))
+
+    @property
+    def period(self) -> float:  # type: ignore[override]
+        return 2.0 * np.pi / self.omega
+
+    @property
+    def betas(self) -> np.ndarray:
+        m = np.arange(1, len(self.modes) + 1)
+        return np.asarray(self.modes) / (m * self.omega)
+
+    def f(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.full(t.shape, self.f0) if t.ndim else self.f0
+        for m, fm in enumerate(self.modes, start=1):
+            out = out + fm * np.cos(m * self.omega * t)
+        return out
+
+    def eta(self, t):
+        t = np.asarray(t, dtype=float)
+        out = self.f0 * t
+        for m, beta in enumerate(self.betas, start=1):
+            out = out + beta * np.sin(m * self.omega * t)
+        return out
+
     def _exp_eta_series(self, scale: float) -> np.ndarray:
         """The coefficients [c_{-N}(s), ..., c_N(s)]."""
-        raise NotImplementedError
+        # exp(-i s sum_m beta_m sin(m u)) = sum_nu J_nu({-s beta_m}) exp(i nu u)
+        return bessel_j_multivar_orders(-scale * self.betas)
 
     def _exp_eta_coefficients(self, scale: float):
         """Return (offset, c) with c[k] the coefficient of exp(i (k-offset) w t)."""
@@ -272,90 +318,27 @@ class _CoefficientDrive(DriveProtocol):
         return self.g0 * total if with_g else total
 
 
-@dataclass(frozen=True)
-class HarmonicDrive(_CoefficientDrive):
-    """Combined dc-ac drive f_t = f0 - f1 cos(w t), g_t = g0."""
+class HarmonicDrive(FourierDrive):
+    """Combined dc-ac drive f_t = f0 - f1 cos(w t), g_t = g0: the one-mode
+    cosine series, modes = (-f1,)."""
 
-    f0: float
-    f1: float
-    omega: float
-    g0: float
+    def __init__(self, f0: float, f1: float, omega: float, g0: float):
+        if not np.isfinite(f1):
+            raise ValueError("f1 must be finite")
+        super().__init__(f0, (-float(f1),), omega, g0)
 
-    def __post_init__(self):
-        _require_finite(self, "f0", "f1", "omega", "g0")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
-        self.check_scale(1.0)
+    @property
+    def f1(self) -> float:
+        return -self.modes[0]
 
     def check_scale(self, scale: float) -> None:
         if abs(scale * self.f1 / self.omega) >= 1e6:
             raise ValueError("f1 must satisfy |f1/omega| < 1e6" + _at_weight(scale))
 
-    @property
-    def period(self) -> float:  # type: ignore[override]
-        return 2.0 * np.pi / self.omega
-
-    def f(self, t):
-        return self.f0 - self.f1 * np.cos(self.omega * np.asarray(t, dtype=float))
-
-    def eta(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.f0 * t - (self.f1 / self.omega) * np.sin(self.omega * t)
-
     def _exp_eta_series(self, scale: float) -> np.ndarray:
-        # exp(+i s beta sin(w t)) = sum_nu J_nu(s beta) exp(i nu w t)
+        # exp(+i s beta sin(w t)) = sum_nu J_nu(s beta) exp(i nu w t); one
+        # kernel, rounded as (s f1)/w, reaching |beta| < 1e6
         return bessel_j_orders(scale * self.f1 / self.omega)
-
-
-@dataclass(frozen=True)
-class FourierDrive(_CoefficientDrive):
-    """Finite cosine-series drive f_t = f0 + sum_m f_m cos(m w t), g_t = g0."""
-
-    f0: float
-    modes: tuple
-    omega: float
-    g0: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(float(m) for m in self.modes))
-        if len(self.modes) < 1:
-            raise ValueError("modes needs at least one cosine amplitude")
-        _require_finite(self, "f0", "modes", "omega", "g0")
-        if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
-        self.check_scale(1.0)
-
-    def check_scale(self, scale: float) -> None:
-        if np.sum(np.abs(scale * self.betas)) >= 1e3:
-            raise ValueError("modes must satisfy sum |f_m/(m omega)| < 1e3"
-                             + _at_weight(scale))
-
-    @property
-    def period(self) -> float:  # type: ignore[override]
-        return 2.0 * np.pi / self.omega
-
-    @property
-    def betas(self) -> np.ndarray:
-        m = np.arange(1, len(self.modes) + 1)
-        return np.asarray(self.modes) / (m * self.omega)
-
-    def f(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.full(t.shape, self.f0) if t.ndim else self.f0
-        for m, fm in enumerate(self.modes, start=1):
-            out = out + fm * np.cos(m * self.omega * t)
-        return out
-
-    def eta(self, t):
-        t = np.asarray(t, dtype=float)
-        out = self.f0 * t
-        for m, beta in enumerate(self.betas, start=1):
-            out = out + beta * np.sin(m * self.omega * t)
-        return out
-
-    def _exp_eta_series(self, scale: float) -> np.ndarray:
-        # exp(-i s sum_m beta_m sin(m u)) = sum_nu J_nu({-s beta_m}) exp(i nu u)
-        return bessel_j_multivar_orders(-scale * self.betas)
 
 
 class TabulatedDrive(DriveProtocol):
@@ -414,10 +397,6 @@ class TabulatedDrive(DriveProtocol):
     @property
     def omega(self) -> float | None:  # type: ignore[override]
         return None if self.period is None else 2.0 * np.pi / self.period
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
 
     @property
     def max_hop(self) -> float:  # type: ignore[override]

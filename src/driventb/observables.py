@@ -180,7 +180,8 @@ class LocalizationReport:
     gamma^2 D_SS t^2 for broad, position-symmetric states); dynamic
     localization is gamma = 0. ``nearest_zeros`` brackets the drive's
     f1/omega between the adjacent Bessel zeros where that happens
-    (harmonic drives only). ``degenerate`` marks the trivial f1 = 0 case.
+    (harmonic drives only). ``degenerate`` marks the trivial case of a
+    cosine-series drive with no ac field (f1 = 0, every f_m = 0).
     """
 
     order: int
@@ -200,11 +201,7 @@ def localization_report(protocol: DriveProtocol,
     gamma = protocol.drift_rate()
     localized = abs(gamma) < 1e-10
 
-    degenerate = False
-    if isinstance(protocol, HarmonicDrive):
-        degenerate = protocol.f1 == 0.0 and n >= 1
-    elif isinstance(protocol, FourierDrive):
-        degenerate = all(m == 0.0 for m in protocol.modes) and n >= 1
+    degenerate = isinstance(protocol, FourierDrive) and not any(protocol.modes) and n >= 1
 
     nearest: tuple = ()
     if isinstance(protocol, HarmonicDrive) and n <= 50:

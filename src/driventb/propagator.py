@@ -39,6 +39,7 @@ __all__ = [
     "evolve",
     "apply_propagator",
 ]
+_ETA_MAX = float(np.finfo(np.float32).max)  # _site_phase needs a float32 head of eta
 # every 2^a 3^b 5^c <= 2^40, in order: the FFT lengths _fft_size picks from
 _SMOOTH = sorted(p << a for p in (3 ** b * 5 ** c for b in range(26) for c in range(18))
                  if p <= 1 << 40 for a in range(((1 << 40) // p).bit_length()))
@@ -196,8 +197,12 @@ def apply_propagator(state: LatticeState, eta: float, chis: dict,
     applies the diagonal Bloch phase by FFT on an enlarged ring; path="site"
     convolves, c'_n = sum_j a_j c_{n+j}, with the shift-expansion
     coefficients, by FFT when that is cheaper. The probability on the sites
-    cropped back to an open window is recorded in ``leak``.
+    cropped back to an open window is recorded in ``leak``. Raises
+    ValueError past the range of ``bessel_cutoff`` or where |eta| is past
+    _ETA_MAX or NaN, before anything is allocated.
     """
+    if not abs(eta) <= _ETA_MAX:  # NaN fails too
+        raise ValueError(f"eta must satisfy |eta| <= {_ETA_MAX:.3g}, got {eta:.3g}")
     c, ring = state.amplitudes, state.ring
     # bessel_cutoff bounds N_m, harmonic m's kernel half-width; taken first,
     # so that an argument past the Bessel range fails before any allocation

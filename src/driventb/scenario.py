@@ -28,9 +28,10 @@ from . import observables as obs
 from .bessel import bessel_cutoff
 from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
 from .floquet import invariant_expectation, quasienergy_band
-from .lattice import LatticeState, bloch_grid, coherence_parameters, make_state
-from .oracle import OracleConfig, _first_dt, integrate_series
-from .propagator import SingleBandDispersion, _chis, evolve
+from .lattice import (LatticeState, WindowLeakError, bloch_grid, coherence_parameters,
+                      make_state)
+from .oracle import _EDGE_SITES, OracleConfig, _first_dt, integrate_series
+from .propagator import _ETA_MAX, SingleBandDispersion, _chis, evolve
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
            "compare_with_oracle", "localization_map", "band_table"]
@@ -122,7 +123,6 @@ def _finite(values):
 
 _REQUIRED = object()  # the default of a key that must be given
 _PHASE_MAX = 1e150  # |chi|^2 in the moments stays finite below it
-_ETA_MAX = float(np.finfo(np.float32).max)  # _site_phase needs a float32 head of eta
 
 
 def _window_fault(window):
@@ -681,12 +681,18 @@ def _moments(state: LatticeState) -> tuple:
 
 
 def _compare(scenario: Scenario, out: Path) -> dict:
-    state, times = scenario.state, scenario.times
-    oracle_states = integrate_series(state, scenario.drive, times,
-                                     config=scenario.oracle_config,
-                                     dispersion=scenario.dispersion)
+    state, times, config = scenario.state, scenario.times, scenario.oracle_config
     closed_states = evolve(state, scenario.drive, times,
                            dispersion=scenario.dispersion)
+    if not (state.ring or config.boundary == "ring"):
+        # the oracle's edge measure on the grid, before it marches the window
+        p = np.array([s.probabilities for s in closed_states])
+        edge = float(np.max(p[:, :_EDGE_SITES].sum(1) + p[:, -_EDGE_SITES:].sum(1)))
+        if edge > config.leak_tolerance:
+            raise WindowLeakError(f"boundary probability {edge:.3e} exceeds "
+                                  f"{config.leak_tolerance:g}")
+    oracle_states = integrate_series(state, scenario.drive, times, config=config,
+                                     dispersion=scenario.dispersion)
     per_time = []
     for t, ref, closed in zip(times, oracle_states, closed_states):
         (n_cl, var_cl), (n_ref, var_ref) = _moments(closed), _moments(ref)

@@ -1,0 +1,52 @@
+"""The library calls the benchmark makes, run once per workload.
+
+Each workload that BENCHMARK.json lists is built at seed 1 into a scratch
+directory by ``bench/workloads.py`` (imported from its file, never edited),
+and its first op runs through that op's own check. A change that breaks a
+call the benchmark makes fails here rather than as a failed benchmark run.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = [w["name"] for w in
+             json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_first_op_passes_its_check(workloads, tmp_path, name):
+    ops = workloads.WORKLOADS[name].build(ROOT, 1, tmp_path)
+    assert ops
+    op = ops[0]
+    ok, values = op.check(op.run())
+    assert ok, (op.name, values)
+
+
+def test_every_wide_evolve_drive_builds(workloads, tmp_path):
+    # the first op is a dc drive; the later ones call HarmonicDrive positionally
+    path, = workloads.WORKLOADS["wide_evolve"].generate(1, tmp_path)
+    specs = [s["drive"] for s in json.loads(path.read_text())]
+    assert {s["kind"] for s in specs} == {"dc", "harmonic"}
+    for spec in specs:
+        drive = workloads.make_drive(spec)
+        assert (drive.f0, drive.g0) == (spec["f0"], spec["g0"])
+        if spec["kind"] == "harmonic":
+            assert (drive.f1, drive.omega) == (spec["f1"], spec["omega"])

@@ -183,6 +183,13 @@ class TestFourierAmplitude:
         with pytest.raises(ValueError):
             DCDrive(1.0, 1.0).fourier_amplitude(1)
 
+    def test_aperiodic_table_rejected(self):
+        tt = np.linspace(0.0, 3.0, 7)
+        tab = TabulatedDrive(tt, np.ones(7), np.full(7, 0.5))
+        assert tab.period is None and tab.resonance_order() is None
+        with pytest.raises(ValueError, match="requires a periodic protocol"):
+            tab.fourier_amplitude(1)
+
 
 class TestResonanceAndDrift:
     def test_drift_harmonic(self):
@@ -215,6 +222,23 @@ class TestResonanceAndDrift:
         assert near.resonance_order() is None
         t = 20.0
         assert abs(exact.chi(t) - near.chi(t)) < 1e-3
+
+    def test_complex_coefficient_drifts_at_twice_its_modulus(self):
+        # f = 1 + 0.7 sin t + 0.4 cos 2t, g = 0.5 + 0.2 sin t: w_B = w = 1, and
+        # a_1 = (1/T) int g exp(-i (eta~ + t)) dt is complex
+        tt = np.linspace(0.0, 2.0 * np.pi, 1025)
+        tab = TabulatedDrive(tt, 1.0 + 0.7 * np.sin(tt) + 0.4 * np.cos(2.0 * tt),
+                             0.5 + 0.2 * np.sin(tt), periodic=True)
+        assert tab.resonance_order() == 1
+        u = np.linspace(0.0, 2.0 * np.pi, 200001)
+        tilde = 0.7 * (1.0 - np.cos(u)) + 0.2 * np.sin(2.0 * u)
+        reference = np.trapezoid((0.5 + 0.2 * np.sin(u)) * np.exp(-1j * (tilde + u)),
+                                 u) / (2.0 * np.pi)
+        a = tab.fourier_amplitude(1)
+        assert abs(a - reference) < 1e-6
+        assert a.real == pytest.approx(0.0285, abs=1e-4)
+        assert a.imag == pytest.approx(0.0339, abs=1e-4)
+        assert tab.drift_rate() == 2.0 * abs(a)
 
     def test_resonant_decomposition(self):
         # chi(t + T) - chi(t) = a_n T, eta(t + T) - eta(t) = w_B T
@@ -477,3 +501,75 @@ class TestTabulatedManyPeriods:
         grid = tab.chi(times)
         for t, value in zip(times[::40], grid[::40]):
             assert tab.chi(t) == pytest.approx(value, abs=1e-13)
+
+
+class TestHarmonicIsTheOneModeSeries:
+    """HarmonicDrive(f0, f1, w, g0) is FourierDrive(f0, (-f1,), w, g0) with
+    its own Bessel kernel J_nu(s f1/w) and its own |f1/w| < 1e6 range."""
+
+    @staticmethod
+    def pairs(count=60, seed=16):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            omega = rng.uniform(0.3, 3.0)
+            f0 = rng.choice([0.0, omega * rng.integers(0, 4), rng.uniform(-3.0, 3.0)])
+            f1, g0 = rng.uniform(-20.0, 20.0), rng.uniform(-1.0, 1.0)
+            yield (HarmonicDrive(f0, f1, omega, g0),
+                   FourierDrive(f0, (-f1,), omega, g0), rng.uniform(0.0, 50.0, 9))
+
+    def test_bit_identical_at_scale_one(self):
+        for h, fo, t in self.pairs():
+            for name in ("f", "eta", "chi"):
+                assert np.array_equal(getattr(h, name)(t), getattr(fo, name)(t)), name
+                assert getattr(h, name)(t[0]) == getattr(fo, name)(t[0]), name
+            assert h.fourier_amplitude(1) == fo.fourier_amplitude(1)
+
+    def test_band_weights_agree_to_1e_13(self):
+        # the kernels round s f1/w and s (f1/w) apart, hence not bit for bit
+        for h, fo, t in self.pairs():
+            for weight in (2.0, 3.0, 4.0):
+                assert np.max(np.abs(h.int_exp_eta(t, weight)
+                                     - fo.int_exp_eta(t, weight))) <= 1e-13
+
+    def test_is_a_fourier_drive(self):
+        h = HarmonicDrive(1.0, 2.0, 1.5, 0.5)
+        assert isinstance(h, FourierDrive)
+        assert h.modes == (-2.0,)
+        assert repr(h) == "HarmonicDrive(f0=1.0, modes=(-2.0,), omega=1.5, g0=0.5)"
+        assert h == HarmonicDrive(1.0, 2.0, 1.5, 0.5)
+        assert hash(h) == hash(HarmonicDrive(1.0, 2.0, 1.5, 0.5))
+        assert h != FourierDrive(1.0, (-2.0,), 1.5, 0.5)
+
+    @pytest.mark.parametrize("f1", [2.5, -2.5, 0.0, -0.0, 0, 3, 1e-300, 5e5])
+    def test_f1_round_trips(self, f1):
+        h = HarmonicDrive(1.0, f1, 1.0, 0.5)
+        assert h.f1 == f1 and np.signbit(h.f1) == np.signbit(f1)
+        assert type(h.f1) is float
+        with pytest.raises(AttributeError):
+            h.f1 = 1.0
+
+    @pytest.mark.parametrize("x", [1e3, 2e3, 9.99e5])
+    def test_f1_past_the_fourier_range_builds(self, x):
+        h = HarmonicDrive(1.0, 0.5 * x, 0.5, 0.5)
+        with pytest.raises(ValueError, match="modes must satisfy"):
+            FourierDrive(1.0, (-0.5 * x,), 0.5, 0.5)
+        if x < 1e4:  # the kernel reaches past the multivariate cap
+            _, coeff = h._exp_eta_coefficients(1.0)
+            assert abs(np.sum(np.abs(coeff) ** 2) - 1.0) < 1e-13
+
+    @pytest.mark.parametrize("args,needle", [
+        ((np.nan, np.nan, 1.0, 0.5), "^f1 must be finite$"),
+        ((1.0, np.inf, 1.0, 0.5), "^f1 must be finite$"),
+        ((np.nan, 1.0, 1.0, 0.5), "^f0 must be finite$"),
+        ((1.0, 1e6, 1.0, 0.5), r"^f1 must satisfy \|f1/omega\| < 1e6$"),
+        ((1.0, -2e6, 2.0, 0.5), r"^f1 must satisfy \|f1/omega\| < 1e6$"),
+        ((1.0, 1.0, 0.0, 0.5), "^omega must be positive$")])
+    def test_errors_name_f1(self, args, needle):
+        with pytest.raises(ValueError, match=needle):
+            HarmonicDrive(*args)
+
+    def test_band_weight_errors_name_f1(self):
+        h = HarmonicDrive(1.0, 4e5, 1.0, 0.5)
+        h.check_scale(2.0)
+        with pytest.raises(ValueError, match=r"^f1 must satisfy .* at band weight 3$"):
+            h.check_scale(3.0)

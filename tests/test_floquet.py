@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from driventb import (DCDrive, HarmonicDrive, WindowLeakError, bessel_j,
-                      floquet_state, gaussian_state, houston_state,
+from driventb import (DCDrive, HarmonicDrive, TabulatedDrive, WindowLeakError,
+                      bessel_j, floquet_state, gaussian_state, houston_state,
                       integrate_series, invariant_expectation,
                       invariant_lambda, quasienergy, quasienergy_band)
+from driventb.floquet import QuasienergyBand
 from driventb.lattice import coherence_parameters
 from driventb.oracle import apply_hamiltonian
 
@@ -40,6 +41,21 @@ class TestQuasienergy:
     def test_nonresonant_rejected(self):
         with pytest.raises(ValueError):
             quasienergy(HarmonicDrive(1.0, 1.0, 0.7, 0.5), 0.0)
+
+    def test_phase_is_the_argument_of_a_n(self):
+        # a periodic table whose resonant a_1 is complex
+        tt = np.linspace(0.0, 2.0 * np.pi, 257)
+        tab = TabulatedDrive(tt, 1.0 + 0.7 * np.sin(tt) + 0.4 * np.cos(2.0 * tt),
+                             0.5 + 0.2 * np.sin(tt), periodic=True)
+        band = quasienergy_band(tab)
+        assert band.phase == float(np.angle(band.a_n))
+        assert band.phase == pytest.approx(0.8713, abs=1e-3)
+        kappa = np.linspace(-np.pi, np.pi, 9)
+        assert np.allclose(band.epsilon(kappa),
+                           0.5 * band.bandwidth * np.cos(kappa + band.phase),
+                           rtol=0.0, atol=1e-15)
+        assert QuasienergyBand(1, 0j).phase == 0.0
+        assert quasienergy_band(HarmonicDrive(1.0, 0.0, 1.0, 0.5)).phase == 0.0
 
 
 class TestHoustonStates:

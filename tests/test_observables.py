@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from driventb import (DCDrive, HarmonicDrive, SingleBandDispersion, bessel_j,
-                      bessel_zero, classify_mode, coherence_parameters,
+from driventb import (DCDrive, FourierDrive, HarmonicDrive, SingleBandDispersion,
+                      bessel_j, bessel_zero, classify_mode, coherence_parameters,
                       expect_K, expect_N, expect_N_single_band, gaussian_state,
                       integrate, integrate_series, localization_report,
                       observable_series, single_site, state_from_amplitudes,
@@ -188,6 +188,15 @@ class TestLocalizationReport:
         report = localization_report(proto)
         assert report.localized and report.degenerate
 
+    def test_degenerate_is_a_cosine_series_without_ac_field(self):
+        flat = {"harmonic": HarmonicDrive(2.0, -0.0, 1.0, 0.7),
+                "fourier": FourierDrive(2.0, (0.0, 0.0), 1.0, 0.7),
+                "one mode on": FourierDrive(2.0, (0.0, 0.3), 1.0, 0.7),
+                "order 0": FourierDrive(0.0, (0.0,), 1.0, 0.7)}
+        degenerate = {k: localization_report(p).degenerate for k, p in flat.items()}
+        assert degenerate == {"harmonic": True, "fourier": True,
+                              "one mode on": False, "order 0": False}
+
     def test_slope_coefficient_with_state(self):
         proto = HarmonicDrive(1.0, 1.0, 1.0, 0.5)
         coh = coherence_parameters(single_site(0, (-4, 4)))
@@ -233,6 +242,18 @@ class TestSingleBandMean:
             mean_ref, _ = moments_of(ref)
             assert expect_N_single_band(s, disp, proto, t) == pytest.approx(
                 mean_ref, abs=1e-6)
+
+    def test_m0_coupling_leaves_the_mean_alone(self):
+        # g_0 shifts every energy by 2 Re g_0: a global phase, no drift of <N>
+        shifted = SingleBandDispersion((0.3 - 0.2j, 0.4, 0.0, 0.2))
+        plain = SingleBandDispersion((0.0, 0.4, 0.0, 0.2))
+        proto = DCDrive(1.0, 0.0)
+        s = gaussian_state(0, 2.5, 0.6, (-48, 48))
+        for t in (0.7, 2.9):
+            mean = expect_N_single_band(s, shifted, proto, t)
+            assert mean == expect_N_single_band(s, plain, proto, t)
+            mean_ref, _ = moments_of(integrate(s, proto, t, dispersion=shifted))
+            assert mean == pytest.approx(mean_ref, abs=1e-6)
 
     def test_reduces_to_tight_binding_form(self):
         disp = SingleBandDispersion((0.0, 0.8))

@@ -9,8 +9,8 @@ from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       invariant_expectation, single_site)
 from driventb import propagator
 from driventb.bessel import bessel_cutoff, bessel_j_orders
-from driventb.propagator import (_band_phase, _convolve, _fft_size, _site_kernel,
-                                 _site_phase)
+from driventb.propagator import (_ETA_MAX, _band_phase, _convolve, _fft_size,
+                                 _site_kernel, _site_phase)
 
 DC = DCDrive(1.0, 1.0)
 
@@ -335,6 +335,23 @@ class TestConvolve:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("path", ["bloch", "site"])
+    @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
+    def test_eta_past_float32_raises(self, path, ring):
+        # the site phase splits off a float32 head of eta; past that range the
+        # amplitudes came out NaN, with leak 2.9e-32 and only RuntimeWarnings
+        s = gaussian_state(0, 4, 0, (-32, 32))
+        s = LatticeState(s.n_min, s.amplitudes, ring=ring)
+        with pytest.raises(ValueError, match=r"^eta must satisfy \|eta\| <= 3.4e\+38"):
+            evolve(s, DCDrive(1e35, 1.0), 1e4, path=path)
+        for eta in (np.nan, np.inf, -3.5e38):
+            # checked before chi: 2|chi| = 2e7 is past the Bessel range too
+            with pytest.raises(ValueError, match="^eta"):
+                apply_propagator(s, eta, {1: 1e7}, path)
+        for eta in (_ETA_MAX, -_ETA_MAX):
+            out = apply_propagator(s, eta, {1: 0.5}, path)
+            assert abs(out.norm() ** 2 + out.leak - 1.0) < 1e-14
 
 
 class TestBlochPhase:

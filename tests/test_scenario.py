@@ -815,6 +815,24 @@ class TestShippedConfigs:
         assert not json.loads(
             (out_b / "localization_report.json").read_text())["localized"]
 
+    @pytest.mark.parametrize("name,edge", [("dynamic_localization", "1.228e-06"),
+                                           ("dynamic_localization_twin", "5.430e-01")])
+    def test_compare_refuses_a_leaking_window_before_the_march(self, tmp_path,
+                                                               monkeypatch, name, edge):
+        # the closed form's probability on the oracle's edge sites at the grid
+        # times; the oracle, marching 8 s and 20 s, found 1.236e-06 and 8.264e-01
+        def no_march(*args, **kwargs):
+            raise AssertionError("the oracle marched")
+
+        monkeypatch.setattr("driventb.scenario.integrate_series", no_march)
+        message = f"boundary probability {edge} exceeds 1e-08"
+        with pytest.raises(WindowLeakError, match=f"^{message}$"):
+            compare_with_oracle(CONFIG_DIR / f"{name}.cfg", out_dir=tmp_path)
+        result = CliRunner().invoke(main, ["compare", str(CONFIG_DIR / f"{name}.cfg"),
+                                           "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1 and f"Error: {message}" in result.output
+        assert not (tmp_path / "comparison.json").exists()
+
     def test_invariant_config(self, tmp_path):
         run_scenario(CONFIG_DIR / "invariant.cfg", out_dir=tmp_path)
         data = np.genfromtxt(tmp_path / "invariant.csv", delimiter=",",
@@ -866,6 +884,35 @@ quantities = observables
         summary = run_scenario(path, out_dir=out)
         assert summary["status"] == "ok"
         assert (out / "observables.csv").exists()
+
+    def test_t_max_past_an_aperiodic_table_fails_at_load(self, tmp_path):
+        tt = np.linspace(0.0, 4.0, 33)
+        np.savetxt(tmp_path / "f.txt", np.column_stack([tt, np.ones_like(tt)]))
+        np.savetxt(tmp_path / "g.txt", np.column_stack([tt, np.full(tt.shape, 0.5)]))
+        cfg = """\
+[lattice]
+window = -16 16
+[state]
+kind = single_site
+[drive]
+kind = tabulated
+f_file = f.txt
+g_file = g.txt
+[time]
+t_max = 5.0
+samples = 8
+[output]
+quantities = observables
+"""
+        path = write_cfg(tmp_path, cfg, "tab.cfg")
+        out = tmp_path / "out"
+        needle = r"^\[time\] t_max: t beyond the tabulated horizon$"
+        with pytest.raises(ConfigError, match=needle):
+            run_scenario(path, out_dir=out)
+        result = CliRunner().invoke(main, ["run", str(path), "--out-dir", str(out)])
+        assert result.exit_code == 1
+        assert "[time] t_max: t beyond the tabulated horizon" in result.output
+        assert not out.exists()
 
     def test_missing_table_file_is_config_error(self, tmp_path):
         cfg = """\
