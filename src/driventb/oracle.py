@@ -3,31 +3,31 @@
 This is the ground truth the closed forms are judged against: a classic
 RK4 march of i dpsi/dt = H(t) psi with global step halving until two
 refinements agree, entirely independent of the Bessel/phase-integral
-machinery. One banded apply serves every
-H = f_t N + sum_m (g_m K^m + g_m* K^dag^m): tight binding is the band
-(0, g_t), and a dispersion supplies its own static couplings.
+machinery. H = f_t N + sum_m (g_m K^m + g_m* K^dag^m): tight binding is the
+band (0, g_t), and a dispersion supplies its own static couplings.
 
-On the small windows the oracle runs, numpy call overhead is the cost of
-a step, so the march tabulates the stage coefficients per chunk of steps
-and makes each stage one gather, one scaling and one row sum into
-preallocated arrays (see _Stages).
-
-When f and the band are constant over an interval, H is static, and a 1-d
-state on an open window takes the banded RK4 step P = R(-ihH), R(z) = 1 +
-z + z^2/2 + z^3/6 + z^4/24, as one gather, scaling and row sum per step
-(see _step_map). Rings, 2-d blocks and time-dependent H keep the stages.
+On the small windows the oracle runs, numpy call overhead is the cost of a
+step, so each step is one banded map: one gather, one scaling and one row
+sum into preallocated arrays (see _Banded).
+  * A static H on an open 1-d window takes its lattice-frame step P =
+    R(-ihH), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (see _step_map).
+  * Every other march runs in the co-moving gauge psi = e^{-i eta_t N} phi,
+    where i phi' = H'(t) phi with H' = sum_m (g_m e^{-i m eta_t} K^m + h.c.)
+    has no field term, so its steps do not depend on the site except at an
+    open window's walls (see _CoMoving). eta' = f takes the same RK4
+    (Simpson's rule) on the f samples of the march: no phase integral of
+    the drive is called.
 
 Boundaries:
   * "open": hard truncation. States must stay away from the edges; the
     largest probability seen within the outermost sites is tracked and an
     excess over ``leak_tolerance`` raises WindowLeakError.
-  * "ring": periodic labels with the uniform force represented exactly by
-    a seam twist: a hop of any range m that crosses the seam carries the
-    phase e^{-i L eta_t} once, while the diagonal field term keeps the
-    bare labels. A plain diagonal on a ring has a seam defect; the
-    twisted form makes ring Bloch waves evolve exactly as on the infinite
-    lattice, which is what monodromy spectra and Houston-state checks
-    need. A ring needs at least M sites, so no hop crosses the seam twice.
+  * "ring": periodic labels. H' is plainly circulant, and psi = e^{-i eta N}
+    phi on the bare labels is the lattice frame's seam twist: a hop of range
+    m that crosses the seam carries e^{-i L eta_t} once. Ring Bloch waves thus
+    evolve exactly as on the infinite lattice, which monodromy spectra and
+    Houston-state checks need (a plain diagonal leaves a seam defect). A ring
+    needs at least M sites, so no hop crosses the seam twice.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ __all__ = [
 _EDGE_SITES = 3
 _log = logging.getLogger("driventb.oracle")
 _CHUNK_STEPS = 32
+_TABLE_STEPS = 4 * _CHUNK_STEPS  # steps per co-moving coefficient table
 _STATIC_BLOCK = 4096  # steps per block of the constancy test
 _MAX_STEPS = 10 ** 7  # the most RK4 steps a first pass may take
 
@@ -105,10 +106,10 @@ def _check_ring(couplings, sites, ring):
                          f"band order {couplings.shape[-1] - 1}")
 
 
-class _Stages:
-    """A banded operator at a run of RK4 stage times: term r of row n is buffer
-    row ``rows[r, n]`` times ``gains[j, r, n]`` at stage j. A state of L sites
-    sits in L + 1 buffer rows; the last, read off an open window, stays zero."""
+class _Banded:
+    """A banded operator at a run of steps: term r of row n is buffer row
+    ``rows[r, n]`` times ``gains[j, r, n]`` at step j. A state of L sites sits
+    in L + 1 buffer rows; the last, read off an open window, stays zero."""
 
     def __init__(self, rows, gains, shape):
         self.rows = rows
@@ -122,38 +123,114 @@ class _Stages:
         return np.add.reduce(self.terms, axis=0, out=out)
 
 
-def _hamiltonian(f_vals, couplings, twists, sites, shape):
-    """H(t) at each stage time as _Stages: f_t n psi_n, then each hop term
-    nonzero at some stage time (2 Re g_0 psi_n, then g_m psi_{n+m} and g_m*
-    psi_{n-m} for each m, twisted across a ring's seam), summed in order."""
-    size = shape[0]
+def _rk4(z, one, mul):
+    """R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 for the RK4 stage generators
+    z[j] = -ih H_j, applied by ``mul`` and nested as the stages are."""
+    u1 = mul(z[0], one)
+    u2 = mul(z[1], one + u1 / 2)
+    u3 = mul(z[2], one + u2 / 2)
+    u4 = mul(z[3], one + u3)
+    return one + (u1 + 2 * u2 + 2 * u3 + u4) / 6
+
+
+def _hops(z, y):
+    """sum_d z[d] y[r + d] over hops d = -M..M (z[d + M], one value per step),
+    for the rows r of a (b, b, steps) block that the hop keeps inside it."""
+    order, size = len(z) // 2, len(y)
+    out = np.zeros((size, size, z.shape[-1]), dtype=complex)
+    for d in range(-order, order + 1):
+        lo, hi = max(0, -d), min(size, size - d)
+        if lo < hi:
+            out[lo:hi] += z[d + order] * y[lo + d:hi + d]
+    return out
+
+
+class _CoMoving:
+    """Co-moving RK4 steps as banded maps of 8M + 1 diagonals: the RK4
+    polynomial of the stage symbols H'_j(kappa) at 8M + 1 points of kappa,
+    turned into diagonals by one FFT (a ring wraps their rows). On an open
+    window, entries (r, c) with r + c <= 4M - 2 from either wall, the only
+    ones a path of four hops can carry past it, come from RK4 on the
+    identity of the truncated min(4M, L)-site block, the same at both walls."""
+
+    def __init__(self, order, shape, ring):
+        size = shape[0]
+        self.offsets = np.arange(-4 * order, 4 * order + 1)
+        self.waves = np.exp(2j * np.pi / self.offsets.size * np.outer(
+            np.arange(-order, order + 1), np.arange(self.offsets.size)))
+        to = np.arange(size) + self.offsets[:, None]
+        rows = to % size if ring else np.where((to < 0) | (to >= size), size, to)
+        self.wall = np.eye(min(4 * order, size))[..., None]
+        n = np.arange(size)
+        left = n + to <= 4 * order - 2
+        i, n = np.nonzero((to >= 0) & (to < size)
+                          & (left | (2 * size - 2 - n - to <= 4 * order - 2)))
+        shift = np.where(left[i, n], 0, size - len(self.wall))
+        self.edges = None if ring else (i, n, n - shift, to[i, n] - shift)
+        self.gains = np.empty((_CHUNK_STEPS, self.offsets.size, 1 if ring else size),
+                              dtype=complex)
+        self.maps = _Banded(rows, self.gains, shape)
+
+    def table(self, h, f_vals, couplings, eta):
+        """(diagonals, wall block, eta at the end) of the steps whose half-step
+        grid f_vals and couplings sample, from eta at the first. eta' = f takes
+        the same RK4, so the stages see eta, eta + h f_0/2, eta + h f_1/2 and
+        eta + h f_1, and the step adds h (f_0 + 4 f_1 + f_2)/6."""
+        f0, f1 = f_vals[:-1:2], f_vals[1::2]
+        ends = np.add.accumulate(np.r_[eta, h / 6 * (f0 + 4 * f1 + f_vals[2::2])])
+        e = ends[:-1]
+        etas = np.array([e, e + h / 2 * f0, e + h / 2 * f1, e + h * f1])
+        g = np.array([couplings[:-1:2], couplings[1::2], couplings[1::2],
+                      couplings[2::2]])
+        g = g * np.exp(-1j * etas[..., None] * np.arange(g.shape[-1]))
+        # -ih H'_j as its hops -M..M
+        z = (-1j * h) * np.concatenate([np.conj(g[..., :0:-1]),
+                                        2.0 * g[..., :1].real, g[..., 1:]], axis=-1)
+        symbols = _rk4(1j * (z @ self.waves).imag, 1.0, np.multiply)
+        diagonals = np.fft.fft(symbols, axis=-1)[:, self.offsets] / self.offsets.size
+        block = None if self.edges is None else _rk4(
+            np.moveaxis(z, -1, 1), self.wall, _hops)
+        return diagonals, block, float(ends[-1])
+
+    def load(self, diagonals, block, lo, hi):
+        """Steps lo..hi - 1 of a table as the first steps of ``maps``."""
+        self.gains[:hi - lo] = diagonals[lo:hi, :, None]
+        if block is not None:
+            i, n, r, c = self.edges
+            self.gains[:hi - lo, i, n] = block[r, c, lo:hi].T
+        return self.maps
+
+
+def _h_apply(psi, f_val, couplings, twist, sites, ring):
+    """H psi for a 1-d state or an (sites, columns) block at fixed coefficients:
+    f n psi_n, then each nonzero hop term (2 Re g_0 psi_n, then g_m psi_{n+m}
+    and g_m* psi_{n-m} for each m, twisted across a ring's seam), summed in
+    order."""
+    size = psi.shape[0]
     sites_at = np.arange(size)
-    seams = (None, None) if twists is None else (
-        twists[:, None], np.conj(twists)[:, None])
-    rows, gains = [sites_at], [f_vals[:, None] * sites]
-    for m in np.flatnonzero(np.any(couplings != 0.0, axis=0)):
-        g = couplings[:, m, None]
+    couplings = np.asarray(couplings)
+    rows, gains = [sites_at], [f_val * sites]
+    for m in np.flatnonzero(couplings != 0.0):
+        g = couplings[m]
         if m == 0:
             rows.append(sites_at)
             gains.append(2.0 * g.real)
             continue
-        for hop, gain, seam in ((m, g, seams[0]), (-m, np.conj(g), seams[1])):
+        for hop, gain, seam in ((m, g, twist), (-m, np.conj(g), np.conj(twist))):
             to = sites_at + hop
             across = (to < 0) | (to >= size)
-            if seam is None:
-                rows.append(np.where(across, size, to))
-            else:
-                rows.append(to % size)
-                gain = np.where(across, gain * seam, gain)
-            gains.append(gain)
-    table = np.empty((f_vals.size, len(rows), size), dtype=complex)
+            rows.append(to % size if ring else np.where(across, size, to))
+            gains.append(np.where(across, gain * seam, gain) if ring else gain)
+    table = np.empty((1, len(rows), size), dtype=complex)
     for r, gain in enumerate(gains):
-        table[:, r] = gain
-    return _Stages(np.array(rows), table, shape)
+        table[0, r] = gain
+    buf = _buffer(psi.shape)
+    buf[:-1] = psi
+    return _Banded(np.array(rows), table, psi.shape).apply(0, buf)
 
 
 def _step_map(h, f_val, couplings, sites):
-    """P = R(-ihH) as _Stages: Horner's rule on a comb of 8M + 1 columns
+    """P = R(-ihH) as _Banded: Horner's rule on a comb of 8M + 1 columns
     (column r marks the sites = r mod 8M + 1) leaves P[i, i + d] at row i,
     column (i + d) mod 8M + 1. Diagonals that are exactly zero are dropped."""
     size, width = sites.size, 8 * (couplings.size - 1) + 1
@@ -165,7 +242,8 @@ def _step_map(h, f_val, couplings, sites):
     gains = np.take_along_axis(block.T, to % width, axis=0)
     keep = np.any(gains != 0.0, axis=1)
     rows = np.where((to < 0) | (to >= size), size, to)
-    return _Stages(rows[keep], gains[None, keep], (size,))
+    return _Banded(rows[keep], np.broadcast_to(
+        gains[keep], (_CHUNK_STEPS,) + gains[keep].shape), (size,))
 
 
 def _buffer(shape):
@@ -173,52 +251,37 @@ def _buffer(shape):
     return np.zeros((shape[0] + 1,) + tuple(shape[1:]), dtype=complex)
 
 
-def _h_apply(psi, f_val, couplings, twist, sites, ring):
-    """H psi for a 1-d state or an (sites, columns) block at fixed coefficients."""
-    stages = _hamiltonian(np.full(1, f_val), np.asarray(couplings)[None],
-                          np.full(1, twist) if ring else None, sites, psi.shape)
-    buf = _buffer(psi.shape)
-    buf[:-1] = psi
-    return stages.apply(0, buf)
-
-
 def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None):
     """RK4 from t0 to t1 with a uniform step close to dt; returns (psi, edge).
 
-    Coefficients and edge amplitudes are kept for _CHUNK_STEPS steps at a
-    time. A static H (tested on the first chunk, then on blocks that share
-    end points) takes its step map; ``memo`` keeps the last map and tallies
-    the marches."""
+    A static H on an open 1-d window (tested on the first chunk, then on
+    blocks that share end points) takes its step map, every other march the
+    co-moving maps from eta = 0 at t0 (see _CoMoving); ``memo`` keeps the last
+    maps and tallies the marches. Edge amplitudes are kept per chunk."""
     span = t1 - t0
     nsteps = max(1, int(np.ceil(abs(span) / dt))) if span != 0.0 else 1
     h = span / nsteps
-    half, full, sixth = 0.5j * h, 1j * h, 1j * (h / 6.0)
     memo = {"steps": 0, "marches": set()} if memo is None else memo
 
     def coefficients(first, steps):
         # all RK4 stage times sit on the half-step grid
         times = t0 + 0.5 * h * np.arange(2 * first, 2 * (first + steps) + 1)
-        twists = np.exp(-1j * sites.size * np.asarray(
-            protocol.eta(times), dtype=float)) if ring else None
         return (np.full(times.shape, protocol.f(times), dtype=float),
-                _couplings(protocol, dispersion, times), twists)
+                _couplings(protocol, dispersion, times))
 
-    def static(f_vals, couplings, twists):
+    def static(f_vals, couplings):
         return np.all(f_vals == f_vals[0]) and np.all(couplings == couplings[0])
 
     size = psi0.shape[0]
-    held, staged = _buffer(psi0.shape), _buffer(psi0.shape)
-    psi, stage = held[:-1], staged[:-1]
+    held = _buffer(psi0.shape)
+    psi = held[:-1]
     psi[...] = psi0
-    k = np.empty((4,) + psi0.shape, dtype=complex)
-    k1, k2, k3, k4 = k
-    tmp = np.empty(psi0.shape, dtype=complex)
     track_edge = not ring and psi0.ndim == 1
     n_low = min(size, _EDGE_SITES)
     edge_rows = np.r_[np.arange(size)[:_EDGE_SITES],
                       np.arange(size)[-_EDGE_SITES:]]
     edges = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
-    edge, step_map = 0.0, None
+    edge, step_map, eta = 0.0, None, 0.0
     head = coefficients(0, min(nsteps, _CHUNK_STEPS))
     if track_edge and static(*head) and all(
             static(*coefficients(first, min(_STATIC_BLOCK, nsteps - first)))
@@ -229,39 +292,30 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None):
             memo["key"], memo["map"] = key, _step_map(h, f_val, band, sites)
         step_map = memo["map"]
     memo["steps"] += nsteps
-    memo["marches"].add("stages" if step_map is None else "step map")
+    memo["marches"].add("co-moving" if step_map is None else "step map")
+    if step_map is None:
+        key = ("co-moving", head[1].shape[-1] - 1, psi0.shape, ring)
+        if memo.get("key") != key:
+            memo["key"], memo["map"] = key, _CoMoving(*key[1:])
+        comoving = memo["map"]
     for first in range(0, nsteps, _CHUNK_STEPS):
-        steps = min(_CHUNK_STEPS, nsteps - first)
-        if step_map is None:
-            stages = None  # drop the last chunk's table before building this one
-            stages = _hamiltonian(*(coefficients(first, steps) if first else head),
-                                  sites, psi0.shape)
+        steps, lo = min(_CHUNK_STEPS, nsteps - first), first % _TABLE_STEPS
+        if step_map is None and lo == 0:
+            table = None  # drop the last table before building this one
+            *table, eta = comoving.table(h, *coefficients(
+                first, min(_TABLE_STEPS, nsteps - first)), eta)
+        maps = step_map or comoving.load(*table, lo, lo + steps)
         for i in range(steps):
-            if step_map is not None:
-                step_map.apply(0, held, psi)
-            else:
-                a = 2 * i
-                stages.apply(a, held, k1)
-                np.multiply(half, k1, out=tmp)
-                np.subtract(psi, tmp, out=stage)
-                stages.apply(a + 1, staged, k2)
-                np.multiply(half, k2, out=tmp)
-                np.subtract(psi, tmp, out=stage)
-                stages.apply(a + 1, staged, k3)
-                np.multiply(full, k3, out=tmp)
-                np.subtract(psi, tmp, out=stage)
-                stages.apply(a + 2, staged, k4)
-                # psi - i h/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-                np.multiply(2.0, k[1:3], out=k[1:3])
-                np.add.reduce(k, axis=0, out=tmp)
-                np.multiply(sixth, tmp, out=tmp)
-                np.subtract(psi, tmp, out=psi)
+            maps.apply(i, held, psi)
             if track_edge:
                 psi.take(edge_rows, out=edges[i], mode="clip")
         if track_edge:
             prob = np.abs(edges[:steps]) ** 2
             edge = max(edge, float(np.max(np.sum(prob[:, :n_low], axis=1)
                                           + np.sum(prob[:, n_low:], axis=1))))
+    if step_map is None:
+        phase = np.exp(-1j * eta * sites)
+        psi *= phase.reshape(phase.shape + (1,) * (psi.ndim - 1))
     return psi.copy(), edge
 
 

@@ -640,6 +640,8 @@ _EMITTERS = {"phase_integrals": _emit_phase_integrals,
 def run_scenario(config_path, out_dir=None, seed=None, tolerance=None) -> dict:
     """Execute a scenario; returns the summary dict (also written as JSON)."""
     scenario = load_scenario(config_path, seed=seed, tolerance=tolerance)
+    # the oracle runs first, so a failing comparison writes nothing
+    report = _compare(scenario, out_dir) if scenario.oracle_enabled else None
     out = _out_dir(out_dir)
 
     produced: list = []
@@ -649,8 +651,7 @@ def run_scenario(config_path, out_dir=None, seed=None, tolerance=None) -> dict:
 
     summary = {"scenario": scenario.name, "hash": scenario.config_hash,
                "seed": scenario.seed, "outputs": produced, "status": "ok"}
-    if scenario.oracle_enabled:
-        report = _compare(scenario, out)
+    if report is not None:
         summary["oracle"] = {
             "max_amplitude_deviation": report["max_amplitude_deviation"],
             "passed": report["passed"]}
@@ -670,7 +671,7 @@ def compare_with_oracle(config_path, out_dir=None, tolerance=None) -> dict:
     scenario = load_scenario(config_path, tolerance=tolerance)
     if not scenario.oracle_enabled:  # else load_scenario has checked it
         _check_oracle(scenario)
-    return _compare(scenario, _out_dir(out_dir))
+    return _compare(scenario, out_dir)
 
 
 def _moments(state: LatticeState) -> tuple:
@@ -680,7 +681,8 @@ def _moments(state: LatticeState) -> tuple:
     return mean, float(np.sum(state.sites.astype(float) ** 2 * p)) - mean ** 2
 
 
-def _compare(scenario: Scenario, out: Path) -> dict:
+def _compare(scenario: Scenario, out_dir) -> dict:
+    """The comparison report, written to ``out_dir`` (made only then)."""
     state, times, config = scenario.state, scenario.times, scenario.oracle_config
     closed_states = evolve(state, scenario.drive, times,
                            dispersion=scenario.dispersion)
@@ -708,7 +710,7 @@ def _compare(scenario: Scenario, out: Path) -> dict:
               "max_mean_N_deviation": worst["mean_N"],
               "max_var_N_deviation": worst["var_N"],
               "passed": bool(worst["amplitude"] <= scenario.tolerance)}
-    (out / "comparison.json").write_text(
+    (_out_dir(out_dir) / "comparison.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 

@@ -7,13 +7,14 @@ import pytest
 
 from driventb import (DCDrive, HarmonicDrive, LatticeState, OracleConfig,
                       SingleBandDispersion, TabulatedDrive, WindowLeakError,
-                      bessel_j, gaussian_state, integrate, integrate_series,
-                      monodromy_spectrum, quasienergy_band, single_site)
+                      bessel_j, evolve, gaussian_state, integrate,
+                      integrate_series, monodromy_spectrum, quasienergy_band,
+                      single_site)
 from driventb.floquet import houston_state
 from driventb.oracle import (_CHUNK_STEPS, _STATIC_BLOCK, _default_dt,
                              _first_dt, _h_apply, _march,
                              apply_hamiltonian)
-from helpers import dense_hamiltonian, dense_rk4
+from helpers import dense_hamiltonian, dense_rk4, random_state
 
 # an M = 3 band with complex couplings and an on-site term g_0
 BAND_M3 = (0.15 - 0.1j, 0.4 - 0.2j, 0.1j, 0.3 + 0.05j)
@@ -110,7 +111,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("proto,march", [
         (DCDrive(1.0, 0.8), "step map"),
-        (HarmonicDrive(1.0, 0.7, 0.8, 0.5), "stages"),
+        (HarmonicDrive(1.0, 0.7, 0.8, 0.5), "co-moving"),
     ], ids=["dc-open", "harmonic-open"])
     def test_logs_the_march_and_the_steps_marched(self, caplog, proto, march):
         s = gaussian_state(0, 2.0, 0.3, (-16, 16))
@@ -173,19 +174,19 @@ class TestMarchBounds:
     def test_constancy_test_sees_every_block(self, monkeypatch, steps_flat,
                                              static):
         # f is flat for steps_flat of 3 _STATIC_BLOCK + _CHUNK_STEPS + 10
-        # steps of h = 1, then ramps: the stage march unless it never does
+        # steps of h = 1, then ramps: the co-moving march unless it never does
         nsteps = _CHUNK_STEPS + 3 * _STATIC_BLOCK + 10
         tt = np.array([0.0, steps_flat, nsteps + 1.0])
         proto = TabulatedDrive(tt, np.array([0.9, 0.9, 1.5]), np.full(3, 0.6))
         memo = {"steps": 0, "marches": set()}
         s = single_site(0, (-8, 8))
         monkeypatch.setattr("driventb.oracle._step_map", _stop)
-        monkeypatch.setattr("driventb.oracle._hamiltonian", _stop)
+        monkeypatch.setattr("driventb.oracle._CoMoving", _stop)
         with pytest.raises(_Stop):
             _march(s.amplitudes.astype(complex), 0.0, float(nsteps), proto,
                    s.sites.astype(float), False, None, 1.0, memo)
-        # the step map stops before it is tallied, the stages after
-        assert memo["marches"] == (set() if static else {"stages"})
+        # the step map stops before it is tallied, the co-moving march after
+        assert memo["marches"] == (set() if static else {"co-moving"})
 
 
 class TestRing:
@@ -266,26 +267,39 @@ def _flat_then_ramp_drive():
 
 
 class TestMarchMatchesDenseRK4:
-    """_march against a stage-by-stage RK4 on a dense H(t), to 1e-13."""
+    """_march against a stage-by-stage RK4 on a dense H(t), to 1e-13: the
+    lattice-frame H for a static H on an open 1-d window (the step map), else
+    the truncated co-moving H'(t, eta), which has no field term and no seam
+    twist, with the RK4 stage values of eta and psi = e^{-i eta N} phi."""
 
+    # (drive, dispersion, sites, ring, block, start site of an open window)
     CASES = {
         "tight-binding-open": (HarmonicDrive(0.9, 0.6, 1.3, 0.5), None, 21,
-                               False, False),
+                               False, False, 4),
         "band-open": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
-                      SingleBandDispersion(BAND_M3), 21, False, False),
+                      SingleBandDispersion(BAND_M3), 21, False, False, 4),
         "band-ring": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
-                      SingleBandDispersion(BAND_M3), 10, True, False),
-        "block-ring": (HarmonicDrive(0.9, 0.6, 1.3, 0.5), None, 8, True, True),
-        "tabulated-g-open": (_tabulated_drive(), None, 21, False, False),
-        "dc-open": (DCDrive(0.9, 0.6), None, 21, False, False),
+                      SingleBandDispersion(BAND_M3), 10, True, False, None),
+        "block-ring": (HarmonicDrive(0.9, 0.6, 1.3, 0.5), None, 8, True, True,
+                       None),
+        "tabulated-g-open": (_tabulated_drive(), None, 21, False, False, 4),
+        "dc-open": (DCDrive(0.9, 0.6), None, 21, False, False, 4),
         "band-dc-open": (DCDrive(0.9, 0.0), SingleBandDispersion(BAND_M3), 21,
-                         False, False),
+                         False, False, 4),
         "band2-offset-dc-open": (
             DCDrive(0.9, 0.0), SingleBandDispersion((0.2, 0.4 - 0.1j, 0.15j)),
-            21, False, False),
-        "dc-ring": (DCDrive(0.9, 0.6), None, 10, True, False),
+            21, False, False, 4),
+        "dc-ring": (DCDrive(0.9, 0.6), None, 10, True, False, None),
         "flat-then-ramp-open": (_flat_then_ramp_drive(), None, 21, False,
-                                False),
+                                False, 4),
+        # on the wall, where a step cropped from the infinite lattice errs
+        "wall": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
+                 SingleBandDispersion(BAND_M3), 21, False, False, 0),
+        # a window shorter than the 4M-site wall block, and one shorter than M
+        "wall-short": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
+                       SingleBandDispersion(BAND_M3), 9, False, False, 0),
+        "wall-tiny": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
+                      SingleBandDispersion(BAND_M3), 2, False, False, 0),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -293,14 +307,21 @@ class TestMarchMatchesDenseRK4:
         (0.1, 0.9, _CHUNK_STEPS + 7), (0.2, 0.3, 1), (0.4, 0.4, 1),
     ], ids=["across-chunks", "one-step", "zero-span"])
     def test_march(self, case, t0, t1, nsteps):
-        proto, dispersion, size, ring, block = self.CASES[case]
+        proto, dispersion, size, ring, block, start = self.CASES[case]
         labels = np.arange(size, dtype=float) - size // 2
 
-        def hamiltonian(t):
-            twist = np.exp(-1j * size * float(proto.eta(t))) if ring else None
-            band = (0.0, float(proto.g(t))) if dispersion is None \
+        def band(t):
+            return (0.0, float(proto.g(t))) if dispersion is None \
                 else dispersion.couplings
-            return dense_hamiltonian(labels, float(proto.f(t)), band, twist)
+
+        def hamiltonian(t):
+            return dense_hamiltonian(labels, float(proto.f(t)), band(t))
+
+        def comoving(t, eta):
+            return dense_hamiltonian(
+                labels, 0.0, [g * np.exp(-1j * m * eta)
+                              for m, g in enumerate(band(t))],
+                1.0 if ring else None)
 
         if ring or block:
             rng = np.random.default_rng(3)
@@ -309,19 +330,25 @@ class TestMarchMatchesDenseRK4:
             psi0 /= np.linalg.norm(psi0, axis=0)
         else:
             # spreading into the low edge, so the edge peaks at the last step
-            psi0 = np.eye(size)[4]
+            psi0 = np.eye(size)[start]
         # a step a little over span / nsteps makes _march take nsteps steps
         dt = (t1 - t0) / (nsteps - 0.5) if t1 != t0 else 1e-3
         memo = {"steps": 0, "marches": set()}
         psi, edge = _march(psi0, t0, t1, proto, labels, ring, dispersion, dt,
                            memo)
-        ref, ref_edge = dense_rk4(psi0, t0, t1, nsteps, hamiltonian)
         # a static H on an open 1-d window marches by the step map
         grid = t0 + 0.5 * ((t1 - t0) / nsteps) * np.arange(2 * nsteps + 1)
         static = not (ring or block) and all(
             np.ptp(v) == 0.0 for v in (proto.f(grid), proto.g(grid)))
+        if static:
+            ref, ref_edge = dense_rk4(psi0, t0, t1, nsteps, hamiltonian)
+        else:
+            phi, ref_edge, eta = dense_rk4(psi0, t0, t1, nsteps, comoving,
+                                           field=proto.f)
+            phase = np.exp(-1j * eta * labels)
+            ref = phase.reshape(phase.shape + (1,) * (phi.ndim - 1)) * phi
         assert memo["steps"] == nsteps
-        assert memo["marches"] == {"step map" if static else "stages"}
+        assert memo["marches"] == {"step map" if static else "co-moving"}
         assert np.max(np.abs(psi - ref)) < 1e-13
         if ring or block:
             assert edge == 0.0
@@ -348,3 +375,56 @@ class TestMonodromy:
     def test_requires_enough_sites(self):
         with pytest.raises(ValueError):
             monodromy_spectrum(HarmonicDrive(1.0, 1.0, 1.0, 0.5), 4)
+
+
+class _NoPhaseIntegrals:
+    """A drive whose phase integrals raise: the oracle may sample f and g."""
+
+    def __init__(self, drive):
+        self.drive = drive
+
+    def __getattr__(self, name):
+        if name in ("eta", "chi", "int_exp_eta", "uv", "phase"):
+            def refuse(*args, **kwargs):
+                raise AssertionError(f"the oracle called {name}")
+            return refuse
+        return getattr(self.drive, name)
+
+
+class TestIndependence:
+    """The oracle marches eta itself, so it calls no phase integral."""
+
+    @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
+    def test_integrate_series(self, ring):
+        proto = HarmonicDrive(1.0, 0.8, 1.0, 0.4)
+        state = random_state(np.random.default_rng(5), (0, 11), ring=True) \
+            if ring else gaussian_state(0, 2.0, 0.3, (-16, 16))
+        times = [0.7, 1.5]
+        plain = integrate_series(state, proto, times)
+        alone = integrate_series(state, _NoPhaseIntegrals(proto), times)
+        for a, b in zip(plain, alone):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+            assert a.leak == b.leak
+
+    def test_monodromy_spectrum(self):
+        proto = HarmonicDrive(1.0, 1.0, 1.0, 0.25)
+        for plain, alone in zip(monodromy_spectrum(proto, 16),
+                                monodromy_spectrum(_NoPhaseIntegrals(proto), 16)):
+            assert np.array_equal(plain, alone)
+
+
+class TestStrongDrive:
+    """Closed form against the oracle at f1/omega = 100 and 300: a resonant
+    harmonic drive (n = 1, omega = 1, g0 = 0.5) from one site to t = 2T,
+    within the oracle's own error_per_time * t plus the window leak."""
+
+    @pytest.mark.parametrize("ratio,sites", [(100.0, 49), (300.0, 33)])
+    def test_closed_form_matches_the_oracle(self, ratio, sites):
+        proto = HarmonicDrive(1.0, ratio, 1.0, 0.5)
+        state = single_site(0, (-(sites // 2), sites // 2))
+        times = [proto.period, 2.0 * proto.period]
+        config = OracleConfig()
+        oracle = integrate_series(state, proto, times, config=config)
+        for t, ref, closed in zip(times, oracle, evolve(state, proto, times)):
+            bound = config.error_per_time * t + closed.leak
+            assert np.max(np.abs(closed.amplitudes - ref.amplitudes)) <= bound

@@ -833,6 +833,20 @@ class TestShippedConfigs:
         assert result.exit_code == 1 and f"Error: {message}" in result.output
         assert not (tmp_path / "comparison.json").exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_a_failing_comparison_writes_nothing(self, tmp_path, command):
+        # the window pre-check fails before the output directory or any
+        # emitter's file is made, through the API and the CLI
+        text = (CONFIG_DIR / "dynamic_localization.cfg").read_text()
+        path = write_cfg(tmp_path, text + "\n[oracle]\nenabled = true\n")
+        entry = run_scenario if command == "run" else compare_with_oracle
+        with pytest.raises(WindowLeakError, match="^boundary probability "):
+            entry(path, out_dir=tmp_path / "api")
+        result = CliRunner().invoke(main, [command, str(path), "--out-dir",
+                                           str(tmp_path / "cli")])
+        assert result.exit_code == 1 and "boundary probability" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg"]
+
     def test_invariant_config(self, tmp_path):
         run_scenario(CONFIG_DIR / "invariant.cfg", out_dir=tmp_path)
         data = np.genfromtxt(tmp_path / "invariant.csv", delimiter=",",
