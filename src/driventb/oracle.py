@@ -16,7 +16,8 @@ sum into preallocated arrays (see _Banded).
     has no field term, so its steps do not depend on the site except at an
     open window's walls (see _CoMoving). eta' = f takes the same RK4
     (Simpson's rule) on the f samples of the march: no phase integral of
-    the drive is called.
+    the drive is called. eta is measured from t = 0 and carried from one
+    checkpoint interval to the next.
 
 Boundaries:
   * "open": hard truncation. States must stay away from the edges; the
@@ -24,10 +25,12 @@ Boundaries:
     excess over ``leak_tolerance`` raises WindowLeakError.
   * "ring": periodic labels. H' is plainly circulant, and psi = e^{-i eta N}
     phi on the bare labels is the lattice frame's seam twist: a hop of range
-    m that crosses the seam carries e^{-i L eta_t} once. Ring Bloch waves thus
-    evolve exactly as on the infinite lattice, which monodromy spectra and
-    Houston-state checks need (a plain diagonal leaves a seam defect). A ring
-    needs at least M sites, so no hop crosses the seam twice.
+    m that crosses the seam carries e^{-i L eta_t} once. That twist is
+    absolute, so a march that starts at t0 > 0 needs eta(t0) itself, not
+    only the eta it gains. Ring Bloch waves thus evolve exactly as on the
+    infinite lattice, which monodromy spectra and Houston-state checks need
+    (a plain diagonal leaves a seam defect). A ring needs at least M sites,
+    so no hop crosses the seam twice.
 """
 
 from __future__ import annotations
@@ -251,13 +254,16 @@ def _buffer(shape):
     return np.zeros((shape[0] + 1,) + tuple(shape[1:]), dtype=complex)
 
 
-def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None):
-    """RK4 from t0 to t1 with a uniform step close to dt; returns (psi, edge).
+def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None,
+           eta=0.0):
+    """RK4 from t0 to t1 with a uniform step close to dt, from eta at t0;
+    returns (psi, edge, eta at t1).
 
     A static H on an open 1-d window (tested on the first chunk, then on
     blocks that share end points) takes its step map, every other march the
-    co-moving maps from eta = 0 at t0 (see _CoMoving); ``memo`` keeps the last
-    maps and tallies the marches. Edge amplitudes are kept per chunk."""
+    co-moving maps from phi = e^{i eta N} psi0 (see _CoMoving); ``memo`` keeps
+    the last maps and tallies the marches. Edge amplitudes are kept per
+    chunk."""
     span = t1 - t0
     nsteps = max(1, int(np.ceil(abs(span) / dt))) if span != 0.0 else 1
     h = span / nsteps
@@ -281,7 +287,7 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None):
     edge_rows = np.r_[np.arange(size)[:_EDGE_SITES],
                       np.arange(size)[-_EDGE_SITES:]]
     edges = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
-    edge, step_map, eta = 0.0, None, 0.0
+    edge, step_map = 0.0, None
     head = coefficients(0, min(nsteps, _CHUNK_STEPS))
     if track_edge and static(*head) and all(
             static(*coefficients(first, min(_STATIC_BLOCK, nsteps - first)))
@@ -298,6 +304,7 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None):
         if memo.get("key") != key:
             memo["key"], memo["map"] = key, _CoMoving(*key[1:])
         comoving = memo["map"]
+        _gauge(psi, eta, sites)
     for first in range(0, nsteps, _CHUNK_STEPS):
         steps, lo = min(_CHUNK_STEPS, nsteps - first), first % _TABLE_STEPS
         if step_map is None and lo == 0:
@@ -314,9 +321,16 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None):
             edge = max(edge, float(np.max(np.sum(prob[:, :n_low], axis=1)
                                           + np.sum(prob[:, n_low:], axis=1))))
     if step_map is None:
-        phase = np.exp(-1j * eta * sites)
-        psi *= phase.reshape(phase.shape + (1,) * (psi.ndim - 1))
-    return psi.copy(), edge
+        _gauge(psi, -eta, sites)
+    else:
+        eta += span * float(f_val)
+    return psi.copy(), edge, eta
+
+
+def _gauge(psi, eta, sites):
+    """psi_n *= e^{i eta n} in place, on axis 0."""
+    phase = np.exp(1j * eta * sites)
+    psi *= phase.reshape(phase.shape + (1,) * (psi.ndim - 1))
 
 
 def _spectral_radius(protocol, sites, dispersion, t_final):
@@ -365,12 +379,11 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
 
     def run(step):
         psi = psi0
-        edge = 0.0
+        edge = eta = t_prev = 0.0
         out = []
-        t_prev = 0.0
         for t_next in times:
-            psi, e = _march(psi, t_prev, t_next, protocol, sites, ring,
-                            dispersion, step, memo)
+            psi, e, eta = _march(psi, t_prev, t_next, protocol, sites, ring,
+                                 dispersion, step, memo, eta)
             edge = max(edge, e)
             out.append(psi)
             t_prev = t_next

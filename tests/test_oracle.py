@@ -55,10 +55,10 @@ class TestIntegrate:
         proto = DCDrive(1.0, 1.0)
         sites = s.sites.astype(float)
         dt = 1e-3
-        a, _ = _march(s.amplitudes.astype(complex), 0.0, 1.0, proto, sites,
-                      False, None, dt)
-        b, _ = _march(s.amplitudes.astype(complex), 0.0, 1.0, proto, sites,
-                      False, None, dt / 2)
+        a = _march(s.amplitudes.astype(complex), 0.0, 1.0, proto, sites,
+                   False, None, dt)[0]
+        b = _march(s.amplitudes.astype(complex), 0.0, 1.0, proto, sites,
+                   False, None, dt / 2)[0]
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_leak_raises_on_small_window(self):
@@ -202,6 +202,20 @@ class TestRing:
         ref = houston_state(kappa, proto, t, (0, L - 1), ring=True)
         assert np.max(np.abs(num.amplitudes - ref.amplitudes)) < 1e-7
 
+    def test_bloch_wave_follows_houston_closed_form_across_checkpoints(self):
+        # each checkpoint interval starts under the seam flux e^{-i L eta_t}
+        # reached so far, which L eta(1.0) ~ 5.2 rad makes far from trivial
+        L = 16
+        proto = HarmonicDrive(1.0, 0.8, 1.0, 0.4)
+        kappa = 2 * np.pi * 3 / L
+        psi0 = houston_state(kappa, proto, 0.0, (0, L - 1), ring=True)
+        times = [1.0, 2.153, 3.4]
+        states = integrate_series(psi0, proto, times,
+                                  config=OracleConfig(boundary="ring"))
+        for t, num in zip(times, states):
+            ref = houston_state(kappa, proto, t, (0, L - 1), ring=True)
+            assert np.max(np.abs(num.amplitudes - ref.amplitudes)) < 1e-7
+
     def test_ring_norm_exact_under_wrap(self):
         L = 12
         s = LatticeState(0, np.ones(L, dtype=complex) / np.sqrt(L), ring=True)
@@ -269,8 +283,10 @@ def _flat_then_ramp_drive():
 class TestMarchMatchesDenseRK4:
     """_march against a stage-by-stage RK4 on a dense H(t), to 1e-13: the
     lattice-frame H for a static H on an open 1-d window (the step map), else
-    the truncated co-moving H'(t, eta), which has no field term and no seam
-    twist, with the RK4 stage values of eta and psi = e^{-i eta N} phi."""
+    the truncated co-moving H'(t, eta) with the RK4 stage values of eta from
+    eta = 0 at t0 and psi = e^{-i eta N} phi. H' has no field term; on a
+    ring its seam keeps the lattice frame's twist at t0, e^{-i L eta(t0)}.
+    _march starts from eta(t0) and must return eta(t0) plus the march's."""
 
     # (drive, dispersion, sites, ring, block, start site of an open window)
     CASES = {
@@ -317,11 +333,13 @@ class TestMarchMatchesDenseRK4:
         def hamiltonian(t):
             return dense_hamiltonian(labels, float(proto.f(t)), band(t))
 
+        eta0 = float(proto.eta(t0))
+
         def comoving(t, eta):
             return dense_hamiltonian(
                 labels, 0.0, [g * np.exp(-1j * m * eta)
                               for m, g in enumerate(band(t))],
-                1.0 if ring else None)
+                np.exp(-1j * size * eta0) if ring else None)
 
         if ring or block:
             rng = np.random.default_rng(3)
@@ -334,14 +352,15 @@ class TestMarchMatchesDenseRK4:
         # a step a little over span / nsteps makes _march take nsteps steps
         dt = (t1 - t0) / (nsteps - 0.5) if t1 != t0 else 1e-3
         memo = {"steps": 0, "marches": set()}
-        psi, edge = _march(psi0, t0, t1, proto, labels, ring, dispersion, dt,
-                           memo)
+        psi, edge, eta1 = _march(psi0, t0, t1, proto, labels, ring,
+                                 dispersion, dt, memo, eta0)
         # a static H on an open 1-d window marches by the step map
         grid = t0 + 0.5 * ((t1 - t0) / nsteps) * np.arange(2 * nsteps + 1)
         static = not (ring or block) and all(
             np.ptp(v) == 0.0 for v in (proto.f(grid), proto.g(grid)))
         if static:
             ref, ref_edge = dense_rk4(psi0, t0, t1, nsteps, hamiltonian)
+            eta = float(proto.f(t0)) * (t1 - t0)
         else:
             phi, ref_edge, eta = dense_rk4(psi0, t0, t1, nsteps, comoving,
                                            field=proto.f)
@@ -350,6 +369,7 @@ class TestMarchMatchesDenseRK4:
         assert memo["steps"] == nsteps
         assert memo["marches"] == {"step map" if static else "co-moving"}
         assert np.max(np.abs(psi - ref)) < 1e-13
+        assert abs(eta1 - (eta0 + eta)) < 1e-14
         if ring or block:
             assert edge == 0.0
         else:
