@@ -8,16 +8,16 @@ band (0, g_t), and a dispersion supplies its own static couplings.
 
 On the small windows the oracle runs, numpy call overhead is the cost of a
 step, so each step is one banded map: one gather, one scaling and one row
-sum into preallocated arrays (see _Banded).
-  * A static H on an open 1-d window takes its lattice-frame step P =
-    R(-ihH), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 (see _step_map).
-  * Every other march runs in the co-moving gauge psi = e^{-i eta_t N} phi,
-    where i phi' = H'(t) phi with H' = sum_m (g_m e^{-i m eta_t} K^m + h.c.)
-    has no field term, so its steps do not depend on the site except at an
-    open window's walls (see _CoMoving). eta' = f takes the same RK4
-    (Simpson's rule) on the f samples of the march: no phase integral of
-    the drive is called. eta is measured from t = 0 and carried from one
-    checkpoint interval to the next.
+sum into preallocated arrays (see _Banded). There is one scheme, RK4 in the
+co-moving gauge psi = e^{-i eta_t N} phi, where i phi' = H'(t) phi with
+H' = sum_m (g_m e^{-i m eta_t} K^m + h.c.) has no field term, so its steps
+do not depend on the site except at an open window's walls (see _CoMoving).
+eta' = f takes the same RK4 (Simpson's rule) on the f samples of the march:
+no phase integral of the drive is called. eta is measured from t = 0 and
+carried from one checkpoint interval to the next.
+  * At constant f, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}, so a static H
+    on an open 1-d window marches in the lattice frame by one fixed map,
+    the eta = 0 step times e^{-ihfN} (see _step_map).
 
 Boundaries:
   * "open": hard truncation. States must stay away from the edges; the
@@ -88,8 +88,9 @@ class OracleConfig:
         if not (np.isfinite(self.leak_tolerance)
                 and self.leak_tolerance >= 0.0):
             raise ValueError("leak_tolerance must be nonnegative and finite")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be at least 1")
+        if not (isinstance(self.max_refinements, (int, np.integer))
+                and self.max_refinements >= 1):
+            raise ValueError("max_refinements must be an integer of at least 1")
 
 
 def _couplings(protocol, dispersion, t):
@@ -233,20 +234,18 @@ def _h_apply(psi, f_val, couplings, twist, sites, ring):
 
 
 def _step_map(h, f_val, couplings, sites):
-    """P = R(-ihH) as _Banded: Horner's rule on a comb of 8M + 1 columns
-    (column r marks the sites = r mod 8M + 1) leaves P[i, i + d] at row i,
-    column (i + d) mod 8M + 1. Diagonals that are exactly zero are dropped."""
-    size, width = sites.size, 8 * (couplings.size - 1) + 1
-    block = comb = np.eye(width, dtype=complex)[np.arange(size) % width]
-    for k in (4.0, 3.0, 2.0, 1.0):
-        block = comb - (1j * h / k) * _h_apply(block, f_val, couplings, 1.0,
-                                               sites, False)
-    to = np.arange(size) + np.arange(-(width // 2), width // 2 + 1)[:, None]
-    gains = np.take_along_axis(block.T, to % width, axis=0)
-    keep = np.any(gains != 0.0, axis=1)
-    rows = np.where((to < 0) | (to >= size), size, to)
-    return _Banded(rows[keep], np.broadcast_to(
-        gains[keep], (_CHUNK_STEPS,) + gains[keep].shape), (size,))
+    """The co-moving step from eta = 0, S_0, in the lattice frame: at constant
+    f, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}, so psi <- e^{-ihfN} S_0 psi.
+    Only offsets on the band's hop lattice (multiples of the gcd of the m >= 1
+    with g_m != 0; 0 alone if none) are kept: the others hold FFT noise."""
+    comoving = _CoMoving(couplings.size - 1, sites.shape, False)
+    maps = comoving.load(*comoving.table(h, np.full(3, f_val), np.tile(
+        couplings, (3, 1)), 0.0)[:2], 0, 1)
+    step = np.gcd.reduce(np.flatnonzero(couplings[1:]) + 1)
+    keep = np.gcd(comoving.offsets, step) == step
+    gains = maps.gains[0, keep] * np.exp(-1j * h * f_val * sites)
+    return _Banded(maps.rows[keep], np.broadcast_to(
+        gains, (_CHUNK_STEPS,) + gains.shape), sites.shape)
 
 
 def _buffer(shape):
@@ -260,8 +259,8 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None,
     returns (psi, edge, eta at t1).
 
     A static H on an open 1-d window (tested on the first chunk, then on
-    blocks that share end points) takes its step map, every other march the
-    co-moving maps from phi = e^{i eta N} psi0 (see _CoMoving); ``memo`` keeps
+    blocks that share end points) takes the fixed step map, every other
+    march the co-moving maps from phi = e^{i eta N} psi0; ``memo`` keeps
     the last maps and tallies the marches. Edge amplitudes are kept per
     chunk."""
     span = t1 - t0
@@ -467,9 +466,9 @@ def monodromy_spectrum(protocol: DriveProtocol, ring_sites: int,
     U(T) must be diagonal, and returns (kappa_j, eps_j) with the
     eigenphases folded to (-pi/T, pi/T].
     """
-    ring_sites = int(ring_sites)
-    if ring_sites < 8:
-        raise ValueError("need at least 8 ring sites")
+    if not (isinstance(ring_sites, (int, np.integer)) and ring_sites >= 8):
+        raise ValueError(f"ring_sites must be an integer of at least 8, "
+                         f"not {ring_sites!r}")
     if protocol.resonance_order() is None:
         raise ValueError("monodromy requires a resonant periodic protocol")
     config = config or OracleConfig(boundary="ring")

@@ -127,32 +127,26 @@ def dense_hamiltonian(labels, f, band, twist=None):
     return dense
 
 
-def dense_rk4(psi0, t0, t1, nsteps, hamiltonian, field=None):
-    """Stage-by-stage RK4 of i dpsi/dt = H(t) psi with a dense H(t).
+def dense_rk4(psi0, t0, t1, nsteps, hamiltonian, field):
+    """Stage-by-stage RK4 of i dpsi/dt = H(t, eta) psi with a dense H.
 
-    ``hamiltonian(t)`` returns the matrix. Returns the final state and the
-    largest probability in the three outermost sites at both ends seen
-    after any step (meaningful for a 1-d state).
-
-    With ``field`` (the drive's f), eta' = f is marched alongside from
-    eta = 0 at t0 by the same RK4, ``hamiltonian(t, eta)`` is called at the
-    stage values of both (eta, eta + h f(t)/2, eta + h f(t + h/2)/2 and
-    eta + h f(t + h/2)), and the final eta is returned as a third value.
+    eta' = f (``field``, the drive's f) is marched alongside from eta = 0 at
+    t0 by the same RK4, and ``hamiltonian(t, eta)`` is called at the stage
+    values of both (eta, eta + h f(t)/2, eta + h f(t + h/2)/2 and
+    eta + h f(t + h/2)). Returns the final state, the largest probability in
+    the three outermost sites at both ends seen after any step (meaningful
+    for a 1-d state) and the final eta.
     """
     h = (t1 - t0) / nsteps
     psi = np.array(psi0, dtype=complex)
     eta, edge = 0.0, 0.0
     for i in range(nsteps):
         t = t0 + i * h
-        if field is None:
-            stages = [hamiltonian(t), hamiltonian(t + h / 2),
-                      hamiltonian(t + h / 2), hamiltonian(t + h)]
-        else:
-            f0, f1, f2 = (float(field(s)) for s in (t, t + h / 2, t + h))
-            stages = [hamiltonian(t, eta), hamiltonian(t + h / 2, eta + h / 2 * f0),
-                      hamiltonian(t + h / 2, eta + h / 2 * f1),
-                      hamiltonian(t + h, eta + h * f1)]
-            eta += h / 6 * (f0 + 4 * f1 + f2)
+        f0, f1, f2 = (float(field(s)) for s in (t, t + h / 2, t + h))
+        stages = [hamiltonian(t, eta), hamiltonian(t + h / 2, eta + h / 2 * f0),
+                  hamiltonian(t + h / 2, eta + h / 2 * f1),
+                  hamiltonian(t + h, eta + h * f1)]
+        eta += h / 6 * (f0 + 4 * f1 + f2)
         k1 = -1j * (stages[0] @ psi)
         k2 = -1j * (stages[1] @ (psi + h / 2 * k1))
         k3 = -1j * (stages[2] @ (psi + h / 2 * k2))
@@ -160,7 +154,7 @@ def dense_rk4(psi0, t0, t1, nsteps, hamiltonian, field=None):
         psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         prob = np.abs(psi) ** 2
         edge = max(edge, float(np.sum(prob[:3]) + np.sum(prob[-3:])))
-    return (psi, edge) if field is None else (psi, edge, eta)
+    return psi, edge, eta
 
 
 def dense_coherence(state):

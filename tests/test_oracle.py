@@ -12,7 +12,7 @@ from driventb import (DCDrive, HarmonicDrive, LatticeState, OracleConfig,
                       single_site)
 from driventb.floquet import houston_state
 from driventb.oracle import (_CHUNK_STEPS, _STATIC_BLOCK, _default_dt,
-                             _first_dt, _h_apply, _march,
+                             _first_dt, _h_apply, _march, _step_map,
                              apply_hamiltonian)
 from helpers import dense_hamiltonian, dense_rk4, random_state
 
@@ -88,7 +88,7 @@ class TestIntegrate:
         ("error_per_time", 0.0), ("error_per_time", -1e-8),
         ("error_per_time", np.inf), ("leak_tolerance", -1e-8),
         ("leak_tolerance", np.nan), ("max_refinements", 0),
-        ("max_refinements", -1),
+        ("max_refinements", -1), ("max_refinements", 2.5),
     ])
     def test_config_rejects_values_that_cannot_converge(self, field, value):
         # error_per_time = 0 would run all 12 halvings before failing
@@ -281,11 +281,11 @@ def _flat_then_ramp_drive():
 
 
 class TestMarchMatchesDenseRK4:
-    """_march against a stage-by-stage RK4 on a dense H(t), to 1e-13: the
-    lattice-frame H for a static H on an open 1-d window (the step map), else
-    the truncated co-moving H'(t, eta) with the RK4 stage values of eta from
-    eta = 0 at t0 and psi = e^{-i eta N} phi. H' has no field term; on a
-    ring its seam keeps the lattice frame's twist at t0, e^{-i L eta(t0)}.
+    """_march against a stage-by-stage RK4 on the dense truncated co-moving
+    H'(t, eta), to 1e-13, with the RK4 stage values of eta from eta = 0 at t0
+    and psi = e^{-i eta N} phi; a static H on an open 1-d window takes the
+    step map, every other march the co-moving maps. H' has no field term; on
+    a ring its seam keeps the lattice frame's twist at t0, e^{-i L eta(t0)}.
     _march starts from eta(t0) and must return eta(t0) plus the march's."""
 
     # (drive, dispersion, sites, ring, block, start site of an open window)
@@ -316,6 +316,18 @@ class TestMarchMatchesDenseRK4:
                        SingleBandDispersion(BAND_M3), 9, False, False, 0),
         "wall-tiny": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
                       SingleBandDispersion(BAND_M3), 2, False, False, 0),
+        # the step map's wall rows, and bands whose hops skip offsets
+        "dc-wall": (DCDrive(0.9, 0.6), None, 21, False, False, 0),
+        "band-dc-wall-short": (DCDrive(0.9, 0.0), SingleBandDispersion(BAND_M3),
+                               9, False, False, 0),
+        "band-dc-wall-tiny": (DCDrive(0.9, 0.0), SingleBandDispersion(BAND_M3),
+                              2, False, False, 0),
+        "band-sparse-dc-open": (DCDrive(0.9, 0.0),
+                                SingleBandDispersion((0.0, 0.0, 0.0, 0.3)), 21,
+                                False, False, 4),
+        "onsite-only-dc-open": (DCDrive(0.9, 0.0),
+                                SingleBandDispersion((0.2, 0.0)), 21, False,
+                                False, 4),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -329,9 +341,6 @@ class TestMarchMatchesDenseRK4:
         def band(t):
             return (0.0, float(proto.g(t))) if dispersion is None \
                 else dispersion.couplings
-
-        def hamiltonian(t):
-            return dense_hamiltonian(labels, float(proto.f(t)), band(t))
 
         eta0 = float(proto.eta(t0))
 
@@ -358,14 +367,9 @@ class TestMarchMatchesDenseRK4:
         grid = t0 + 0.5 * ((t1 - t0) / nsteps) * np.arange(2 * nsteps + 1)
         static = not (ring or block) and all(
             np.ptp(v) == 0.0 for v in (proto.f(grid), proto.g(grid)))
-        if static:
-            ref, ref_edge = dense_rk4(psi0, t0, t1, nsteps, hamiltonian)
-            eta = float(proto.f(t0)) * (t1 - t0)
-        else:
-            phi, ref_edge, eta = dense_rk4(psi0, t0, t1, nsteps, comoving,
-                                           field=proto.f)
-            phase = np.exp(-1j * eta * labels)
-            ref = phase.reshape(phase.shape + (1,) * (phi.ndim - 1)) * phi
+        phi, ref_edge, eta = dense_rk4(psi0, t0, t1, nsteps, comoving, proto.f)
+        phase = np.exp(-1j * eta * labels)
+        ref = phase.reshape(phase.shape + (1,) * (phi.ndim - 1)) * phi
         assert memo["steps"] == nsteps
         assert memo["marches"] == {"step map" if static else "co-moving"}
         assert np.max(np.abs(psi - ref)) < 1e-13
@@ -374,6 +378,16 @@ class TestMarchMatchesDenseRK4:
             assert edge == 0.0
         else:
             assert abs(edge - ref_edge) < 1e-13
+
+    @pytest.mark.parametrize("band,rows", [
+        ((0.0, 0.0, 0.0, 0.3), 9), ((0.1, 0.0, 0.2, 0.0, 0.3j), 17),
+        ((0.2, 0.0), 1), ((0.0, 0.6), 9),
+    ], ids=["sparse-m3", "even-m4", "onsite-only", "tight-binding"])
+    def test_step_map_keeps_the_hop_lattice(self, band, rows):
+        # diagonals at offsets no chain of hops reaches hold only FFT noise
+        step_map = _step_map(0.01, 0.9, np.asarray(band, dtype=complex),
+                             np.arange(21, dtype=float) - 10)
+        assert len(step_map.rows) == rows
 
 
 class TestMonodromy:
@@ -395,6 +409,10 @@ class TestMonodromy:
     def test_requires_enough_sites(self):
         with pytest.raises(ValueError):
             monodromy_spectrum(HarmonicDrive(1.0, 1.0, 1.0, 0.5), 4)
+
+    def test_rejects_a_fractional_ring(self):
+        with pytest.raises(ValueError, match="^ring_sites .* not 8.7$"):
+            monodromy_spectrum(HarmonicDrive(1.0, 1.0, 1.0, 0.5), 8.7)
 
 
 class _NoPhaseIntegrals:

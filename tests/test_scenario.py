@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import re
 import tempfile
@@ -792,6 +793,19 @@ class TestShippedConfigs:
                                out_dir=tmp_path)
         assert summary["status"] == "ok"
         assert summary["oracle"]["passed"]
+
+    def test_bloch_oscillation_compare_accepts_the_first_halving(self, tmp_path,
+                                                                 caplog):
+        # the step map applies the field phase exactly, so the first halving
+        # already agrees
+        with caplog.at_level(logging.DEBUG, logger="driventb.oracle"):
+            report = compare_with_oracle(CONFIG_DIR / "bloch_oscillation.cfg",
+                                         out_dir=tmp_path)
+        assert report["passed"]
+        (message,) = [r.getMessage() for r in caplog.records
+                      if r.name == "driventb.oracle"]
+        assert " after 1 refinements: " in message
+        assert "; step map march, " in message
 
     def test_dynamic_localization_pair(self, tmp_path):
         out_a = tmp_path / "locked"
