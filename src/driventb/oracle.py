@@ -1,10 +1,11 @@
 """Brute-force Schrodinger integration on the truncated lattice.
 
 This is the ground truth the closed forms are judged against: a classic
-RK4 march of i dpsi/dt = H(t) psi with global step halving until two
-refinements agree, entirely independent of the Bessel/phase-integral
-machinery. H = f_t N + sum_m (g_m K^m + g_m* K^dag^m): tight binding is the
-band (0, g_t), and a dispersion supplies its own static couplings.
+RK4 march of i dpsi/dt = H(t) psi, checked against a run at twice the steps
+in every checkpoint interval until the two agree, entirely independent of
+the Bessel/phase-integral machinery. H = f_t N + sum_m (g_m K^m + g_m*
+K^dag^m): tight binding is the band (0, g_t), and a dispersion supplies its
+own static couplings.
 
 On the small windows the oracle runs, numpy call overhead is the cost of a
 step, so each step is one banded map: one gather, one scaling and one row
@@ -57,18 +58,20 @@ _log = logging.getLogger("driventb.oracle")
 _CHUNK_STEPS = 32
 _TABLE_STEPS = 4 * _CHUNK_STEPS  # steps per co-moving coefficient table
 _STATIC_BLOCK = 4096  # steps per block of the constancy test
-_MAX_STEPS = 10 ** 7  # the most RK4 steps a first pass may take
+_MAX_STEPS = 10 ** 7  # the most RK4 steps a pass may take
+_SAFETY = 0.8  # the share of a predicted step that the next pass takes
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Integration controls.
 
-    The step starts at ``dt`` (default: period / 2000 capped by an RK4
-    error estimate from the window's spectral radius) and is halved up to
-    ``max_refinements`` times until two consecutive runs agree to
+    The step starts at ``dt`` (default: the inverse of the rates a co-moving
+    step sees, see _default_dt). Each run is compared with one at twice its
+    steps, up to ``max_refinements`` times, until the two agree to
     ``error_per_time * max(t, 1)`` in every amplitude and the norm drifts
-    by less than 1e-9. Each ValueError message starts with the name of the
+    by less than 1e-9; after a failed pair the next step is sized from the
+    error it measured. Each ValueError message starts with the name of the
     field it rejects.
     """
 
@@ -261,12 +264,13 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None,
     A static H on an open 1-d window (tested on the first chunk, then on
     blocks that share end points) takes the fixed step map, every other
     march the co-moving maps from phi = e^{i eta N} psi0; ``memo`` keeps
-    the last maps and tallies the marches. Edge amplitudes are kept per
-    chunk."""
+    the maps it builds under ``"maps"``, by key, and tallies the marches.
+    Edge amplitudes are kept per chunk."""
     span = t1 - t0
     nsteps = max(1, int(np.ceil(abs(span) / dt))) if span != 0.0 else 1
     h = span / nsteps
     memo = {"steps": 0, "marches": set()} if memo is None else memo
+    built = memo.setdefault("maps", {})
 
     def coefficients(first, steps):
         # all RK4 stage times sit on the half-step grid
@@ -293,16 +297,16 @@ def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None,
             for first in range(_CHUNK_STEPS, nsteps, _STATIC_BLOCK)):
         f_val, band = head[0][0], head[1][0]
         key = (h, f_val, band.tobytes())
-        if memo.get("key") != key:
-            memo["key"], memo["map"] = key, _step_map(h, f_val, band, sites)
-        step_map = memo["map"]
+        if key not in built:
+            built[key] = _step_map(h, f_val, band, sites)
+        step_map = built[key]
     memo["steps"] += nsteps
     memo["marches"].add("co-moving" if step_map is None else "step map")
     if step_map is None:
         key = ("co-moving", head[1].shape[-1] - 1, psi0.shape, ring)
-        if memo.get("key") != key:
-            memo["key"], memo["map"] = key, _CoMoving(*key[1:])
-        comoving = memo["map"]
+        if key not in built:
+            built[key] = _CoMoving(*key[1:])
+        comoving = built[key]
         _gauge(psi, eta, sites)
     for first in range(0, nsteps, _CHUNK_STEPS):
         steps, lo = min(_CHUNK_STEPS, nsteps - first), first % _TABLE_STEPS
@@ -332,79 +336,91 @@ def _gauge(psi, eta, sites):
     psi *= phase.reshape(phase.shape + (1,) * (psi.ndim - 1))
 
 
-def _spectral_radius(protocol, sites, dispersion, t_final):
+def _default_dt(protocol, dispersion, t_final):
+    """1 / rho, capped at |t_final| (1e-3 if rho = 0): rho = 2 max sum_m |g_m|
+    + M max|f| + 2 pi / period sums the rates a co-moving step sees, the
+    band, its phases e^{-i m eta} and a periodic drive itself."""
     probe = np.linspace(0.0, max(abs(t_final), 1e-12), 257)
-    f_max = float(np.max(np.abs(protocol.f(probe))))
+    couplings = np.abs(_couplings(protocol, dispersion, probe))
     # a left-to-right sum over m, so dt does not follow numpy's reduction order
-    hop = 2.0 * float(np.max(sum(np.abs(_couplings(protocol, dispersion,
-                                                    probe)).T)))
-    return f_max * float(np.max(np.abs(sites))) + hop
-
-
-def _default_dt(protocol, sites, dispersion, t_final):
-    candidates = [abs(t_final)]
-    if protocol.bloch_period is not None:
-        candidates.append(protocol.bloch_period)
+    rate = 2.0 * float(np.max(sum(couplings.T))) + (couplings.shape[-1] - 1) \
+        * float(np.max(np.abs(protocol.f(probe))))
     if protocol.period is not None:
-        candidates.append(protocol.period)
-    dt = min(c for c in candidates if c > 0) / 2000.0 if any(
-        c > 0 for c in candidates) else 1e-3
-    # accuracy comes from the halving loop; this cap only keeps RK4 stable
-    radius = _spectral_radius(protocol, sites, dispersion, t_final)
-    if radius > 0.0:
-        dt = min(dt, 1.5 / radius)
-    return dt
+        rate += 2.0 * np.pi / protocol.period
+    return min(1.0 / rate if rate > 0.0 else 1e-3, abs(t_final) or np.inf)
 
 
-def _first_dt(protocol, sites, dispersion, t_final, config):
+def _check_steps(steps, name):
+    if steps > _MAX_STEPS:
+        raise ValueError(f"the oracle's {name} would take {steps:.3g} RK4 steps "
+                         f"(at most {_MAX_STEPS:.0e})")
+
+
+def _first_dt(protocol, dispersion, t_final, config):
     """The step of the first pass: ``config.dt`` or the default. Raises
     ValueError when that pass would take more than _MAX_STEPS steps."""
     dt = config.dt if config.dt is not None else _default_dt(
-        protocol, sites, dispersion, t_final)
-    if abs(t_final) / dt > _MAX_STEPS:
-        raise ValueError(f"the oracle's first pass would take {abs(t_final) / dt:.3g}"
-                         f" RK4 steps (at most {_MAX_STEPS:.0e})")
+        protocol, dispersion, t_final)
+    _check_steps(abs(t_final) / dt, "first pass")
     return dt
 
 
 def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
-    """March through the checkpoint times with global step-halving control."""
+    """March through the checkpoint times, comparing each run with one at
+    twice its steps in every interval. After a failed pair the next coarse
+    step shrinks by the measured error as h^4 and norm drift as h^5, and at
+    least by half, in which case the fine run is the next coarse one."""
     t_final = times[-1]
     target = config.error_per_time * max(abs(t_final), 1.0)
-    dt = _first_dt(protocol, sites, dispersion, t_final, config)
-    check_norm = psi0.ndim == 1
+    dt = _first_dt(protocol, dispersion, t_final, config)
+    spans = np.diff(np.r_[0.0, times])
     norm0 = float(np.linalg.norm(psi0))
-    memo = {"steps": 0, "marches": set()}
+    memo = {"steps": 0, "marches": set(), "maps": {}}
+    passes = 0
 
-    def run(step):
+    def run(counts):
+        nonlocal passes
+        passes += 1
+        _check_steps(counts.sum(),
+                     f"pass {passes}" if passes > 1 else "first pass")
+        memo["maps"].clear()  # bounds memory: passes rarely share a step
         psi = psi0
-        edge = eta = t_prev = 0.0
+        edge = eta = 0.0
         out = []
-        for t_next in times:
+        for t_prev, t_next, n in zip([0.0] + times, times, counts):
+            # a step a little over span / n makes _march take n steps
             psi, e, eta = _march(psi, t_prev, t_next, protocol, sites, ring,
-                                 dispersion, step, memo, eta)
+                                 dispersion, (t_next - t_prev) / (n - 0.5),
+                                 memo, eta)
             edge = max(edge, e)
             out.append(psi)
-            t_prev = t_next
         return out, edge
 
-    prev, edge = run(dt)
+    counts, prev = np.maximum(1.0, np.ceil(spans / dt)), None
     for refinements in range(1, config.max_refinements + 1):
-        dt *= 0.5
-        cur, edge = run(dt)
+        if prev is None:
+            prev = run(counts)[0]
+        cur, edge = run(2 * counts)
         err = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
         drift = max(abs(float(np.linalg.norm(c)) - norm0) for c in cur) \
-            if check_norm else 0.0
+            if psi0.ndim == 1 else 0.0
         if err < target and drift < 1e-9:
             _log.debug("accepted dt = %.6g after %d refinements: error %.3g "
                        "(target %.3g), norm drift %.3g, peak edge "
-                       "probability %.3g; %s march, %d steps marched", dt,
-                       refinements, err, target, drift, edge,
-                       " + ".join(sorted(memo["marches"])), memo["steps"])
+                       "probability %.3g; %s march, %d steps marched",
+                       float(np.max(spans / (2 * counts))), refinements, err,
+                       target, drift, edge, " + ".join(sorted(memo["marches"])),
+                       memo["steps"])
             return cur, edge
-        prev = cur
+        dt *= min([0.5] + [_SAFETY * (bound / miss) ** (1.0 / power)
+                           for bound, miss, power in ((target, err, 4),
+                                                      (1e-9, drift, 5))
+                           if bound <= miss < np.inf])
+        coarse = np.maximum(2 * counts, np.ceil(spans / dt))
+        prev = cur if np.array_equal(coarse, 2 * counts) else None
+        counts = coarse
     raise RuntimeError(
-        f"step halving stalled at dt = {dt:g} without reaching {target:g}")
+        f"step refinement stalled at dt = {dt:g} without reaching {target:g}")
 
 
 def integrate_series(state0: LatticeState, protocol: DriveProtocol, times,
@@ -474,8 +490,7 @@ def monodromy_spectrum(protocol: DriveProtocol, ring_sites: int,
     config = config or OracleConfig(boundary="ring")
     period = protocol.period
 
-    # centered labels halve the spectral radius of the diagonal field term;
-    # at resonance the label offset only contributes a trivial 2 pi phase
+    # at resonance the labels' offset only contributes a trivial 2 pi phase
     sites = np.arange(ring_sites, dtype=float) - ring_sites // 2
     block = np.eye(ring_sites, dtype=complex)
     finals, _ = _integrate_block(block, [period], protocol, sites, True, None,

@@ -389,8 +389,8 @@ def _check_oracle(scenario: Scenario):
     t_max: the propagator's range on the time grid, the oracle's step bound."""
     _check_reach(scenario, scenario.times)
     try:
-        _first_dt(scenario.drive, scenario.state.sites.astype(float),
-                  scenario.dispersion, scenario.t_max, scenario.oracle_config)
+        _first_dt(scenario.drive, scenario.dispersion, scenario.t_max,
+                  scenario.oracle_config)
     except ValueError as exc:
         _fail("time", "t_max", str(exc))
 

@@ -11,13 +11,25 @@ from driventb import (DCDrive, HarmonicDrive, LatticeState, OracleConfig,
                       integrate_series, monodromy_spectrum, quasienergy_band,
                       single_site)
 from driventb.floquet import houston_state
-from driventb.oracle import (_CHUNK_STEPS, _STATIC_BLOCK, _default_dt,
-                             _first_dt, _h_apply, _march, _step_map,
-                             apply_hamiltonian)
+from driventb.oracle import (_CHUNK_STEPS, _STATIC_BLOCK, _first_dt, _h_apply,
+                             _march, _step_map, apply_hamiltonian)
 from helpers import dense_hamiltonian, dense_rk4, random_state
 
 # an M = 3 band with complex couplings and an on-site term g_0
 BAND_M3 = (0.15 - 0.1j, 0.4 - 0.2j, 0.1j, 0.3 + 0.05j)
+
+
+def _record_marches(monkeypatch):
+    """(t0, t1, steps) of every _march call from here on, in call order."""
+    marches = []
+
+    def recorded(psi0, t0, t1, protocol, sites, ring, dispersion, dt, *rest):
+        marches.append((t0, t1, max(1, int(np.ceil(abs(t1 - t0) / dt)))
+                        if t1 != t0 else 1))
+        return _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, *rest)
+
+    monkeypatch.setattr("driventb.oracle._march", recorded)
+    return marches
 
 
 class TestIntegrate:
@@ -113,19 +125,17 @@ class TestIntegrate:
         (DCDrive(1.0, 0.8), "step map"),
         (HarmonicDrive(1.0, 0.7, 0.8, 0.5), "co-moving"),
     ], ids=["dc-open", "harmonic-open"])
-    def test_logs_the_march_and_the_steps_marched(self, caplog, proto, march):
+    def test_logs_the_march_and_the_steps_marched(self, caplog, monkeypatch,
+                                                  proto, march):
         s = gaussian_state(0, 2.0, 0.3, (-16, 16))
         times = [0.3, 0.5]
+        marches = _record_marches(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="driventb.oracle"):
             integrate_series(s, proto, times)
         (message,) = [r.getMessage() for r in caplog.records
                       if r.name == "driventb.oracle"]
         refinements = int(re.search(r"after (\d+) refinements", message)[1])
-        dt = _default_dt(proto, s.sites.astype(float), None, times[-1])
-        # each run marches every interval, at dt halved once per refinement
-        steps = sum(int(np.ceil(span / (dt * 0.5 ** k)))
-                    for k in range(refinements + 1)
-                    for span in np.diff([0.0] + times))
+        steps = sum(n for *_, n in marches)
         assert steps > 2 * refinements
         assert message.endswith(f"; {march} march, {steps} steps marched")
 
@@ -141,15 +151,64 @@ def _stop(*args, **kwargs):
 class TestMarchBounds:
     def test_first_pass_step_bound(self, monkeypatch):
         s = gaussian_state(0, 2.0, 0.3, (-32, 32))
-        sites = s.sites.astype(float)
         exact = OracleConfig(dt=1e-6)
-        assert _first_dt(DCDrive(1.0, 1.0), sites, None, 10.0, exact) == 1e-6
+        assert _first_dt(DCDrive(1.0, 1.0), None, 10.0, exact) == 1e-6
         with pytest.raises(ValueError, match="first pass would take 1e"):
-            _first_dt(DCDrive(1.0, 1.0), sites, None, 10.0 + 1e-5, exact)
+            _first_dt(DCDrive(1.0, 1.0), None, 10.0 + 1e-5, exact)
         monkeypatch.setattr("driventb.oracle._march", _stop)
-        # the default dt is 2 pi / 2000 here: about 3e9 steps to t = 1e7
-        with pytest.raises(ValueError, match=r"first pass would take 3.18e\+09"):
+        # the default dt is 1 / (2 g + f) = 1/3 here: 3e7 steps to t = 1e7
+        with pytest.raises(ValueError, match=r"first pass would take 3e\+07"):
             integrate_series(s, DCDrive(1.0, 1.0), [1.0, 1e7])
+
+    def test_every_pass_step_bound(self, monkeypatch):
+        # the first pass fits in _MAX_STEPS, its check at twice the steps not
+        s = gaussian_state(0, 2.0, 0.3, (-16, 16))
+        marches = _record_marches(monkeypatch)
+        monkeypatch.setattr("driventb.oracle._MAX_STEPS", 5)
+        with pytest.raises(ValueError, match=r"^the oracle's pass 2 would take 6 "
+                                             r"RK4 steps \(at most 5e\+00\)$"):
+            integrate(s, DCDrive(1.0, 1.0), 1.0)
+        assert [n for *_, n in marches] == [3]
+
+    def test_a_diverged_pair_hits_the_pass_bound(self):
+        # RK4 at 40 times its stability limit overflows, and the step sized
+        # from the error of that pair needs far more than _MAX_STEPS
+        s = single_site(0, (-40, 40))
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match=r"^the oracle's pass 3 would take 1.46e\+31 "):
+            integrate(s, DCDrive(0.0, 30.0), 20.0, config=OracleConfig(dt=2.0))
+
+    def test_every_interval_doubles_its_steps(self, caplog, monkeypatch):
+        # each interval is far shorter than the first step, so a halved step
+        # would march one step per interval in both runs of the pair
+        times = np.linspace(0.0, 1.0, 5000)[1:]
+        marches = _record_marches(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="driventb.oracle"):
+            integrate_series(single_site(0, (-16, 16)), DCDrive(1.0, 1.0), times)
+        (message,) = [r.getMessage() for r in caplog.records
+                      if r.name == "driventb.oracle"]
+        assert float(re.search(r": error (\S+) ", message)[1]) > 0.0
+        coarse, fine = np.reshape([n for *_, n in marches], (2, times.size))
+        assert np.array_equal(fine, 2 * coarse)
+
+    def test_static_maps_are_built_once_per_step_and_pass(self, monkeypatch):
+        # linspace spans differ in their last bits, so consecutive intervals
+        # of one pass alternate between a few step sizes
+        times = np.linspace(0.0, 2.0, 41)[1:]
+        spans = set(np.diff(np.r_[0.0, times]))
+        builds = []
+
+        def counted(*args):
+            builds.append(args[0])
+            return _step_map(*args)
+
+        monkeypatch.setattr("driventb.oracle._step_map", counted)
+        marches = _record_marches(monkeypatch)
+        integrate_series(gaussian_state(0, 2.0, 0.3, (-32, 32)),
+                         DCDrive(1.0, 0.8), times)
+        passes = len(marches) // times.size
+        assert 1 < len(spans) < times.size // 4
+        assert len(builds) <= passes * len(spans)
 
     def test_constancy_test_memory_is_bounded(self, monkeypatch):
         # a 1e5-step dc interval on a 65-site window; the map is built only
