@@ -13,9 +13,9 @@ sum into preallocated arrays (see _Banded). There is one scheme, RK4 in the
 co-moving gauge psi = e^{-i eta_t N} phi, where i phi' = H'(t) phi with
 H' = sum_m (g_m e^{-i m eta_t} K^m + h.c.) has no field term, so its steps
 do not depend on the site except at an open window's walls (see _CoMoving).
-eta' = f takes the same RK4 (Simpson's rule) on the f samples of the march:
-no phase integral of the drive is called. eta is measured from t = 0 and
-carried from one checkpoint interval to the next.
+eta' = f takes the same RK4 (Simpson's rule) on the f samples of the march,
+with no phase integral of the drive. A pass is one march through every
+checkpoint: eta runs on from t = 0, and a checkpoint's psi is e^{-i eta N} phi.
   * At constant f, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}, so a static H
     on an open 1-d window marches in the lattice frame by one fixed map,
     the eta = 0 step times e^{-ihfN} (see _step_map).
@@ -179,25 +179,25 @@ class _CoMoving:
         self.maps = _Banded(rows, self.gains, shape)
 
     def table(self, h, f_vals, couplings, eta):
-        """(diagonals, wall block, eta at the end) of the steps whose half-step
-        grid f_vals and couplings sample, from eta at the first. eta' = f takes
-        the same RK4, so the stages see eta, eta + h f_0/2, eta + h f_1/2 and
-        eta + h f_1, and the step adds h (f_0 + 4 f_1 + f_2)/6."""
-        f0, f1 = f_vals[:-1:2], f_vals[1::2]
-        ends = np.add.accumulate(np.r_[eta, h / 6 * (f0 + 4 * f1 + f_vals[2::2])])
-        e = ends[:-1]
-        etas = np.array([e, e + h / 2 * f0, e + h / 2 * f1, e + h * f1])
-        g = np.array([couplings[:-1:2], couplings[1::2], couplings[1::2],
-                      couplings[2::2]])
-        g = g * np.exp(-1j * etas[..., None] * np.arange(g.shape[-1]))
+        """(diagonals, wall block, eta at each step's start and the end) of the
+        steps h whose start, middle and end f_vals and couplings sample, from
+        eta at the first. eta' = f takes the same RK4: the stages see eta,
+        eta + h f_0/2, eta + h f_1/2 and eta + h f_1, and a step adds
+        h (f_0 + 4 f_1 + f_2)/6."""
+        f0, f1, f2 = f_vals
+        etas = np.add.accumulate(np.r_[eta, h / 6 * (f0 + 4 * f1 + f2)])
+        e = etas[:-1]
+        stages = np.array([e, e + h / 2 * f0, e + h / 2 * f1, e + h * f1])
+        g = couplings[[0, 1, 1, 2]] * np.exp(
+            -1j * stages[..., None] * np.arange(couplings.shape[-1]))
         # -ih H'_j as its hops -M..M
-        z = (-1j * h) * np.concatenate([np.conj(g[..., :0:-1]),
-                                        2.0 * g[..., :1].real, g[..., 1:]], axis=-1)
+        z = (-1j * h[:, None]) * np.concatenate(
+            [np.conj(g[..., :0:-1]), 2.0 * g[..., :1].real, g[..., 1:]], axis=-1)
         symbols = _rk4(1j * (z @ self.waves).imag, 1.0, np.multiply)
         diagonals = np.fft.fft(symbols, axis=-1)[:, self.offsets] / self.offsets.size
         block = None if self.edges is None else _rk4(
             np.moveaxis(z, -1, 1), self.wall, _hops)
-        return diagonals, block, float(ends[-1])
+        return diagonals, block, etas
 
     def load(self, diagonals, block, lo, hi):
         """Steps lo..hi - 1 of a table as the first steps of ``maps``."""
@@ -231,19 +231,19 @@ def _h_apply(psi, f_val, couplings, twist, sites, ring):
     table = np.empty((1, len(rows), size), dtype=complex)
     for r, gain in enumerate(gains):
         table[0, r] = gain
-    buf = _buffer(psi.shape)
+    buf = np.zeros((size + 1,) + psi.shape[1:], dtype=complex)
     buf[:-1] = psi
     return _Banded(np.array(rows), table, psi.shape).apply(0, buf)
 
 
-def _step_map(h, f_val, couplings, sites):
+def _step_map(h, f_val, couplings, sites, comoving):
     """The co-moving step from eta = 0, S_0, in the lattice frame: at constant
     f, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}, so psi <- e^{-ihfN} S_0 psi.
     Only offsets on the band's hop lattice (multiples of the gcd of the m >= 1
     with g_m != 0; 0 alone if none) are kept: the others hold FFT noise."""
-    comoving = _CoMoving(couplings.size - 1, sites.shape, False)
-    maps = comoving.load(*comoving.table(h, np.full(3, f_val), np.tile(
-        couplings, (3, 1)), 0.0)[:2], 0, 1)
+    maps = comoving.load(*comoving.table(np.full(1, h), np.full((3, 1), f_val),
+                                         np.tile(couplings, (3, 1, 1)), 0.0)[:2],
+                         0, 1)
     step = np.gcd.reduce(np.flatnonzero(couplings[1:]) + 1)
     keep = np.gcd(comoving.offsets, step) == step
     gains = maps.gains[0, keep] * np.exp(-1j * h * f_val * sites)
@@ -251,83 +251,92 @@ def _step_map(h, f_val, couplings, sites):
         gains, (_CHUNK_STEPS,) + gains.shape), sites.shape)
 
 
-def _buffer(shape):
-    """A zero state buffer with one spare zero row at the end of axis 0."""
-    return np.zeros((shape[0] + 1,) + tuple(shape[1:]), dtype=complex)
-
-
-def _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, memo=None,
-           eta=0.0):
-    """RK4 from t0 to t1 with a uniform step close to dt, from eta at t0;
-    returns (psi, edge, eta at t1).
-
-    A static H on an open 1-d window (tested on the first chunk, then on
-    blocks that share end points) takes the fixed step map, every other
-    march the co-moving maps from phi = e^{i eta N} psi0; ``memo`` keeps
-    the maps it builds under ``"maps"``, by key, and tallies the marches.
-    Edge amplitudes are kept per chunk."""
-    span = t1 - t0
-    nsteps = max(1, int(np.ceil(abs(span) / dt))) if span != 0.0 else 1
-    h = span / nsteps
+def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
+           memo=None, eta=0.0):
+    """RK4 from t0 through the checkpoint times, counts[i] steps of span_i /
+    counts[i] in interval i, from eta at t0; returns (psi at each time, edge,
+    eta at the last time). A static H on an open 1-d window (tested on the
+    first chunk, then on blocks of steps) takes the step map of each
+    interval's h, every other march co-moving maps from phi = e^{i eta N} psi0
+    in tables that run across checkpoints; a checkpoint's psi is
+    e^{-i eta N} phi at its step. ``memo`` holds the integration's _CoMoving
+    and tallies the marches. Edge amplitudes are kept per chunk."""
+    counts = np.asarray(counts, dtype=int)
+    ends, starts = np.cumsum(counts), np.r_[t0, times[:-1]]
+    hs = (np.asarray(times) - starts) / np.maximum(counts, 1)
+    total = int(ends[-1])
     memo = {"steps": 0, "marches": set()} if memo is None else memo
-    built = memo.setdefault("maps", {})
 
-    def coefficients(first, steps):
-        # all RK4 stage times sit on the half-step grid
-        times = t0 + 0.5 * h * np.arange(2 * first, 2 * (first + steps) + 1)
-        return (np.full(times.shape, protocol.f(times), dtype=float),
+    def coefficients(first, last):
+        # the stage times of steps first..last - 1 (start, middle and end),
+        # each on the half-step grid of its interval
+        step = np.arange(first, last)
+        k = np.searchsorted(ends, step, side="right")
+        times = starts[k] + 0.5 * hs[k] * (2 * (step - ends[k] + counts[k])
+                                           + np.arange(3)[:, None])
+        return (hs[k], np.full(times.shape, protocol.f(times), dtype=float),
                 _couplings(protocol, dispersion, times))
 
-    def static(f_vals, couplings):
-        return np.all(f_vals == f_vals[0]) and np.all(couplings == couplings[0])
-
-    size = psi0.shape[0]
-    held = _buffer(psi0.shape)
+    held = np.zeros((len(psi0) + 1,) + psi0.shape[1:], dtype=complex)
     psi = held[:-1]
     psi[...] = psi0
+    k = int(np.searchsorted(ends, 0, side="right"))  # the next checkpoint
+    out = [psi.copy() for _ in range(k)]
+    if total == 0:
+        return out, 0.0, eta
     track_edge = not ring and psi0.ndim == 1
-    n_low = min(size, _EDGE_SITES)
-    edge_rows = np.r_[np.arange(size)[:_EDGE_SITES],
-                      np.arange(size)[-_EDGE_SITES:]]
+    n_low = min(len(psi0), _EDGE_SITES)
+    edge_rows = np.r_[np.arange(len(psi0))[:_EDGE_SITES],
+                      np.arange(len(psi0))[-_EDGE_SITES:]]
     edges = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
-    edge, step_map = 0.0, None
-    head = coefficients(0, min(nsteps, _CHUNK_STEPS))
-    if track_edge and static(*head) and all(
-            static(*coefficients(first, min(_STATIC_BLOCK, nsteps - first)))
-            for first in range(_CHUNK_STEPS, nsteps, _STATIC_BLOCK)):
-        f_val, band = head[0][0], head[1][0]
-        key = (h, f_val, band.tobytes())
-        if key not in built:
-            built[key] = _step_map(h, f_val, band, sites)
-        step_map = built[key]
-    memo["steps"] += nsteps
-    memo["marches"].add("co-moving" if step_map is None else "step map")
-    if step_map is None:
-        key = ("co-moving", head[1].shape[-1] - 1, psi0.shape, ring)
-        if key not in built:
-            built[key] = _CoMoving(*key[1:])
-        comoving = built[key]
+    edge, s = 0.0, 0
+    _, f_vals, couplings = head = coefficients(0, min(total, _CHUNK_STEPS))
+    f_val, band = f_vals[0, 0], couplings[0, 0]
+
+    def static(_, f_vals, couplings):
+        return np.all(f_vals == f_val) and np.all(couplings == band)
+
+    def comoving():  # one per integration: it does not depend on the step
+        return memo.get("comoving") or memo.setdefault(
+            "comoving", _CoMoving(band.size - 1, psi0.shape, ring))
+
+    step_maps = track_edge and static(*head) and all(
+        static(*coefficients(first, min(first + _STATIC_BLOCK, total)))
+        for first in range(_CHUNK_STEPS, total, _STATIC_BLOCK)) and {
+            h: _step_map(h, f_val, band, sites, comoving())
+            for h in set(hs[counts > 0])}
+    memo["steps"] += total
+    memo["marches"].add("step map" if step_maps else "co-moving")
+    if not step_maps:
         _gauge(psi, eta, sites)
-    for first in range(0, nsteps, _CHUNK_STEPS):
-        steps, lo = min(_CHUNK_STEPS, nsteps - first), first % _TABLE_STEPS
-        if step_map is None and lo == 0:
-            table = None  # drop the last table before building this one
-            *table, eta = comoving.table(h, *coefficients(
-                first, min(_TABLE_STEPS, nsteps - first)), eta)
-        maps = step_map or comoving.load(*table, lo, lo + steps)
-        for i in range(steps):
+    while k < counts.size:
+        first = s - s % _CHUNK_STEPS
+        if step_maps:
+            maps = step_maps[hs[k]]
+        elif s == first:
+            lo = s % _TABLE_STEPS
+            if lo == 0:
+                table = None  # drop the last table before building this one
+                *table, etas = comoving().table(
+                    *coefficients(s, min(s + _TABLE_STEPS, total)), eta)
+                eta = float(etas[-1])
+            maps = comoving().load(*table, lo, lo + min(_CHUNK_STEPS, total - s))
+        last = min(int(ends[k]), first + _CHUNK_STEPS)
+        for i in range(s - first, last - first):
             maps.apply(i, held, psi)
             if track_edge:
                 psi.take(edge_rows, out=edges[i], mode="clip")
-        if track_edge:
-            prob = np.abs(edges[:steps]) ** 2
+        s = last
+        if track_edge and (s % _CHUNK_STEPS == 0 or s == total):
+            prob = np.abs(edges[:s - first]) ** 2
             edge = max(edge, float(np.max(np.sum(prob[:, :n_low], axis=1)
                                           + np.sum(prob[:, n_low:], axis=1))))
-    if step_map is None:
-        _gauge(psi, -eta, sites)
-    else:
-        eta += span * float(f_val)
-    return psi.copy(), edge, eta
+        while k < counts.size and ends[k] == s:
+            out.append(psi.copy())
+            if not step_maps:  # eta after step s of its table
+                _gauge(out[-1], -etas[(s - 1) % _TABLE_STEPS + 1], sites)
+            k += 1
+    return out, edge, eta + (f_val * (times[-1] - t0) if step_maps else 0.0)
 
 
 def _gauge(psi, eta, sites):
@@ -366,16 +375,17 @@ def _first_dt(protocol, dispersion, t_final, config):
 
 
 def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
-    """March through the checkpoint times, comparing each run with one at
-    twice its steps in every interval. After a failed pair the next coarse
-    step shrinks by the measured error as h^4 and norm drift as h^5, and at
-    least by half, in which case the fine run is the next coarse one."""
+    """March through the checkpoint times in one _march per pass, comparing
+    each run with one at twice its steps in every interval (a zero-length
+    one takes none). After a failed pair the next coarse step shrinks by the
+    measured error as h^4 and norm drift as h^5, and at least by half, in
+    which case the fine run is the next coarse one."""
     t_final = times[-1]
     target = config.error_per_time * max(abs(t_final), 1.0)
     dt = _first_dt(protocol, dispersion, t_final, config)
     spans = np.diff(np.r_[0.0, times])
     norm0 = float(np.linalg.norm(psi0))
-    memo = {"steps": 0, "marches": set(), "maps": {}}
+    memo = {"steps": 0, "marches": set()}
     passes = 0
 
     def run(counts):
@@ -383,20 +393,10 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
         passes += 1
         _check_steps(counts.sum(),
                      f"pass {passes}" if passes > 1 else "first pass")
-        memo["maps"].clear()  # bounds memory: passes rarely share a step
-        psi = psi0
-        edge = eta = 0.0
-        out = []
-        for t_prev, t_next, n in zip([0.0] + times, times, counts):
-            # a step a little over span / n makes _march take n steps
-            psi, e, eta = _march(psi, t_prev, t_next, protocol, sites, ring,
-                                 dispersion, (t_next - t_prev) / (n - 0.5),
-                                 memo, eta)
-            edge = max(edge, e)
-            out.append(psi)
-        return out, edge
+        return _march(psi0, 0.0, times, counts, protocol, sites, ring,
+                      dispersion, memo)[:2]
 
-    counts, prev = np.maximum(1.0, np.ceil(spans / dt)), None
+    counts, prev = np.ceil(spans / dt), None
     for refinements in range(1, config.max_refinements + 1):
         if prev is None:
             prev = run(counts)[0]
@@ -408,9 +408,9 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
             _log.debug("accepted dt = %.6g after %d refinements: error %.3g "
                        "(target %.3g), norm drift %.3g, peak edge "
                        "probability %.3g; %s march, %d steps marched",
-                       float(np.max(spans / (2 * counts))), refinements, err,
-                       target, drift, edge, " + ".join(sorted(memo["marches"])),
-                       memo["steps"])
+                       float(np.max(spans / np.maximum(2 * counts, 1))),
+                       refinements, err, target, drift, edge,
+                       " + ".join(sorted(memo["marches"])), memo["steps"])
             return cur, edge
         dt *= min([0.5] + [_SAFETY * (bound / miss) ** (1.0 / power)
                            for bound, miss, power in ((target, err, 4),

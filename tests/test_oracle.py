@@ -11,8 +11,9 @@ from driventb import (DCDrive, HarmonicDrive, LatticeState, OracleConfig,
                       integrate_series, monodromy_spectrum, quasienergy_band,
                       single_site)
 from driventb.floquet import houston_state
-from driventb.oracle import (_CHUNK_STEPS, _STATIC_BLOCK, _first_dt, _h_apply,
-                             _march, _step_map, apply_hamiltonian)
+from driventb.oracle import (_CHUNK_STEPS, _STATIC_BLOCK, _TABLE_STEPS,
+                             _CoMoving, _first_dt, _h_apply, _march, _step_map,
+                             apply_hamiltonian)
 from helpers import dense_hamiltonian, dense_rk4, random_state
 
 # an M = 3 band with complex couplings and an on-site term g_0
@@ -20,13 +21,13 @@ BAND_M3 = (0.15 - 0.1j, 0.4 - 0.2j, 0.1j, 0.3 + 0.05j)
 
 
 def _record_marches(monkeypatch):
-    """(t0, t1, steps) of every _march call from here on, in call order."""
+    """The step count of each checkpoint interval of every _march call (one
+    per pass) from here on, in call order."""
     marches = []
 
-    def recorded(psi0, t0, t1, protocol, sites, ring, dispersion, dt, *rest):
-        marches.append((t0, t1, max(1, int(np.ceil(abs(t1 - t0) / dt)))
-                        if t1 != t0 else 1))
-        return _march(psi0, t0, t1, protocol, sites, ring, dispersion, dt, *rest)
+    def recorded(psi0, t0, times, counts, *rest):
+        marches.append(np.array(counts, dtype=int))
+        return _march(psi0, t0, times, counts, *rest)
 
     monkeypatch.setattr("driventb.oracle._march", recorded)
     return marches
@@ -66,11 +67,11 @@ class TestIntegrate:
         s = gaussian_state(0, 2.0, 0.5, (-16, 16))
         proto = DCDrive(1.0, 1.0)
         sites = s.sites.astype(float)
-        dt = 1e-3
-        a = _march(s.amplitudes.astype(complex), 0.0, 1.0, proto, sites,
-                   False, None, dt)[0]
-        b = _march(s.amplitudes.astype(complex), 0.0, 1.0, proto, sites,
-                   False, None, dt / 2)[0]
+        steps = 1000
+        a = _march(s.amplitudes.astype(complex), 0.0, [1.0], [steps], proto,
+                   sites, False, None)[0][0]
+        b = _march(s.amplitudes.astype(complex), 0.0, [1.0], [2 * steps], proto,
+                   sites, False, None)[0][0]
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_leak_raises_on_small_window(self):
@@ -135,7 +136,7 @@ class TestIntegrate:
         (message,) = [r.getMessage() for r in caplog.records
                       if r.name == "driventb.oracle"]
         refinements = int(re.search(r"after (\d+) refinements", message)[1])
-        steps = sum(n for *_, n in marches)
+        steps = sum(int(counts.sum()) for counts in marches)
         assert steps > 2 * refinements
         assert message.endswith(f"; {march} march, {steps} steps marched")
 
@@ -168,7 +169,7 @@ class TestMarchBounds:
         with pytest.raises(ValueError, match=r"^the oracle's pass 2 would take 6 "
                                              r"RK4 steps \(at most 5e\+00\)$"):
             integrate(s, DCDrive(1.0, 1.0), 1.0)
-        assert [n for *_, n in marches] == [3]
+        assert [list(counts) for counts in marches] == [[3]]
 
     def test_a_diverged_pair_hits_the_pass_bound(self):
         # RK4 at 40 times its stability limit overflows, and the step sized
@@ -188,7 +189,7 @@ class TestMarchBounds:
         (message,) = [r.getMessage() for r in caplog.records
                       if r.name == "driventb.oracle"]
         assert float(re.search(r": error (\S+) ", message)[1]) > 0.0
-        coarse, fine = np.reshape([n for *_, n in marches], (2, times.size))
+        coarse, fine = marches
         assert np.array_equal(fine, 2 * coarse)
 
     def test_static_maps_are_built_once_per_step_and_pass(self, monkeypatch):
@@ -206,7 +207,7 @@ class TestMarchBounds:
         marches = _record_marches(monkeypatch)
         integrate_series(gaussian_state(0, 2.0, 0.3, (-32, 32)),
                          DCDrive(1.0, 0.8), times)
-        passes = len(marches) // times.size
+        passes = len(marches)
         assert 1 < len(spans) < times.size // 4
         assert len(builds) <= passes * len(spans)
 
@@ -218,12 +219,65 @@ class TestMarchBounds:
         tracemalloc.start()
         try:
             with pytest.raises(_Stop):
-                _march(s.amplitudes.astype(complex), 0.0, 1.0, DCDrive(1.0, 1.0),
-                       s.sites.astype(float), False, None, 1.0 / (1e5 - 0.5))
+                _march(s.amplitudes.astype(complex), 0.0, [1.0], [10 ** 5],
+                       DCDrive(1.0, 1.0), s.sites.astype(float), False, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1 << 20
+
+    @pytest.mark.parametrize("proto,stop", [
+        (DCDrive(1.0, 1.0), "step map"),
+        (HarmonicDrive(1.0, 0.7, 0.8, 0.5), "table"),
+    ], ids=["step-map", "co-moving"])
+    def test_pass_memory_is_bounded_across_checkpoints(self, monkeypatch,
+                                                       proto, stop):
+        # a 1e5-step pass over 1,000 checkpoints on a 65-site window, stopped
+        # where the step map is built or at the second co-moving table: no
+        # array may hold a value per step of the whole pass
+        s = single_site(0, (-32, 32))
+        tables = []
+
+        def second_table(*args):
+            if tables:
+                raise _Stop
+            tables.append(args)
+            return table(*args)
+
+        table = _CoMoving.table
+        monkeypatch.setattr("driventb.oracle._step_map", _stop)
+        monkeypatch.setattr(_CoMoving, "table", second_table)
+        tracemalloc.start()
+        try:
+            with pytest.raises(_Stop):
+                _march(s.amplitudes.astype(complex), 0.0,
+                       list(np.linspace(0.0, 1.0, 1001)[1:]), np.full(1000, 100),
+                       proto, s.sites.astype(float), False, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables) == (stop == "table")
+        assert peak <= 1 << 20
+
+    def test_one_table_per_block_of_steps_across_checkpoints(self, monkeypatch):
+        # tables of _TABLE_STEPS steps run across the checkpoint intervals
+        marches = _record_marches(monkeypatch)
+        passes = []
+        table = _CoMoving.table
+
+        def counted(*args):
+            passes.append(len(marches))
+            return table(*args)
+
+        monkeypatch.setattr(_CoMoving, "table", counted)
+        integrate_series(gaussian_state(0, 2.0, 0.3, (-24, 24)),
+                         HarmonicDrive(1.0, 0.7, 0.8, 0.5),
+                         np.linspace(0.3, 3.0, 10),
+                         config=OracleConfig(error_per_time=1e-12))
+        steps = [int(counts.sum()) for counts in marches]
+        assert max(steps) > 2 * _TABLE_STEPS
+        assert np.bincount(passes, minlength=len(marches) + 1)[1:].tolist() \
+            == [-(-n // _TABLE_STEPS) for n in steps]
 
     @pytest.mark.parametrize("steps_flat,static", [
         (_CHUNK_STEPS + 3 * _STATIC_BLOCK + 5, False),
@@ -242,8 +296,8 @@ class TestMarchBounds:
         monkeypatch.setattr("driventb.oracle._step_map", _stop)
         monkeypatch.setattr("driventb.oracle._CoMoving", _stop)
         with pytest.raises(_Stop):
-            _march(s.amplitudes.astype(complex), 0.0, float(nsteps), proto,
-                   s.sites.astype(float), False, None, 1.0, memo)
+            _march(s.amplitudes.astype(complex), 0.0, [float(nsteps)], [nsteps],
+                   proto, s.sites.astype(float), False, None, memo)
         # the step map stops before it is tallied, the co-moving march after
         assert memo["marches"] == (set() if static else {"co-moving"})
 
@@ -417,11 +471,9 @@ class TestMarchMatchesDenseRK4:
         else:
             # spreading into the low edge, so the edge peaks at the last step
             psi0 = np.eye(size)[start]
-        # a step a little over span / nsteps makes _march take nsteps steps
-        dt = (t1 - t0) / (nsteps - 0.5) if t1 != t0 else 1e-3
         memo = {"steps": 0, "marches": set()}
-        psi, edge, eta1 = _march(psi0, t0, t1, proto, labels, ring,
-                                 dispersion, dt, memo, eta0)
+        (psi,), edge, eta1 = _march(psi0, t0, [t1], [nsteps], proto, labels,
+                                    ring, dispersion, memo, eta0)
         # a static H on an open 1-d window marches by the step map
         grid = t0 + 0.5 * ((t1 - t0) / nsteps) * np.arange(2 * nsteps + 1)
         static = not (ring or block) and all(
@@ -438,6 +490,55 @@ class TestMarchMatchesDenseRK4:
         else:
             assert abs(edge - ref_edge) < 1e-13
 
+    @pytest.mark.parametrize("case", ["band-ring", "block-ring", "wall",
+                                      "dc-wall"])
+    def test_march_across_checkpoints(self, case):
+        # one march over unequal spans: its first table mixes three step
+        # sizes, checkpoints fall at steps 32 (twice: a zero span), 128 and
+        # mid-table, and the referee restarts at each checkpoint from the
+        # absolute eta, with the ring's plain circulant H'
+        proto, dispersion, size, ring, block, start = self.CASES[case]
+        labels = np.arange(size, dtype=float) - size // 2
+        t0, counts = 0.1, [32, 0, 96, 7, 37]
+        times = list(t0 + np.cumsum([0.25, 0.0, 0.5, 0.05, 0.3]))
+
+        def comoving(eta0):
+            def hamiltonian(t, eta):
+                band = (0.0, float(proto.g(t))) if dispersion is None \
+                    else dispersion.couplings
+                return dense_hamiltonian(
+                    labels, 0.0, [g * np.exp(-1j * m * (eta0 + eta))
+                                  for m, g in enumerate(band)],
+                    1.0 if ring else None)
+            return hamiltonian
+
+        if ring or block:
+            rng = np.random.default_rng(5)
+            shape = (size, size) if block else (size,)
+            psi0 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            psi0 /= np.linalg.norm(psi0, axis=0)
+        else:
+            psi0 = np.eye(size)[start]
+
+        def gauge(psi, eta):
+            phase = np.exp(1j * eta * labels)
+            return phase.reshape(phase.shape + (1,) * (psi.ndim - 1)) * psi
+
+        eta = float(proto.eta(t0))
+        memo = {"steps": 0, "marches": set()}
+        states, edge, eta1 = _march(psi0, t0, times, counts, proto, labels,
+                                    ring, dispersion, memo, eta)
+        phi, ref_edge = gauge(psi0, eta), 0.0
+        for t_prev, t_next, n, psi in zip([t0] + times, times, counts, states):
+            if n:
+                phi, e, gained = dense_rk4(phi, t_prev, t_next, n,
+                                           comoving(eta), proto.f)
+                eta, ref_edge = eta + gained, max(ref_edge, e)
+            assert np.max(np.abs(psi - gauge(phi, -eta))) < 1e-13
+        assert memo["steps"] == sum(counts)
+        assert abs(eta1 - eta) < 1e-14
+        assert abs(edge - (0.0 if ring or block else ref_edge)) < 1e-13
+
     @pytest.mark.parametrize("band,rows", [
         ((0.0, 0.0, 0.0, 0.3), 9), ((0.1, 0.0, 0.2, 0.0, 0.3j), 17),
         ((0.2, 0.0), 1), ((0.0, 0.6), 9),
@@ -445,7 +546,8 @@ class TestMarchMatchesDenseRK4:
     def test_step_map_keeps_the_hop_lattice(self, band, rows):
         # diagonals at offsets no chain of hops reaches hold only FFT noise
         step_map = _step_map(0.01, 0.9, np.asarray(band, dtype=complex),
-                             np.arange(21, dtype=float) - 10)
+                             np.arange(21, dtype=float) - 10,
+                             _CoMoving(len(band) - 1, (21,), False))
         assert len(step_map.rows) == rows
 
 
