@@ -70,9 +70,9 @@ class OracleConfig:
     step sees, see _default_dt). Each run is compared with one at twice its
     steps, up to ``max_refinements`` times, until the two agree to
     ``error_per_time * max(t, 1)`` in every amplitude and the norm drifts
-    by less than 1e-9; after a failed pair the next step is sized from the
-    error it measured. Each ValueError message starts with the name of the
-    field it rejects.
+    by less than 1e-9. After a failed pair the next step is the largest step
+    its coarse run marched, scaled by the error as h^4 and by the drift as h^5
+    for a static H, h^4 otherwise. Each ValueError names the field it rejects.
     """
 
     boundary: str = "open"
@@ -181,12 +181,12 @@ class _CoMoving:
     def table(self, h, f_vals, couplings, eta):
         """(diagonals, wall block, eta at each step's start and the end) of the
         steps h whose start, middle and end f_vals and couplings sample, from
-        eta at the first. eta' = f takes the same RK4: the stages see eta,
-        eta + h f_0/2, eta + h f_1/2 and eta + h f_1, and a step adds
-        h (f_0 + 4 f_1 + f_2)/6."""
+        eta at the first (each from 0 if None). eta' = f takes the same RK4:
+        the stages see eta, eta + h f_0/2, eta + h f_1/2 and eta + h f_1, and
+        a step adds h (f_0 + 4 f_1 + f_2)/6."""
         f0, f1, f2 = f_vals
-        etas = np.add.accumulate(np.r_[eta, h / 6 * (f0 + 4 * f1 + f2)])
-        e = etas[:-1]
+        etas = np.add.accumulate(np.append(eta or 0.0, h / 6 * (f0 + 4 * f1 + f2)))
+        e = np.zeros(h.size) if eta is None else etas[:-1]
         stages = np.array([e, e + h / 2 * f0, e + h / 2 * f1, e + h * f1])
         g = couplings[[0, 1, 1, 2]] * np.exp(
             -1j * stages[..., None] * np.arange(couplings.shape[-1]))
@@ -236,46 +236,60 @@ def _h_apply(psi, f_val, couplings, twist, sites, ring):
     return _Banded(np.array(rows), table, psi.shape).apply(0, buf)
 
 
-def _step_map(h, f_val, couplings, sites, comoving):
-    """The co-moving step from eta = 0, S_0, in the lattice frame: at constant
-    f, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}, so psi <- e^{-ihfN} S_0 psi.
-    Only offsets on the band's hop lattice (multiples of the gcd of the m >= 1
-    with g_m != 0; 0 alone if none) are kept: the others hold FFT noise."""
-    maps = comoving.load(*comoving.table(np.full(1, h), np.full((3, 1), f_val),
-                                         np.tile(couplings, (3, 1, 1)), 0.0)[:2],
-                         0, 1)
+def _step_map(hs, f_val, couplings, sites, comoving):
+    """{h: the co-moving step from eta = 0, S_0, in the lattice frame} from
+    one table: at constant f, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}, so
+    psi <- e^{-ihfN} S_0 psi. Only offsets on the band's hop lattice
+    (multiples of the gcd of the m >= 1 with g_m != 0; 0 alone if none) are
+    kept: the others hold FFT noise."""
+    hs = np.asarray(hs, dtype=float)
+    table = comoving.table(hs, np.full((3, hs.size), f_val),
+                           np.tile(couplings, (3, hs.size, 1)), None)[:2]
     step = np.gcd.reduce(np.flatnonzero(couplings[1:]) + 1)
     keep = np.gcd(comoving.offsets, step) == step
-    gains = maps.gains[0, keep] * np.exp(-1j * h * f_val * sites)
-    return _Banded(maps.rows[keep], np.broadcast_to(
-        gains, (_CHUNK_STEPS,) + gains.shape), sites.shape)
+    phases = np.exp(-1j * hs[:, None] * f_val * sites)
+    return {h: _Banded(comoving.maps.rows[keep], np.broadcast_to(
+        comoving.load(*table, j, j + 1).gains[:1, keep] * phases[j],
+        (_CHUNK_STEPS, np.count_nonzero(keep), sites.size)), sites.shape)
+        for j, h in enumerate(hs)}
 
 
 def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
-           memo=None, eta=0.0):
+           memo=None, eta=0.0, edges=True):
     """RK4 from t0 through the checkpoint times, counts[i] steps of span_i /
     counts[i] in interval i, from eta at t0; returns (psi at each time, edge,
     eta at the last time). A static H on an open 1-d window (tested on the
-    first chunk, then on blocks of steps) takes the step map of each
-    interval's h, every other march co-moving maps from phi = e^{i eta N} psi0
-    in tables that run across checkpoints; a checkpoint's psi is
+    first table's steps, whose samples a co-moving march reuses, then on
+    blocks of steps) takes the step map of each interval's h, built in one
+    table; every other march takes co-moving maps from phi = e^{i eta N} psi0
+    in tables that run across checkpoints, and a checkpoint's psi is
     e^{-i eta N} phi at its step. ``memo`` holds the integration's _CoMoving
-    and tallies the marches. Edge amplitudes are kept per chunk."""
+    and tallies the marches. Edge amplitudes are kept per chunk if ``edges``
+    (else the edge is 0)."""
     counts = np.asarray(counts, dtype=int)
-    ends, starts = np.cumsum(counts), np.r_[t0, times[:-1]]
+    ends, starts = np.cumsum(counts), np.concatenate(([t0], times[:-1]))
     hs = (np.asarray(times) - starts) / np.maximum(counts, 1)
     total = int(ends[-1])
     memo = {"steps": 0, "marches": set()} if memo is None else memo
 
-    def coefficients(first, last):
-        # the stage times of steps first..last - 1 (start, middle and end),
-        # each on the half-step grid of its interval
+    def samples(first, last):
+        # f and the couplings of steps first..last - 1 at their starts and
+        # middles, then at the ends of the tail steps (an interval's last, and
+        # step last - 1): any other step ends where the next one starts
         step = np.arange(first, last)
         k = np.searchsorted(ends, step, side="right")
-        times = starts[k] + 0.5 * hs[k] * (2 * (step - ends[k] + counts[k])
-                                           + np.arange(3)[:, None])
-        return (hs[k], np.full(times.shape, protocol.f(times), dtype=float),
+        tail = np.flatnonzero((step == ends[k] - 1) | (step == last - 1))
+        step = 2 * (step - ends[k] + counts[k])
+        times = 0.5 * hs[np.concatenate((k, k, k[tail]))]  # in place, to bound memory
+        times *= np.concatenate((step, step + 1, step[tail] + 2))
+        times += starts[np.concatenate((k, k, k[tail]))]
+        return (k, tail, np.full(times.shape, protocol.f(times), dtype=float),
                 _couplings(protocol, dispersion, times))
+
+    def coefficients(k, tail, f_vals, couplings):  # h, then f, couplings per stage
+        grid = np.arange(k.size) + np.array([[0], [k.size], [1]])
+        grid[2, tail] = 2 * k.size + np.arange(tail.size)
+        return hs[k], f_vals[grid], couplings[grid]
 
     held = np.zeros((len(psi0) + 1,) + psi0.shape[1:], dtype=complex)
     psi = held[:-1]
@@ -284,27 +298,25 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
     out = [psi.copy() for _ in range(k)]
     if total == 0:
         return out, 0.0, eta
-    track_edge = not ring and psi0.ndim == 1
-    n_low = min(len(psi0), _EDGE_SITES)
-    edge_rows = np.r_[np.arange(len(psi0))[:_EDGE_SITES],
-                      np.arange(len(psi0))[-_EDGE_SITES:]]
-    edges = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
+    track_edge = edges and not ring and psi0.ndim == 1
+    edge_rows = np.concatenate((np.arange(len(psi0))[:_EDGE_SITES],
+                                np.arange(len(psi0))[-_EDGE_SITES:]))
+    amps = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
     edge, s = 0.0, 0
-    _, f_vals, couplings = head = coefficients(0, min(total, _CHUNK_STEPS))
-    f_val, band = f_vals[0, 0], couplings[0, 0]
+    *_, f_vals, couplings = head = samples(0, min(total, _TABLE_STEPS))
+    f_val, band = f_vals[0], couplings[0]
 
-    def static(_, f_vals, couplings):
+    def static(_, __, f_vals, couplings):
         return np.all(f_vals == f_val) and np.all(couplings == band)
 
     def comoving():  # one per integration: it does not depend on the step
         return memo.get("comoving") or memo.setdefault(
             "comoving", _CoMoving(band.size - 1, psi0.shape, ring))
 
-    step_maps = track_edge and static(*head) and all(
-        static(*coefficients(first, min(first + _STATIC_BLOCK, total)))
-        for first in range(_CHUNK_STEPS, total, _STATIC_BLOCK)) and {
-            h: _step_map(h, f_val, band, sites, comoving())
-            for h in set(hs[counts > 0])}
+    step_maps = not ring and psi0.ndim == 1 and static(*head) and all(
+        static(*samples(first, min(first + _STATIC_BLOCK, total)))
+        for first in range(_TABLE_STEPS, total, _STATIC_BLOCK)) and _step_map(
+            sorted(set(hs[counts > 0])), f_val, band, sites, comoving())
     memo["steps"] += total
     memo["marches"].add("step map" if step_maps else "co-moving")
     if not step_maps:
@@ -317,20 +329,19 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
             lo = s % _TABLE_STEPS
             if lo == 0:
                 table = None  # drop the last table before building this one
-                *table, etas = comoving().table(
-                    *coefficients(s, min(s + _TABLE_STEPS, total)), eta)
+                sampled = head if s == 0 else samples(s, min(s + _TABLE_STEPS, total))
+                *table, etas = comoving().table(*coefficients(*sampled), eta)
                 eta = float(etas[-1])
             maps = comoving().load(*table, lo, lo + min(_CHUNK_STEPS, total - s))
         last = min(int(ends[k]), first + _CHUNK_STEPS)
         for i in range(s - first, last - first):
             maps.apply(i, held, psi)
             if track_edge:
-                psi.take(edge_rows, out=edges[i], mode="clip")
+                psi.take(edge_rows, out=amps[i], mode="clip")
         s = last
         if track_edge and (s % _CHUNK_STEPS == 0 or s == total):
-            prob = np.abs(edges[:s - first]) ** 2
-            edge = max(edge, float(np.max(np.sum(prob[:, :n_low], axis=1)
-                                          + np.sum(prob[:, n_low:], axis=1))))
+            prob = np.sum(np.abs(amps[:s - first]) ** 2, axis=1)
+            edge = max(edge, float(np.max(prob)))
         while k < counts.size and ends[k] == s:
             out.append(psi.copy())
             if not step_maps:  # eta after step s of its table
@@ -376,46 +387,50 @@ def _first_dt(protocol, dispersion, t_final, config):
 
 def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
     """March through the checkpoint times in one _march per pass, comparing
-    each run with one at twice its steps in every interval (a zero-length
-    one takes none). After a failed pair the next coarse step shrinks by the
-    measured error as h^4 and norm drift as h^5, and at least by half, in
-    which case the fine run is the next coarse one."""
+    each run with one at twice its steps in every interval (a zero-length one
+    takes none); only this fine run, which may be accepted, records edges.
+    After a failed pair the next coarse step is its largest coarse step shrunk
+    by the error as h^4 and the norm drift as h^5 on a step map (RK4's
+    |R(iy)|^2 = 1 - y^6/72 + ...) or h^4 co-moving, at least by half (the fine
+    run then opens the next pair). memo["passes"]: (steps, error, drift) per pass."""
     t_final = times[-1]
     target = config.error_per_time * max(abs(t_final), 1.0)
     dt = _first_dt(protocol, dispersion, t_final, config)
     spans = np.diff(np.r_[0.0, times])
     norm0 = float(np.linalg.norm(psi0))
-    memo = {"steps": 0, "marches": set()}
-    passes = 0
+    memo = {"steps": 0, "marches": set(), "passes": []}
+    passes = memo["passes"]
 
-    def run(counts):
-        nonlocal passes
-        passes += 1
-        _check_steps(counts.sum(),
-                     f"pass {passes}" if passes > 1 else "first pass")
+    def run(counts, edges=True):
+        _check_steps(counts.sum(), f"pass {len(passes) + 1}" if passes else "first pass")
+        passes.append((int(counts.sum()), None, None))
         return _march(psi0, 0.0, times, counts, protocol, sites, ring,
-                      dispersion, memo)[:2]
+                      dispersion, memo, edges=edges)[:2]
 
     counts, prev = np.ceil(spans / dt), None
     for refinements in range(1, config.max_refinements + 1):
         if prev is None:
-            prev = run(counts)[0]
+            prev = run(counts, edges=False)[0]
         cur, edge = run(2 * counts)
         err = max(float(np.max(np.abs(c - p))) for c, p in zip(cur, prev))
         drift = max(abs(float(np.linalg.norm(c)) - norm0) for c in cur) \
             if psi0.ndim == 1 else 0.0
+        passes[-1] = (passes[-1][0], err, drift)
         if err < target and drift < 1e-9:
             _log.debug("accepted dt = %.6g after %d refinements: error %.3g "
-                       "(target %.3g), norm drift %.3g, peak edge "
-                       "probability %.3g; %s march, %d steps marched",
+                       "(target %.3g), norm drift %.3g, peak edge probability "
+                       "%.3g; passes (error, drift) %s; %s march, %d steps marched",
                        float(np.max(spans / np.maximum(2 * counts, 1))),
-                       refinements, err, target, drift, edge,
+                       refinements, err, target, drift, edge, ", ".join(
+                           str(n) if e is None else f"{n} ({e:.3g}, {d:.3g})"
+                           for n, e, d in passes),
                        " + ".join(sorted(memo["marches"])), memo["steps"])
             return cur, edge
-        dt *= min([0.5] + [_SAFETY * (bound / miss) ** (1.0 / power)
-                           for bound, miss, power in ((target, err, 4),
-                                                      (1e-9, drift, 5))
-                           if bound <= miss < np.inf])
+        power = 5 if memo["marches"] == {"step map"} else 4
+        dt = float(np.max(spans / np.maximum(counts, 1))) * min(
+            [0.5] + [_SAFETY * (bound / miss) ** (1.0 / p)
+                     for bound, miss, p in ((target, err, 4), (1e-9, drift, power))
+                     if bound <= miss < np.inf])
         coarse = np.maximum(2 * counts, np.ceil(spans / dt))
         prev = cur if np.array_equal(coarse, 2 * counts) else None
         counts = coarse

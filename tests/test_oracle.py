@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from driventb import (DCDrive, HarmonicDrive, LatticeState, OracleConfig,
-                      SingleBandDispersion, TabulatedDrive, WindowLeakError,
-                      bessel_j, evolve, gaussian_state, integrate,
-                      integrate_series, monodromy_spectrum, quasienergy_band,
-                      single_site)
+from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
+                      OracleConfig, SingleBandDispersion, TabulatedDrive,
+                      WindowLeakError, bessel_j, evolve, gaussian_state,
+                      integrate, integrate_series, monodromy_spectrum,
+                      quasienergy_band, single_site)
 from driventb.floquet import houston_state
 from driventb.oracle import (_CHUNK_STEPS, _STATIC_BLOCK, _TABLE_STEPS,
                              _CoMoving, _first_dt, _h_apply, _march, _step_map,
@@ -25,9 +25,9 @@ def _record_marches(monkeypatch):
     per pass) from here on, in call order."""
     marches = []
 
-    def recorded(psi0, t0, times, counts, *rest):
+    def recorded(psi0, t0, times, counts, *args, **kwargs):
         marches.append(np.array(counts, dtype=int))
-        return _march(psi0, t0, times, counts, *rest)
+        return _march(psi0, t0, times, counts, *args, **kwargs)
 
     monkeypatch.setattr("driventb.oracle._march", recorded)
     return marches
@@ -194,22 +194,31 @@ class TestMarchBounds:
 
     def test_static_maps_are_built_once_per_step_and_pass(self, monkeypatch):
         # linspace spans differ in their last bits, so consecutive intervals
-        # of one pass alternate between a few step sizes
+        # of one pass alternate between a few step sizes; each pass builds
+        # the maps of all of them from one table
         times = np.linspace(0.0, 2.0, 41)[1:]
         spans = set(np.diff(np.r_[0.0, times]))
-        builds = []
+        builds, tables = [], []
+        table = _CoMoving.table
 
         def counted(*args):
-            builds.append(args[0])
+            builds.append(list(args[0]))
             return _step_map(*args)
 
+        def counted_table(*args):
+            tables.append(args[1].size)
+            return table(*args)
+
         monkeypatch.setattr("driventb.oracle._step_map", counted)
+        monkeypatch.setattr(_CoMoving, "table", counted_table)
         marches = _record_marches(monkeypatch)
         integrate_series(gaussian_state(0, 2.0, 0.3, (-32, 32)),
                          DCDrive(1.0, 0.8), times)
-        passes = len(marches)
         assert 1 < len(spans) < times.size // 4
-        assert len(builds) <= passes * len(spans)
+        assert len(builds) == len(tables) == len(marches)
+        for hs, counts, steps in zip(builds, marches, tables):
+            assert hs == sorted(set(np.diff(np.r_[0.0, times]) / counts))
+            assert steps == len(hs) > 1
 
     def test_constancy_test_memory_is_bounded(self, monkeypatch):
         # a 1e5-step dc interval on a 65-site window; the map is built only
@@ -300,6 +309,69 @@ class TestMarchBounds:
                    proto, s.sites.astype(float), False, None, memo)
         # the step map stops before it is tallied, the co-moving march after
         assert memo["marches"] == (set() if static else {"co-moving"})
+
+
+class TestPasses:
+    """After a failed pair the next coarse step is sized from the largest
+    step the coarse run marched, with the norm drift as h^5 on a step-map
+    march and as h^4 on a co-moving one; only the fine run of a pair records
+    edges. Open windows, from a Gaussian to under one Bloch period."""
+
+    DRIVES = {"harmonic": (HarmonicDrive(1.0, 0.5, 0.7, 0.45), 0.9, "co-moving"),
+              "fourier": (FourierDrive(1.0, (0.3, 0.4), 1.0, 0.45), 0.6,
+                          "co-moving"),
+              "dc": (DCDrive(1.0, 0.7), 0.9, "step map")}
+
+    def _integrate(self, monkeypatch, caplog, name):
+        # (steps, edges asked for, edge returned, march kinds so far) of each
+        # _march call, the integration's memo and its DEBUG line
+        proto, frac, _ = self.DRIVES[name]
+        runs, memos = [], []
+
+        def recorded(psi0, t0, times, counts, protocol, sites, ring,
+                     dispersion, memo, *args, **kwargs):
+            out = _march(psi0, t0, times, counts, protocol, sites, ring,
+                         dispersion, memo, *args, **kwargs)
+            runs.append((int(np.sum(counts)), kwargs.get("edges", True), out[1],
+                         set(memo["marches"])))
+            memos.append(memo)
+            return out
+
+        monkeypatch.setattr("driventb.oracle._march", recorded)
+        with caplog.at_level(logging.DEBUG, logger="driventb.oracle"):
+            integrate_series(gaussian_state(0, 2.5, 0.2, (-40, 40)), proto,
+                             np.linspace(0.0, frac * 2 * np.pi / proto.f0, 10)[1:])
+        (message,) = [r.getMessage() for r in caplog.records
+                      if r.name == "driventb.oracle"]
+        (memo,) = {id(m): m for m in memos}.values()
+        return runs, memo, message
+
+    @pytest.mark.parametrize("name", list(DRIVES))
+    def test_accepts_after_two_refinements(self, monkeypatch, caplog, name):
+        runs, memo, message = self._integrate(monkeypatch, caplog, name)
+        passes = memo["passes"]
+        assert len(passes) == 4 if name != "dc" else len(passes) <= 4
+        assert [steps for steps, *_ in passes] == [steps for steps, *_ in runs]
+        for before, (steps, error, drift) in zip([None] + passes, passes):
+            assert (error is None) == (drift is None)
+            if error is not None:
+                assert steps == 2 * before[0]
+        proto, frac, _ = self.DRIVES[name]
+        *_, (steps, error, drift) = passes
+        assert error < 1e-8 * frac * 2 * np.pi / proto.f0 and drift < 1e-9
+        listed = ", ".join(str(n) if e is None else f"{n} ({e:.3g}, {d:.3g})"
+                           for n, e, d in passes)
+        assert f"; passes (error, drift) {listed}; " in message
+
+    @pytest.mark.parametrize("name", ["harmonic", "dc"])
+    def test_pairs_take_one_march_kind_and_coarse_runs_record_no_edges(
+            self, monkeypatch, caplog, name):
+        runs, memo, _ = self._integrate(monkeypatch, caplog, name)
+        kind = self.DRIVES[name][2]
+        assert all(kinds == {kind} for *_, kinds in runs)
+        for (_, edges, edge, _), (_, error, _) in zip(runs, memo["passes"]):
+            assert edges == (error is not None)
+            assert (edge > 0.0) == edges
 
 
 class TestRing:
@@ -545,10 +617,10 @@ class TestMarchMatchesDenseRK4:
     ], ids=["sparse-m3", "even-m4", "onsite-only", "tight-binding"])
     def test_step_map_keeps_the_hop_lattice(self, band, rows):
         # diagonals at offsets no chain of hops reaches hold only FFT noise
-        step_map = _step_map(0.01, 0.9, np.asarray(band, dtype=complex),
-                             np.arange(21, dtype=float) - 10,
-                             _CoMoving(len(band) - 1, (21,), False))
-        assert len(step_map.rows) == rows
+        step_maps = _step_map([0.01], 0.9, np.asarray(band, dtype=complex),
+                              np.arange(21, dtype=float) - 10,
+                              _CoMoving(len(band) - 1, (21,), False))
+        assert len(step_maps[0.01].rows) == rows
 
 
 class TestMonodromy:
