@@ -16,9 +16,9 @@ do not depend on the site except at an open window's walls (see _CoMoving).
 eta' = f takes the same RK4 (Simpson's rule) on the f samples of the march,
 with no phase integral of the drive. A pass is one march through every
 checkpoint: eta runs on from t = 0, and a checkpoint's psi is e^{-i eta N} phi.
-  * At constant f, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}, so a static H
-    on an open 1-d window marches in the lattice frame by one fixed map,
-    the eta = 0 step times e^{-ihfN} (see _step_map).
+A hop of offset d at eta is the hop at 0 times e^{-i eta d}, so the RK4
+polynomial is built once per run of equal steps and phased per step; a static
+H marches the same way, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}.
 
 Boundaries:
   * "open": hard truncation. States must stay away from the edges; the
@@ -57,7 +57,6 @@ _EDGE_SITES = 3
 _log = logging.getLogger("driventb.oracle")
 _CHUNK_STEPS = 32
 _TABLE_STEPS = 4 * _CHUNK_STEPS  # steps per co-moving coefficient table
-_STATIC_BLOCK = 4096  # steps per block of the constancy test
 _MAX_STEPS = 10 ** 7  # the most RK4 steps a pass may take
 _SAFETY = 0.8  # the share of a predicted step that the next pass takes
 
@@ -72,7 +71,8 @@ class OracleConfig:
     ``error_per_time * max(t, 1)`` in every amplitude and the norm drifts
     by less than 1e-9. After a failed pair the next step is the largest step
     its coarse run marched, scaled by the error as h^4 and by the drift as h^5
-    for a static H, h^4 otherwise. Each ValueError names the field it rejects.
+    for a static H on an open 1-d window, h^4 otherwise. Each ValueError
+    names the field it rejects.
     """
 
     boundary: str = "open"
@@ -140,31 +140,39 @@ def _rk4(z, one, mul):
     return one + (u1 + 2 * u2 + 2 * u3 + u4) / 6
 
 
-def _hops(z, y):
-    """sum_d z[d] y[r + d] over hops d = -M..M (z[d + M], one value per step),
-    for the rows r of a (b, b, steps) block that the hop keeps inside it."""
-    order, size = len(z) // 2, len(y)
+def _hops(z, y, hops):
+    """sum_j z[j] y[r + hops[j]] (z[j] one value per step), for the rows r
+    of a (b, b, steps) block that the hop keeps inside it."""
+    size = len(y)
     out = np.zeros((size, size, z.shape[-1]), dtype=complex)
-    for d in range(-order, order + 1):
+    for zd, d in zip(z, hops):
         lo, hi = max(0, -d), min(size, size - d)
         if lo < hi:
-            out[lo:hi] += z[d + order] * y[lo + d:hi + d]
+            out[lo:hi] += zd * y[lo + d:hi + d]
     return out
 
 
 class _CoMoving:
-    """Co-moving RK4 steps as banded maps of 8M + 1 diagonals: the RK4
-    polynomial of the stage symbols H'_j(kappa) at 8M + 1 points of kappa,
-    turned into diagonals by one FFT (a ring wraps their rows). On an open
-    window, entries (r, c) with r + c <= 4M - 2 from either wall, the only
-    ones a path of four hops can carry past it, come from RK4 on the
-    identity of the truncated min(4M, L)-site block, the same at both walls."""
+    """Co-moving RK4 steps as banded maps: the RK4 polynomial of the stage
+    symbols H'_j(kappa) at 8M + 1 points of kappa, turned into diagonals by
+    one FFT (a ring wraps their rows). Only the hops d of ``band``, the
+    -M..M with g_|d| != 0, are summed, and only the diagonals on their
+    lattice are kept (offsets that are multiples of the gcd of the hops; 0
+    alone if none): the others hold FFT noise. On an open window, entries
+    (r, c) with r + c <= 4M - 2 from either wall, the only ones a path of
+    four hops can carry past it, come from RK4 on the identity of the
+    truncated min(4M, L)-site block, the same at both walls."""
 
-    def __init__(self, order, shape, ring):
-        size = shape[0]
-        self.offsets = np.arange(-4 * order, 4 * order + 1)
-        self.waves = np.exp(2j * np.pi / self.offsets.size * np.outer(
-            np.arange(-order, order + 1), np.arange(self.offsets.size)))
+    def __init__(self, band, shape, ring):
+        order, size = len(band) - 1, shape[0]
+        self.points = 8 * order + 1
+        hops = np.arange(-order, order + 1)
+        self.hops = hops[np.asarray(band)[np.abs(hops)] != 0]
+        step = np.gcd.reduce(self.hops)
+        offsets = np.arange(-4 * order, 4 * order + 1)
+        self.offsets = offsets[np.gcd(offsets, step) == step]
+        self.waves = np.exp(2j * np.pi / self.points * np.outer(
+            self.hops, np.arange(self.points)))
         to = np.arange(size) + self.offsets[:, None]
         rows = to % size if ring else np.where((to < 0) | (to >= size), size, to)
         self.wall = np.eye(min(4 * order, size))[..., None]
@@ -179,32 +187,45 @@ class _CoMoving:
         self.maps = _Banded(rows, self.gains, shape)
 
     def table(self, h, f_vals, couplings, eta):
-        """(diagonals, wall block, eta at each step's start and the end) of the
-        steps h whose start, middle and end f_vals and couplings sample, from
-        eta at the first (each from 0 if None). eta' = f takes the same RK4:
-        the stages see eta, eta + h f_0/2, eta + h f_1/2 and eta + h f_1, and
-        a step adds h (f_0 + 4 f_1 + f_2)/6."""
+        """(diagonals, wall entries, eta at each step's start and the end) of
+        the steps h whose start, middle and end f_vals and couplings sample,
+        from eta at the first. eta' = f takes the same RK4: the stages see
+        eta_k, eta_k + h f_0/2, eta_k + h f_1/2 and eta_k + h f_1, and a step
+        adds h (f_0 + 4 f_1 + f_2)/6. A hop of offset d at eta is the hop at
+        0 times e^{-i eta d}, so each entry at offset d is the step's entry
+        from eta_k = 0 times e^{-i eta_k d}, and RK4 runs once per run of
+        consecutive steps with equal h, f_0, f_1 and couplings."""
         f0, f1, f2 = f_vals
-        etas = np.add.accumulate(np.append(eta or 0.0, h / 6 * (f0 + 4 * f1 + f2)))
-        e = np.zeros(h.size) if eta is None else etas[:-1]
-        stages = np.array([e, e + h / 2 * f0, e + h / 2 * f1, e + h * f1])
-        g = couplings[[0, 1, 1, 2]] * np.exp(
+        etas = np.add.accumulate(np.append(eta, h / 6 * (f0 + 4 * f1 + f2)))
+        key = np.concatenate((np.array([h, f0, f1]),
+                              np.moveaxis(couplings, -1, 1).reshape(-1, h.size)))
+        new = np.concatenate(([True], np.any(key[:, 1:] != key[:, :-1], axis=0)))
+        run, first = np.cumsum(new) - 1, np.flatnonzero(new)
+        h, f0, f1 = h[first], f0[first], f1[first]
+        stages = np.array([np.zeros(h.size), h / 2 * f0, h / 2 * f1, h * f1])
+        g = couplings[[0, 1, 1, 2]][:, first] * np.exp(
             -1j * stages[..., None] * np.arange(couplings.shape[-1]))
-        # -ih H'_j as its hops -M..M
+        # -ih H'_j at each of the band's hops
         z = (-1j * h[:, None]) * np.concatenate(
-            [np.conj(g[..., :0:-1]), 2.0 * g[..., :1].real, g[..., 1:]], axis=-1)
+            [np.conj(g[..., :0:-1]), 2.0 * g[..., :1].real, g[..., 1:]],
+            axis=-1)[..., self.hops + couplings.shape[-1] - 1]
         symbols = _rk4(1j * (z @ self.waves).imag, 1.0, np.multiply)
-        diagonals = np.fft.fft(symbols, axis=-1)[:, self.offsets] / self.offsets.size
-        block = None if self.edges is None else _rk4(
-            np.moveaxis(z, -1, 1), self.wall, _hops)
-        return diagonals, block, etas
+        phases = np.exp(-1j * etas[:-1, None] * self.offsets)
+        diagonals = (np.fft.fft(symbols, axis=-1)[:, self.offsets]
+                     / self.points)[run] * phases
+        if self.edges is None:
+            return diagonals, None, etas
+        i, _, r, c = self.edges
+        block = _rk4(np.moveaxis(z, -1, 1), self.wall,
+                     lambda zj, y: _hops(zj, y, self.hops))
+        return diagonals, block[r, c][:, run].T * phases[:, i], etas
 
-    def load(self, diagonals, block, lo, hi):
+    def load(self, diagonals, walls, lo, hi):
         """Steps lo..hi - 1 of a table as the first steps of ``maps``."""
         self.gains[:hi - lo] = diagonals[lo:hi, :, None]
-        if block is not None:
-            i, n, r, c = self.edges
-            self.gains[:hi - lo, i, n] = block[r, c, lo:hi].T
+        if walls is not None:
+            i, n, *_ = self.edges
+            self.gains[:hi - lo, i, n] = walls[lo:hi]
         return self.maps
 
 
@@ -236,36 +257,16 @@ def _h_apply(psi, f_val, couplings, twist, sites, ring):
     return _Banded(np.array(rows), table, psi.shape).apply(0, buf)
 
 
-def _step_map(hs, f_val, couplings, sites, comoving):
-    """{h: the co-moving step from eta = 0, S_0, in the lattice frame} from
-    one table: at constant f, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}, so
-    psi <- e^{-ihfN} S_0 psi. Only offsets on the band's hop lattice
-    (multiples of the gcd of the m >= 1 with g_m != 0; 0 alone if none) are
-    kept: the others hold FFT noise."""
-    hs = np.asarray(hs, dtype=float)
-    table = comoving.table(hs, np.full((3, hs.size), f_val),
-                           np.tile(couplings, (3, hs.size, 1)), None)[:2]
-    step = np.gcd.reduce(np.flatnonzero(couplings[1:]) + 1)
-    keep = np.gcd(comoving.offsets, step) == step
-    phases = np.exp(-1j * hs[:, None] * f_val * sites)
-    return {h: _Banded(comoving.maps.rows[keep], np.broadcast_to(
-        comoving.load(*table, j, j + 1).gains[:1, keep] * phases[j],
-        (_CHUNK_STEPS, np.count_nonzero(keep), sites.size)), sites.shape)
-        for j, h in enumerate(hs)}
-
-
 def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
            memo=None, eta=0.0, edges=True):
     """RK4 from t0 through the checkpoint times, counts[i] steps of span_i /
     counts[i] in interval i, from eta at t0; returns (psi at each time, edge,
-    eta at the last time). A static H on an open 1-d window (tested on the
-    first table's steps, whose samples a co-moving march reuses, then on
-    blocks of steps) takes the step map of each interval's h, built in one
-    table; every other march takes co-moving maps from phi = e^{i eta N} psi0
-    in tables that run across checkpoints, and a checkpoint's psi is
+    eta at the last time). Co-moving maps march phi = e^{i eta N} psi0 in
+    tables that run across checkpoints, and a checkpoint's psi is
     e^{-i eta N} phi at its step. ``memo`` holds the integration's _CoMoving
-    and tallies the marches. Edge amplitudes are kept per chunk if ``edges``
-    (else the edge is 0)."""
+    and tallies the marches: "static" on an open 1-d window where every
+    sample of f and the couplings equals the first, "co-moving" otherwise.
+    Edge amplitudes are kept per chunk if ``edges`` (else the edge is 0)."""
     counts = np.asarray(counts, dtype=int)
     ends, starts = np.cumsum(counts), np.concatenate(([t0], times[:-1]))
     hs = (np.asarray(times) - starts) / np.maximum(counts, 1)
@@ -303,36 +304,28 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
                                 np.arange(len(psi0))[-_EDGE_SITES:]))
     amps = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
     edge, s = 0.0, 0
-    *_, f_vals, couplings = head = samples(0, min(total, _TABLE_STEPS))
+    *_, f_vals, couplings = sampled = samples(0, min(total, _TABLE_STEPS))
     f_val, band = f_vals[0], couplings[0]
-
-    def static(_, __, f_vals, couplings):
-        return np.all(f_vals == f_val) and np.all(couplings == band)
-
-    def comoving():  # one per integration: it does not depend on the step
-        return memo.get("comoving") or memo.setdefault(
-            "comoving", _CoMoving(band.size - 1, psi0.shape, ring))
-
-    step_maps = not ring and psi0.ndim == 1 and static(*head) and all(
-        static(*samples(first, min(first + _STATIC_BLOCK, total)))
-        for first in range(_TABLE_STEPS, total, _STATIC_BLOCK)) and _step_map(
-            sorted(set(hs[counts > 0])), f_val, band, sites, comoving())
+    static = not ring and psi0.ndim == 1
+    comoving = memo.get("comoving") or memo.setdefault("comoving", _CoMoving(
+        (0.0, 1.0) if dispersion is None else dispersion.couplings, psi0.shape,
+        ring))  # one per integration; tight binding (0, g_t) hops by +-1
     memo["steps"] += total
-    memo["marches"].add("step map" if step_maps else "co-moving")
-    if not step_maps:
-        _gauge(psi, eta, sites)
+    _gauge(psi, eta, sites)
     while k < counts.size:
         first = s - s % _CHUNK_STEPS
-        if step_maps:
-            maps = step_maps[hs[k]]
-        elif s == first:
+        if s == first:
             lo = s % _TABLE_STEPS
             if lo == 0:
                 table = None  # drop the last table before building this one
-                sampled = head if s == 0 else samples(s, min(s + _TABLE_STEPS, total))
-                *table, etas = comoving().table(*coefficients(*sampled), eta)
+                if s:
+                    sampled = samples(s, min(s + _TABLE_STEPS, total))
+                *_, f_vals, couplings = sampled
+                static = static and np.all(f_vals == f_val) \
+                    and np.all(couplings == band)
+                *table, etas = comoving.table(*coefficients(*sampled), eta)
                 eta = float(etas[-1])
-            maps = comoving().load(*table, lo, lo + min(_CHUNK_STEPS, total - s))
+            maps = comoving.load(*table, lo, lo + min(_CHUNK_STEPS, total - s))
         last = min(int(ends[k]), first + _CHUNK_STEPS)
         for i in range(s - first, last - first):
             maps.apply(i, held, psi)
@@ -343,11 +336,11 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
             prob = np.sum(np.abs(amps[:s - first]) ** 2, axis=1)
             edge = max(edge, float(np.max(prob)))
         while k < counts.size and ends[k] == s:
-            out.append(psi.copy())
-            if not step_maps:  # eta after step s of its table
-                _gauge(out[-1], -etas[(s - 1) % _TABLE_STEPS + 1], sites)
+            out.append(psi.copy())  # eta after step s of its table
+            _gauge(out[-1], -etas[(s - 1) % _TABLE_STEPS + 1], sites)
             k += 1
-    return out, edge, eta + (f_val * (times[-1] - t0) if step_maps else 0.0)
+    memo["marches"].add("static" if static else "co-moving")
+    return out, edge, eta
 
 
 def _gauge(psi, eta, sites):
@@ -390,7 +383,7 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
     each run with one at twice its steps in every interval (a zero-length one
     takes none); only this fine run, which may be accepted, records edges.
     After a failed pair the next coarse step is its largest coarse step shrunk
-    by the error as h^4 and the norm drift as h^5 on a step map (RK4's
+    by the error as h^4 and the norm drift as h^5 on a static march (RK4's
     |R(iy)|^2 = 1 - y^6/72 + ...) or h^4 co-moving, at least by half (the fine
     run then opens the next pair). memo["passes"]: (steps, error, drift) per pass."""
     t_final = times[-1]
@@ -426,7 +419,7 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
                            for n, e, d in passes),
                        " + ".join(sorted(memo["marches"])), memo["steps"])
             return cur, edge
-        power = 5 if memo["marches"] == {"step map"} else 4
+        power = 5 if memo["marches"] == {"static"} else 4
         dt = float(np.max(spans / np.maximum(counts, 1))) * min(
             [0.5] + [_SAFETY * (bound / miss) ** (1.0 / p)
                      for bound, miss, p in ((target, err, 4), (1e-9, drift, power))

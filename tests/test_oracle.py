@@ -11,9 +11,8 @@ from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       integrate, integrate_series, monodromy_spectrum,
                       quasienergy_band, single_site)
 from driventb.floquet import houston_state
-from driventb.oracle import (_CHUNK_STEPS, _STATIC_BLOCK, _TABLE_STEPS,
-                             _CoMoving, _first_dt, _h_apply, _march, _step_map,
-                             apply_hamiltonian)
+from driventb.oracle import (_CHUNK_STEPS, _TABLE_STEPS, _CoMoving, _first_dt,
+                             _h_apply, _march, _rk4, apply_hamiltonian)
 from helpers import dense_hamiltonian, dense_rk4, random_state
 
 # an M = 3 band with complex couplings and an on-site term g_0
@@ -123,7 +122,7 @@ class TestIntegrate:
             assert needle in message
 
     @pytest.mark.parametrize("proto,march", [
-        (DCDrive(1.0, 0.8), "step map"),
+        (DCDrive(1.0, 0.8), "static"),
         (HarmonicDrive(1.0, 0.7, 0.8, 0.5), "co-moving"),
     ], ids=["dc-open", "harmonic-open"])
     def test_logs_the_march_and_the_steps_marched(self, caplog, monkeypatch,
@@ -192,39 +191,54 @@ class TestMarchBounds:
         coarse, fine = marches
         assert np.array_equal(fine, 2 * coarse)
 
-    def test_static_maps_are_built_once_per_step_and_pass(self, monkeypatch):
+    def test_static_tables_run_rk4_once_per_run_of_equal_steps(self,
+                                                                monkeypatch):
         # linspace spans differ in their last bits, so consecutive intervals
-        # of one pass alternate between a few step sizes; each pass builds
-        # the maps of all of them from one table
+        # of one pass alternate between a few step sizes; a table of a static
+        # pass runs RK4 on one column per run of equal steps, for its symbols
+        # and for its wall block alike
         times = np.linspace(0.0, 2.0, 41)[1:]
-        spans = set(np.diff(np.r_[0.0, times]))
-        builds, tables = [], []
-        table = _CoMoving.table
+        spans = np.diff(np.concatenate(([0.0], times)))
+        columns = []
 
-        def counted(*args):
-            builds.append(list(args[0]))
-            return _step_map(*args)
+        def counted(z, one, mul):
+            columns.append(z.shape[1] if mul is np.multiply else z.shape[-1])
+            return _rk4(z, one, mul)
 
-        def counted_table(*args):
-            tables.append(args[1].size)
-            return table(*args)
-
-        monkeypatch.setattr("driventb.oracle._step_map", counted)
-        monkeypatch.setattr(_CoMoving, "table", counted_table)
+        monkeypatch.setattr("driventb.oracle._rk4", counted)
         marches = _record_marches(monkeypatch)
         integrate_series(gaussian_state(0, 2.0, 0.3, (-32, 32)),
                          DCDrive(1.0, 0.8), times)
-        assert 1 < len(spans) < times.size // 4
-        assert len(builds) == len(tables) == len(marches)
-        for hs, counts, steps in zip(builds, marches, tables):
-            assert hs == sorted(set(np.diff(np.r_[0.0, times]) / counts))
-            assert steps == len(hs) > 1
+        runs = []
+        for counts in marches:
+            steps = np.repeat(spans / counts, counts)
+            for lo in range(0, steps.size, _TABLE_STEPS):
+                h = steps[lo:lo + _TABLE_STEPS]
+                runs.append(1 + int(np.count_nonzero(h[1:] != h[:-1])))
+        assert 1 < len(set(spans)) < times.size // 4
+        assert columns == [n for n in runs for _ in range(2)]
+        assert 1 < max(runs) < _TABLE_STEPS
+
+    @staticmethod
+    def _second_table(monkeypatch):
+        # the tables built so far; building a second raises _Stop
+        tables = []
+        table = _CoMoving.table
+
+        def second_table(*args):
+            if tables:
+                raise _Stop
+            tables.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(_CoMoving, "table", second_table)
+        return tables
 
     def test_constancy_test_memory_is_bounded(self, monkeypatch):
-        # a 1e5-step dc interval on a 65-site window; the map is built only
-        # after the whole grid has passed the constancy test
+        # a 1e5-step dc interval on a 65-site window, stopped at its second
+        # table: the samples that tell a static march are per table
         s = single_site(0, (-32, 32))
-        monkeypatch.setattr("driventb.oracle._step_map", _stop)
+        tables = self._second_table(monkeypatch)
         tracemalloc.start()
         try:
             with pytest.raises(_Stop):
@@ -233,29 +247,19 @@ class TestMarchBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(tables) == 1
         assert peak <= 1 << 20
 
-    @pytest.mark.parametrize("proto,stop", [
-        (DCDrive(1.0, 1.0), "step map"),
-        (HarmonicDrive(1.0, 0.7, 0.8, 0.5), "table"),
+    @pytest.mark.parametrize("proto", [
+        DCDrive(1.0, 1.0), HarmonicDrive(1.0, 0.7, 0.8, 0.5),
     ], ids=["step-map", "co-moving"])
     def test_pass_memory_is_bounded_across_checkpoints(self, monkeypatch,
-                                                       proto, stop):
-        # a 1e5-step pass over 1,000 checkpoints on a 65-site window, stopped
-        # where the step map is built or at the second co-moving table: no
-        # array may hold a value per step of the whole pass
+                                                       proto):
+        # a 1e5-step pass over 1,000 checkpoints on a 65-site window, static
+        # or not, stopped at its second table: no array may hold a value per
+        # step of the whole pass
         s = single_site(0, (-32, 32))
-        tables = []
-
-        def second_table(*args):
-            if tables:
-                raise _Stop
-            tables.append(args)
-            return table(*args)
-
-        table = _CoMoving.table
-        monkeypatch.setattr("driventb.oracle._step_map", _stop)
-        monkeypatch.setattr(_CoMoving, "table", second_table)
+        tables = self._second_table(monkeypatch)
         tracemalloc.start()
         try:
             with pytest.raises(_Stop):
@@ -265,7 +269,7 @@ class TestMarchBounds:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(tables) == (stop == "table")
+        assert len(tables) == 1
         assert peak <= 1 << 20
 
     def test_one_table_per_block_of_steps_across_checkpoints(self, monkeypatch):
@@ -288,39 +292,34 @@ class TestMarchBounds:
         assert np.bincount(passes, minlength=len(marches) + 1)[1:].tolist() \
             == [-(-n // _TABLE_STEPS) for n in steps]
 
-    @pytest.mark.parametrize("steps_flat,static", [
-        (_CHUNK_STEPS + 3 * _STATIC_BLOCK + 5, False),
-        (_CHUNK_STEPS + _STATIC_BLOCK, False),
-        (_CHUNK_STEPS + 3 * _STATIC_BLOCK + 10, True),
+    @pytest.mark.parametrize("steps_flat,march", [
+        (3 * _TABLE_STEPS + 5, "co-moving"),
+        (_TABLE_STEPS, "co-moving"),
+        (3 * _TABLE_STEPS + 10, "static"),
     ], ids=["late-block", "block-edge", "flat"])
-    def test_constancy_test_sees_every_block(self, monkeypatch, steps_flat,
-                                             static):
-        # f is flat for steps_flat of 3 _STATIC_BLOCK + _CHUNK_STEPS + 10
-        # steps of h = 1, then ramps: the co-moving march unless it never does
-        nsteps = _CHUNK_STEPS + 3 * _STATIC_BLOCK + 10
+    def test_constancy_test_sees_every_block(self, steps_flat, march):
+        # f is flat for steps_flat of 3 _TABLE_STEPS + 10 steps of h = 1, then
+        # ramps: a ramp that starts in any later table makes the pass co-moving
+        nsteps = 3 * _TABLE_STEPS + 10
         tt = np.array([0.0, steps_flat, nsteps + 1.0])
         proto = TabulatedDrive(tt, np.array([0.9, 0.9, 1.5]), np.full(3, 0.6))
         memo = {"steps": 0, "marches": set()}
         s = single_site(0, (-8, 8))
-        monkeypatch.setattr("driventb.oracle._step_map", _stop)
-        monkeypatch.setattr("driventb.oracle._CoMoving", _stop)
-        with pytest.raises(_Stop):
-            _march(s.amplitudes.astype(complex), 0.0, [float(nsteps)], [nsteps],
-                   proto, s.sites.astype(float), False, None, memo)
-        # the step map stops before it is tallied, the co-moving march after
-        assert memo["marches"] == (set() if static else {"co-moving"})
+        _march(s.amplitudes.astype(complex), 0.0, [float(nsteps)], [nsteps],
+               proto, s.sites.astype(float), False, None, memo)
+        assert memo["marches"] == {march}
 
 
 class TestPasses:
     """After a failed pair the next coarse step is sized from the largest
-    step the coarse run marched, with the norm drift as h^5 on a step-map
+    step the coarse run marched, with the norm drift as h^5 on a static
     march and as h^4 on a co-moving one; only the fine run of a pair records
     edges. Open windows, from a Gaussian to under one Bloch period."""
 
     DRIVES = {"harmonic": (HarmonicDrive(1.0, 0.5, 0.7, 0.45), 0.9, "co-moving"),
               "fourier": (FourierDrive(1.0, (0.3, 0.4), 1.0, 0.45), 0.6,
                           "co-moving"),
-              "dc": (DCDrive(1.0, 0.7), 0.9, "step map")}
+              "dc": (DCDrive(1.0, 0.7), 0.9, "static")}
 
     def _integrate(self, monkeypatch, caplog, name):
         # (steps, edges asked for, edge returned, march kinds so far) of each
@@ -468,8 +467,8 @@ def _flat_then_ramp_drive():
 class TestMarchMatchesDenseRK4:
     """_march against a stage-by-stage RK4 on the dense truncated co-moving
     H'(t, eta), to 1e-13, with the RK4 stage values of eta from eta = 0 at t0
-    and psi = e^{-i eta N} phi; a static H on an open 1-d window takes the
-    step map, every other march the co-moving maps. H' has no field term; on
+    and psi = e^{-i eta N} phi; a static H on an open 1-d window is tallied
+    "static", every other march "co-moving". H' has no field term; on
     a ring its seam keeps the lattice frame's twist at t0, e^{-i L eta(t0)}.
     _march starts from eta(t0) and must return eta(t0) plus the march's."""
 
@@ -501,7 +500,7 @@ class TestMarchMatchesDenseRK4:
                        SingleBandDispersion(BAND_M3), 9, False, False, 0),
         "wall-tiny": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
                       SingleBandDispersion(BAND_M3), 2, False, False, 0),
-        # the step map's wall rows, and bands whose hops skip offsets
+        # static wall rows, and bands whose hops skip offsets
         "dc-wall": (DCDrive(0.9, 0.6), None, 21, False, False, 0),
         "band-dc-wall-short": (DCDrive(0.9, 0.0), SingleBandDispersion(BAND_M3),
                                9, False, False, 0),
@@ -513,6 +512,16 @@ class TestMarchMatchesDenseRK4:
         "onsite-only-dc-open": (DCDrive(0.9, 0.0),
                                 SingleBandDispersion((0.2, 0.0)), 21, False,
                                 False, 4),
+        # a sparse band's pruned maps under a varying eta
+        "band-sparse-open": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
+                             SingleBandDispersion((0.0, 0.0, 0.0, 0.3)), 21,
+                             False, False, 4),
+        "band-sparse-wall": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
+                             SingleBandDispersion((0.0, 0.0, 0.0, 0.3)), 21,
+                             False, False, 0),
+        "band-sparse-ring": (HarmonicDrive(0.9, 0.6, 1.3, 0.5),
+                             SingleBandDispersion((0.0, 0.0, 0.0, 0.3)), 10,
+                             True, False, None),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -546,7 +555,7 @@ class TestMarchMatchesDenseRK4:
         memo = {"steps": 0, "marches": set()}
         (psi,), edge, eta1 = _march(psi0, t0, [t1], [nsteps], proto, labels,
                                     ring, dispersion, memo, eta0)
-        # a static H on an open 1-d window marches by the step map
+        # the march is static where f and g are flat on an open 1-d window
         grid = t0 + 0.5 * ((t1 - t0) / nsteps) * np.arange(2 * nsteps + 1)
         static = not (ring or block) and all(
             np.ptp(v) == 0.0 for v in (proto.f(grid), proto.g(grid)))
@@ -554,7 +563,7 @@ class TestMarchMatchesDenseRK4:
         phase = np.exp(-1j * eta * labels)
         ref = phase.reshape(phase.shape + (1,) * (phi.ndim - 1)) * phi
         assert memo["steps"] == nsteps
-        assert memo["marches"] == {"step map" if static else "co-moving"}
+        assert memo["marches"] == {"static" if static else "co-moving"}
         assert np.max(np.abs(psi - ref)) < 1e-13
         assert abs(eta1 - (eta0 + eta)) < 1e-14
         if ring or block:
@@ -617,10 +626,8 @@ class TestMarchMatchesDenseRK4:
     ], ids=["sparse-m3", "even-m4", "onsite-only", "tight-binding"])
     def test_step_map_keeps_the_hop_lattice(self, band, rows):
         # diagonals at offsets no chain of hops reaches hold only FFT noise
-        step_maps = _step_map([0.01], 0.9, np.asarray(band, dtype=complex),
-                              np.arange(21, dtype=float) - 10,
-                              _CoMoving(len(band) - 1, (21,), False))
-        assert len(step_maps[0.01].rows) == rows
+        comoving = _CoMoving(np.asarray(band, dtype=complex), (21,), False)
+        assert len(comoving.maps.rows) == rows
 
 
 class TestMonodromy:

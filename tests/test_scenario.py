@@ -794,11 +794,11 @@ class TestShippedConfigs:
         assert summary["status"] == "ok"
         assert summary["oracle"]["passed"]
 
-    def test_bloch_oscillation_compare_pins_its_step_map_march(self, tmp_path,
-                                                               caplog):
-        # the step map applies the field phase exactly, each step after a
-        # failed pair is sized from the error that pair measured at the
-        # largest step it marched, and the zero-length interval at t = 0
+    def test_bloch_oscillation_compare_pins_its_static_march(self, tmp_path,
+                                                             caplog):
+        # a dc drive marches static, each step after a failed pair is sized
+        # from the error that pair measured at the largest step it marched
+        # (as h^5 in the norm drift), and the zero-length interval at t = 0
         # takes no step: 4 passes, 2286 steps
         with caplog.at_level(logging.DEBUG, logger="driventb.oracle"):
             report = compare_with_oracle(CONFIG_DIR / "bloch_oscillation.cfg",
@@ -807,7 +807,7 @@ class TestShippedConfigs:
         (message,) = [r.getMessage() for r in caplog.records
                       if r.name == "driventb.oracle"]
         assert message.endswith(" 2286 steps marched")
-        assert "; step map march, " in message
+        assert "; static march, " in message
 
     def test_dynamic_localization_pair(self, tmp_path):
         out_a = tmp_path / "locked"
