@@ -9,8 +9,8 @@ own static couplings.
 
 On the small windows the oracle runs, numpy call overhead is the cost of a
 step, so each step is one banded map: one gather, one scaling and one row
-sum into preallocated arrays (see _Banded). There is one scheme, RK4 in the
-co-moving gauge psi = e^{-i eta_t N} phi, where i phi' = H'(t) phi with
+sum into preallocated arrays (see _CoMoving.apply). There is one scheme, RK4
+in the co-moving gauge psi = e^{-i eta_t N} phi, where i phi' = H'(t) phi with
 H' = sum_m (g_m e^{-i m eta_t} K^m + h.c.) has no field term, so its steps
 do not depend on the site except at an open window's walls (see _CoMoving).
 eta' = f takes the same RK4 (Simpson's rule) on the f samples of the march,
@@ -50,7 +50,6 @@ __all__ = [
     "integrate",
     "integrate_series",
     "monodromy_spectrum",
-    "apply_hamiltonian",
 ]
 
 _EDGE_SITES = 3
@@ -59,6 +58,7 @@ _CHUNK_STEPS = 32
 _TABLE_STEPS = 4 * _CHUNK_STEPS  # steps per co-moving coefficient table
 _MAX_STEPS = 10 ** 7  # the most RK4 steps a pass may take
 _SAFETY = 0.8  # the share of a predicted step that the next pass takes
+_MAX_REFINEMENTS = 12  # the most coarse/fine pairs an integration compares
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class OracleConfig:
 
     The step starts at ``dt`` (default: the inverse of the rates a co-moving
     step sees, see _default_dt). Each run is compared with one at twice its
-    steps, up to ``max_refinements`` times, until the two agree to
+    steps, up to _MAX_REFINEMENTS times, until the two agree to
     ``error_per_time * max(t, 1)`` in every amplitude and the norm drifts
     by less than 1e-9. After a failed pair the next step is the largest step
     its coarse run marched, scaled by the error as h^4 and by the drift as h^5
@@ -78,7 +78,6 @@ class OracleConfig:
     boundary: str = "open"
     dt: float | None = None
     error_per_time: float = 1e-8
-    max_refinements: int = 12
     leak_tolerance: float = 1e-8
 
     def __post_init__(self):
@@ -91,9 +90,6 @@ class OracleConfig:
         if not (np.isfinite(self.leak_tolerance)
                 and self.leak_tolerance >= 0.0):
             raise ValueError("leak_tolerance must be nonnegative and finite")
-        if not (isinstance(self.max_refinements, (int, np.integer))
-                and self.max_refinements >= 1):
-            raise ValueError("max_refinements must be an integer of at least 1")
 
 
 def _couplings(protocol, dispersion, t):
@@ -104,30 +100,6 @@ def _couplings(protocol, dispersion, t):
     band = (0.0, protocol.g(t)) if dispersion is None else dispersion.couplings
     return np.stack(np.broadcast_arrays(np.asarray(t, dtype=float), *band)[1:],
                     axis=-1)
-
-
-def _check_ring(couplings, sites, ring):
-    """A seam hop is twisted once, which needs at least M ring sites."""
-    if ring and sites.size < couplings.shape[-1] - 1:
-        raise ValueError(f"a ring of {sites.size} sites is shorter than the "
-                         f"band order {couplings.shape[-1] - 1}")
-
-
-class _Banded:
-    """A banded operator at a run of steps: term r of row n is buffer row
-    ``rows[r, n]`` times ``gains[j, r, n]`` at step j. A state of L sites sits
-    in L + 1 buffer rows; the last, read off an open window, stays zero."""
-
-    def __init__(self, rows, gains, shape):
-        self.rows = rows
-        self.gains = gains.reshape(gains.shape + (1,) * (len(shape) - 1))
-        self.terms = np.empty((len(rows),) + tuple(shape), dtype=complex)
-
-    def apply(self, j, buf, out=None):
-        """A_j psi, with psi in all but the last row of ``buf``."""
-        buf.take(self.rows, axis=0, out=self.terms, mode="clip")
-        np.multiply(self.gains[j], self.terms, out=self.terms)
-        return np.add.reduce(self.terms, axis=0, out=out)
 
 
 def _rk4(z, one, mul):
@@ -161,7 +133,10 @@ class _CoMoving:
     alone if none): the others hold FFT noise. On an open window, entries
     (r, c) with r + c <= 4M - 2 from either wall, the only ones a path of
     four hops can carry past it, come from RK4 on the identity of the
-    truncated min(4M, L)-site block, the same at both walls."""
+    truncated min(4M, L)-site block, the same at both walls. Term r of row n
+    of step j is buffer row ``rows[r, n]`` times ``gains[j, r, n]``: a state
+    of L sites sits in L + 1 buffer rows, and the last, read off an open
+    window, stays zero."""
 
     def __init__(self, band, shape, ring):
         order, size = len(band) - 1, shape[0]
@@ -174,7 +149,7 @@ class _CoMoving:
         self.waves = np.exp(2j * np.pi / self.points * np.outer(
             self.hops, np.arange(self.points)))
         to = np.arange(size) + self.offsets[:, None]
-        rows = to % size if ring else np.where((to < 0) | (to >= size), size, to)
+        self.rows = to % size if ring else np.where((to < 0) | (to >= size), size, to)
         self.wall = np.eye(min(4 * order, size))[..., None]
         n = np.arange(size)
         left = n + to <= 4 * order - 2
@@ -182,9 +157,9 @@ class _CoMoving:
                           & (left | (2 * size - 2 - n - to <= 4 * order - 2)))
         shift = np.where(left[i, n], 0, size - len(self.wall))
         self.edges = None if ring else (i, n, n - shift, to[i, n] - shift)
-        self.gains = np.empty((_CHUNK_STEPS, self.offsets.size, 1 if ring else size),
-                              dtype=complex)
-        self.maps = _Banded(rows, self.gains, shape)
+        self.gains = np.empty((_CHUNK_STEPS, self.offsets.size, 1 if ring else size)
+                              + (1,) * (len(shape) - 1), dtype=complex)
+        self.terms = np.empty((self.offsets.size,) + tuple(shape), dtype=complex)
 
     def table(self, h, f_vals, couplings, eta):
         """(diagonals, wall entries, eta at each step's start and the end) of
@@ -221,40 +196,19 @@ class _CoMoving:
         return diagonals, block[r, c][:, run].T * phases[:, i], etas
 
     def load(self, diagonals, walls, lo, hi):
-        """Steps lo..hi - 1 of a table as the first steps of ``maps``."""
-        self.gains[:hi - lo] = diagonals[lo:hi, :, None]
+        """Steps lo..hi - 1 of a table as the first steps that apply takes."""
+        gains = self.gains.reshape(self.gains.shape[:3])  # without a block's columns
+        gains[:hi - lo] = diagonals[lo:hi, :, None]
         if walls is not None:
             i, n, *_ = self.edges
-            self.gains[:hi - lo, i, n] = walls[lo:hi]
-        return self.maps
+            gains[:hi - lo, i, n] = walls[lo:hi]
 
-
-def _h_apply(psi, f_val, couplings, twist, sites, ring):
-    """H psi for a 1-d state or an (sites, columns) block at fixed coefficients:
-    f n psi_n, then each nonzero hop term (2 Re g_0 psi_n, then g_m psi_{n+m}
-    and g_m* psi_{n-m} for each m, twisted across a ring's seam), summed in
-    order."""
-    size = psi.shape[0]
-    sites_at = np.arange(size)
-    couplings = np.asarray(couplings)
-    rows, gains = [sites_at], [f_val * sites]
-    for m in np.flatnonzero(couplings != 0.0):
-        g = couplings[m]
-        if m == 0:
-            rows.append(sites_at)
-            gains.append(2.0 * g.real)
-            continue
-        for hop, gain, seam in ((m, g, twist), (-m, np.conj(g), np.conj(twist))):
-            to = sites_at + hop
-            across = (to < 0) | (to >= size)
-            rows.append(to % size if ring else np.where(across, size, to))
-            gains.append(np.where(across, gain * seam, gain) if ring else gain)
-    table = np.empty((1, len(rows), size), dtype=complex)
-    for r, gain in enumerate(gains):
-        table[0, r] = gain
-    buf = np.zeros((size + 1,) + psi.shape[1:], dtype=complex)
-    buf[:-1] = psi
-    return _Banded(np.array(rows), table, psi.shape).apply(0, buf)
+    def apply(self, j, buf, out):
+        """out = step j of the loaded steps applied to psi, which is all but
+        the last row of ``buf``."""
+        buf.take(self.rows, axis=0, out=self.terms, mode="clip")
+        np.multiply(self.gains[j], self.terms, out=self.terms)
+        np.add.reduce(self.terms, axis=0, out=out)
 
 
 def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
@@ -274,9 +228,10 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
     memo = {"steps": 0, "marches": set()} if memo is None else memo
 
     def samples(first, last):
-        # f and the couplings of steps first..last - 1 at their starts and
-        # middles, then at the ends of the tail steps (an interval's last, and
-        # step last - 1): any other step ends where the next one starts
+        # h of steps first..last - 1, then f and the couplings at their
+        # starts, middles and ends. Only the tail steps (an interval's last,
+        # and step last - 1) sample their ends: any other step ends where the
+        # next one starts
         step = np.arange(first, last)
         k = np.searchsorted(ends, step, side="right")
         tail = np.flatnonzero((step == ends[k] - 1) | (step == last - 1))
@@ -284,13 +239,10 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
         times = 0.5 * hs[np.concatenate((k, k, k[tail]))]  # in place, to bound memory
         times *= np.concatenate((step, step + 1, step[tail] + 2))
         times += starts[np.concatenate((k, k, k[tail]))]
-        return (k, tail, np.full(times.shape, protocol.f(times), dtype=float),
-                _couplings(protocol, dispersion, times))
-
-    def coefficients(k, tail, f_vals, couplings):  # h, then f, couplings per stage
         grid = np.arange(k.size) + np.array([[0], [k.size], [1]])
         grid[2, tail] = 2 * k.size + np.arange(tail.size)
-        return hs[k], f_vals[grid], couplings[grid]
+        return (hs[k], np.full(times.shape, protocol.f(times), dtype=float)[grid],
+                _couplings(protocol, dispersion, times)[grid])
 
     held = np.zeros((len(psi0) + 1,) + psi0.shape[1:], dtype=complex)
     psi = held[:-1]
@@ -304,8 +256,8 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
                                 np.arange(len(psi0))[-_EDGE_SITES:]))
     amps = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
     edge, s = 0.0, 0
-    *_, f_vals, couplings = sampled = samples(0, min(total, _TABLE_STEPS))
-    f_val, band = f_vals[0], couplings[0]
+    _, f_vals, couplings = sampled = samples(0, min(total, _TABLE_STEPS))
+    f_val, band = f_vals[0, 0], couplings[0, 0]
     static = not ring and psi0.ndim == 1
     comoving = memo.get("comoving") or memo.setdefault("comoving", _CoMoving(
         (0.0, 1.0) if dispersion is None else dispersion.couplings, psi0.shape,
@@ -320,15 +272,15 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
                 table = None  # drop the last table before building this one
                 if s:
                     sampled = samples(s, min(s + _TABLE_STEPS, total))
-                *_, f_vals, couplings = sampled
+                _, f_vals, couplings = sampled
                 static = static and np.all(f_vals == f_val) \
                     and np.all(couplings == band)
-                *table, etas = comoving.table(*coefficients(*sampled), eta)
+                *table, etas = comoving.table(*sampled, eta)
                 eta = float(etas[-1])
-            maps = comoving.load(*table, lo, lo + min(_CHUNK_STEPS, total - s))
+            comoving.load(*table, lo, lo + min(_CHUNK_STEPS, total - s))
         last = min(int(ends[k]), first + _CHUNK_STEPS)
         for i in range(s - first, last - first):
-            maps.apply(i, held, psi)
+            comoving.apply(i, held, psi)
             if track_edge:
                 psi.take(edge_rows, out=amps[i], mode="clip")
         s = last
@@ -401,7 +353,7 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
                       dispersion, memo, edges=edges)[:2]
 
     counts, prev = np.ceil(spans / dt), None
-    for refinements in range(1, config.max_refinements + 1):
+    for refinements in range(1, _MAX_REFINEMENTS + 1):
         if prev is None:
             prev = run(counts, edges=False)[0]
         cur, edge = run(2 * counts)
@@ -446,7 +398,10 @@ def integrate_series(state0: LatticeState, protocol: DriveProtocol, times,
         raise ValueError("times must be nondecreasing and nonnegative")
     ring = config.boundary == "ring" or state0.ring
     sites = state0.sites.astype(float)
-    _check_ring(_couplings(protocol, dispersion, 0.0), sites, ring)
+    order = 1 if dispersion is None else len(dispersion.couplings) - 1
+    if ring and sites.size < order:  # a seam hop is twisted once
+        raise ValueError(f"a ring of {sites.size} sites is shorter than the "
+                         f"band order {order}")
     if not times:
         return []
     psi0 = state0.amplitudes.astype(complex)
@@ -465,20 +420,6 @@ def integrate(state0: LatticeState, protocol: DriveProtocol, t: float,
     """Integrate to a single final time t."""
     return integrate_series(state0, protocol, [float(t)], config=config,
                             dispersion=dispersion)[0]
-
-
-def apply_hamiltonian(state: LatticeState, protocol: DriveProtocol, tau: float,
-                      dispersion=None) -> LatticeState:
-    """H(tau)|psi> with the boundary implied by the state (open or ring)."""
-    tau = float(tau)
-    twist = np.exp(-1j * state.amplitudes.size * float(protocol.eta(tau))) \
-        if state.ring else 1.0
-    sites = state.sites.astype(float)
-    couplings = _couplings(protocol, dispersion, tau)
-    _check_ring(couplings, sites, state.ring)
-    amps = _h_apply(state.amplitudes.astype(complex), float(protocol.f(tau)),
-                    couplings, twist, sites, state.ring)
-    return LatticeState(state.n_min, amps, ring=state.ring)
 
 
 def monodromy_spectrum(protocol: DriveProtocol, ring_sites: int,

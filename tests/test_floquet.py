@@ -7,7 +7,7 @@ from driventb import (DCDrive, HarmonicDrive, TabulatedDrive, WindowLeakError,
                       invariant_lambda, quasienergy, quasienergy_band)
 from driventb.floquet import QuasienergyBand
 from driventb.lattice import coherence_parameters
-from driventb.oracle import apply_hamiltonian
+from helpers import dense_hamiltonian
 
 HARMONIC = HarmonicDrive(1.0, 1.0, 1.0, 0.25)
 
@@ -116,7 +116,10 @@ class TestHoustonStates:
         zero = houston_state(kappa, HARMONIC, t, win, ring=True)
         plus = houston_state(kappa, HARMONIC, t + dt, win, ring=True)
         dpsi = (plus.amplitudes - minus.amplitudes) / (2 * dt)
-        hpsi = apply_hamiltonian(zero, HARMONIC, t).amplitudes
+        hamiltonian = dense_hamiltonian(
+            zero.sites, float(HARMONIC.f(t)), (0.0, complex(HARMONIC.g(t))),
+            np.exp(-1j * L * float(HARMONIC.eta(t))))
+        hpsi = hamiltonian @ zero.amplitudes
         assert np.linalg.norm(1j * dpsi - hpsi) < 1e-5
 
 

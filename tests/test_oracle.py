@@ -10,9 +10,10 @@ from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       WindowLeakError, bessel_j, evolve, gaussian_state,
                       integrate, integrate_series, monodromy_spectrum,
                       quasienergy_band, single_site)
+from driventb import oracle
 from driventb.floquet import houston_state
 from driventb.oracle import (_CHUNK_STEPS, _TABLE_STEPS, _CoMoving, _first_dt,
-                             _h_apply, _march, _rk4, apply_hamiltonian)
+                             _march, _rk4)
 from helpers import dense_hamiltonian, dense_rk4, random_state
 
 # an M = 3 band with complex couplings and an on-site term g_0
@@ -99,13 +100,20 @@ class TestIntegrate:
         ("dt", 0.0), ("dt", np.inf), ("dt", np.nan),
         ("error_per_time", 0.0), ("error_per_time", -1e-8),
         ("error_per_time", np.inf), ("leak_tolerance", -1e-8),
-        ("leak_tolerance", np.nan), ("max_refinements", 0),
-        ("max_refinements", -1), ("max_refinements", 2.5),
+        ("leak_tolerance", np.nan),
     ])
     def test_config_rejects_values_that_cannot_converge(self, field, value):
         # error_per_time = 0 would run all 12 halvings before failing
         with pytest.raises(ValueError, match=f"^{field} "):
             OracleConfig(**{field: value})
+
+    def test_refinement_stalls_past_the_last_pair(self, monkeypatch):
+        # one pair at 1e-14 per unit time is more than the first step can meet
+        monkeypatch.setattr(oracle, "_MAX_REFINEMENTS", 1)
+        s = gaussian_state(0, 2.0, 0.3, (-16, 16))
+        with pytest.raises(RuntimeError, match="step refinement stalled"):
+            integrate(s, DCDrive(1.0, 1.0), 0.5,
+                      config=OracleConfig(error_per_time=1e-14))
 
     def test_zero_leak_tolerance_is_valid(self):
         assert OracleConfig(leak_tolerance=0.0).leak_tolerance == 0.0
@@ -407,47 +415,11 @@ class TestRing:
                         config=OracleConfig(boundary="ring"))
         assert abs(out.norm() - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("sites,ring,couplings,block", [
-        (25, False, None, False),
-        (25, False, BAND_M3, False),
-        (10, True, BAND_M3, False),
-        (3, True, BAND_M3, False),
-        (10, True, BAND_M3, True),
-    ], ids=["tight-binding-open", "band-open", "band-ring", "band-ring-L=M",
-            "band-ring-block"])
-    def test_apply_hamiltonian_matches_dense(self, sites, ring, couplings, block):
-        # H = f N + sum_m (g_m K^m + g_m* K^dag^m), with K^m a power of the
-        # one-step shift whose wrap-around entry carries the seam twist
-        proto, tau = DCDrive(0.7, 0.4), 0.37
-        n_min = -(sites // 2)
-        labels = np.arange(n_min, n_min + sites)
-        dispersion = None if couplings is None else SingleBandDispersion(couplings)
-        band = (0.0, 0.4) if couplings is None else couplings
-        twist = np.exp(-1j * sites * 0.7 * tau) if ring else 0.0
-        dense = dense_hamiltonian(labels, 0.7, band, twist if ring else None)
-        rng = np.random.default_rng(7)
-        psi = rng.normal(size=(sites, 4)) + 1j * rng.normal(size=(sites, 4))
-        if block:
-            out = _h_apply(psi, 0.7, dispersion.couplings, twist,
-                           labels.astype(float), ring)
-            for j in range(psi.shape[1]):
-                assert np.max(np.abs(out[:, j] - dense @ psi[:, j])) < 1e-14
-        else:
-            state = LatticeState(n_min, psi[:, 0], ring=ring)
-            out = apply_hamiltonian(state, proto, tau, dispersion=dispersion)
-            assert np.max(np.abs(out.amplitudes - dense @ psi[:, 0])) < 1e-14
-
     def test_ring_shorter_than_band_raises(self):
         s = LatticeState(0, np.ones(2, dtype=complex) / np.sqrt(2), ring=True)
         dispersion = SingleBandDispersion(BAND_M3)
         with pytest.raises(ValueError, match="band order 3"):
             integrate_series(s, DCDrive(1.0, 0.0), [0.5], dispersion=dispersion)
-
-    def test_apply_hamiltonian_ring_shorter_than_band_raises(self):
-        s = LatticeState(0, np.ones(2, dtype=complex) / np.sqrt(2), ring=True)
-        dispersion = SingleBandDispersion(BAND_M3)
-        with pytest.raises(ValueError, match="band order 3"):
-            apply_hamiltonian(s, DCDrive(1.0, 0.0), 0.5, dispersion=dispersion)
 
 
 def _tabulated_drive():
@@ -627,7 +599,7 @@ class TestMarchMatchesDenseRK4:
     def test_step_map_keeps_the_hop_lattice(self, band, rows):
         # diagonals at offsets no chain of hops reaches hold only FFT noise
         comoving = _CoMoving(np.asarray(band, dtype=complex), (21,), False)
-        assert len(comoving.maps.rows) == rows
+        assert len(comoving.rows) == rows
 
 
 class TestMonodromy:
@@ -672,14 +644,22 @@ class _NoPhaseIntegrals:
 class TestIndependence:
     """The oracle marches eta itself, so it calls no phase integral."""
 
-    @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
-    def test_integrate_series(self, ring):
-        proto = HarmonicDrive(1.0, 0.8, 1.0, 0.4)
-        state = random_state(np.random.default_rng(5), (0, 11), ring=True) \
-            if ring else gaussian_state(0, 2.0, 0.3, (-16, 16))
+    @pytest.mark.parametrize("proto,state,dispersion", [
+        (HarmonicDrive(1.0, 0.8, 1.0, 0.4), gaussian_state(0, 2.0, 0.3, (-16, 16)),
+         None),
+        (HarmonicDrive(1.0, 0.8, 1.0, 0.4),
+         random_state(np.random.default_rng(5), (0, 11), ring=True), None),
+        (DCDrive(0.9, 0.0), gaussian_state(0, 2.0, 0.3, (-20, 20)),
+         SingleBandDispersion((0, 0, 0, 0.3))),
+    ], ids=["open", "ring", "band-open"])
+    def test_integrate_series(self, proto, state, dispersion):
         times = [0.7, 1.5]
-        plain = integrate_series(state, proto, times)
-        alone = integrate_series(state, _NoPhaseIntegrals(proto), times)
+        plain = integrate_series(state, proto, times, dispersion=dispersion)
+        alone = integrate_series(state, _NoPhaseIntegrals(proto), times,
+                                 dispersion=dispersion)
+        plain.append(integrate(state, proto, 1.1, dispersion=dispersion))
+        alone.append(integrate(state, _NoPhaseIntegrals(proto), 1.1,
+                               dispersion=dispersion))
         for a, b in zip(plain, alone):
             assert np.array_equal(a.amplitudes, b.amplitudes)
             assert a.leak == b.leak
