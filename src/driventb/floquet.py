@@ -22,7 +22,7 @@ import numpy as np
 
 from .drives import DriveProtocol
 from .lattice import LatticeState, WindowLeakError
-from .propagator import apply_propagator
+from .propagator import _blocks, _pads
 
 __all__ = [
     "QuasienergyBand",
@@ -124,35 +124,50 @@ def invariant_expectation(state0: LatticeState, protocol: DriveProtocol,
     """<I(t)> on the evolved state; equals <N>_0 for all t.
 
     ``t`` is a scalar (a float back) or an array (an array of its shape);
-    the phase integrals are evaluated once as arrays, and each time's state
-    is evolved from them in turn, so the memory held does not grow with the
-    grid. The evolved state is produced by the closed-form propagator; a
-    window leak above ``leak_tol`` invalidates the conservation check and
-    raises. The K/K^dag and C/S parameterizations of I(t) are both
-    evaluated and must agree to ``forms_tol``.
+    the phase integrals are evaluated once as arrays, and the states come
+    from the closed-form propagator's bloch blocks (``propagator._blocks``),
+    so the memory held beyond a few numbers per time is one block, not the
+    grid. A window leak above ``leak_tol`` invalidates the conservation
+    check and raises, as does a ring state: N has no meaning on a ring, and
+    K lacks the seam hop. The K/K^dag and C/S parameterizations of I(t) are
+    both evaluated and must agree to ``forms_tol``.
     """
     times = np.asarray(t, dtype=float)
     flat = times.ravel()
-    eta = np.asarray(protocol.eta(flat), dtype=float)
-    chi = np.asarray(protocol.chi(flat), dtype=complex)
+    values = _invariant_values(state0, np.asarray(protocol.eta(flat), dtype=float),
+                               np.asarray(protocol.chi(flat), dtype=complex),
+                               leak_tol, forms_tol)
+    return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)
+
+
+def _invariant_values(state0: LatticeState, eta: np.ndarray, chi: np.ndarray,
+                      leak_tol: float = 1e-8, forms_tol: float = 1e-9) -> np.ndarray:
+    """<I(t)> at the times of 1-d arrays eta_t and chi_t."""
+    if state0.ring:
+        raise ValueError("the invariant needs an open window")
     u, v = 2.0 * chi.real, -2.0 * chi.imag
     lam = _lambda(eta, chi)
     a = u * np.sin(eta) - v * np.cos(eta)
     b = u * np.cos(eta) + v * np.sin(eta)
     n = state0.sites.astype(float)
-    values = np.empty(flat.shape)
-    for i in range(flat.size):
-        psi = apply_propagator(state0, float(eta[i]), {1: complex(chi[i])})
-        if psi.leak > leak_tol:
+    leaks, n_t, k_t = np.empty(eta.size), np.empty(eta.size), np.empty(eta.size, complex)
+    for rows, kept, leak in _blocks(state0, eta, {1: chi}, _pads(eta, {1: chi})):
+        norms = np.array([np.linalg.norm(row) for row in kept])
+        if not norms.all():
+            raise ValueError("cannot normalize a zero state")
+        c = kept / norms[:, None]
+        leaks[rows], n_t[rows] = leak, np.sum(n * np.abs(c) ** 2, axis=1)
+        k_t[rows] = np.sum(np.conj(c[:, :-1]) * c[:, 1:], axis=1)
+    values = np.empty(eta.size)
+    for i in range(eta.size):
+        if leaks[i] > leak_tol:
             raise WindowLeakError(
-                f"window leak {psi.leak:.3e} exceeds {leak_tol:g}; enlarge the window")
-        c = psi.normalized().amplitudes
-        k_t = complex(np.sum(np.conj(c[:-1]) * c[1:]))
-        n_t = float(np.sum(n * np.abs(c) ** 2))
-        value_k = n_t + 2.0 * (lam[i] * k_t).real
-        value_cs = n_t + a[i] * k_t.real + b[i] * k_t.imag
+                f"window leak {leaks[i]:.3e} exceeds {leak_tol:g}; enlarge the window")
+        k, n_i = complex(k_t[i]), float(n_t[i])
+        value_k = n_i + 2.0 * (lam[i] * k).real
+        value_cs = n_i + a[i] * k.real + b[i] * k.imag
         if abs(value_k - value_cs) > forms_tol * (1.0 + abs(value_k)):
             raise ValueError("K/Kdag and C/S forms of the invariant disagree "
                              f"({value_k!r} vs {value_cs!r})")
         values[i] = value_k
-    return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)
+    return values

@@ -19,6 +19,10 @@ time grid. Its "bloch" route applies the diagonal phase e^{-i Phi(kappa)}
 by FFT on a ring enlarged to a 2^a 3^b 5^c length, its "site" route convolves
 with the harmonics' Bessel kernels (by such an FFT when cheaper); the eta shift
 is the site phase e^{-i eta n} on the kept sites only, good to about an ulp.
+Over a grid the bloch route groups the times by pad, and so by FFT length:
+a group shares one forward FFT, and its phases form times x kappa blocks of
+at most _BLOCK entries (one time where the FFT is longer), each with one
+inverse FFT along the rows. One time is the one-row case.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "apply_propagator",
 ]
 _ETA_MAX = float(np.finfo(np.float32).max)  # _site_phase needs a float32 head of eta
+_BLOCK = 8192  # complex entries (128 KiB) per temporary of a block of Bloch rows
 # every 2^a 3^b 5^c <= 2^40, in order: the FFT lengths _fft_size picks from
 _SMOOTH = sorted(p << a for p in (3 ** b * 5 ** c for b in range(26) for c in range(18))
                  if p <= 1 << 40 for a in range(((1 << 40) // p).bit_length()))
@@ -93,24 +98,28 @@ def _chis(protocol: DriveProtocol, t, dispersion=None) -> dict:
             for m, g in enumerate(dispersion.couplings) if g != 0.0}
 
 
-def _band_phase(chis: dict, kappa):
-    """Phi(kappa) = sum_m (chi_m e^{i m kappa} + c.c.), by real cosines."""
-    phi = np.zeros(np.shape(kappa))
+def _band_phase(chis: dict, kappa, rows: tuple = ()):
+    """Phi(kappa) = sum_m (chi_m e^{i m kappa} + c.c.), by real cosines; with
+    rows = (k,) each chi_m is a column of k times, one row of Phi per time."""
+    phi = np.zeros(rows + np.shape(kappa))
     for m, chi in chis.items():
         phi += 2.0 * np.abs(chi) * np.cos(m * kappa + np.angle(chi))
     return phi
 
 
-def _site_phase(theta: float, lo: int, size: int) -> np.ndarray:
+def _site_phase(theta, lo: int, size: int) -> np.ndarray:
     """e^{-i theta n} for n = lo..lo+size-1: the outer product of a row
     factor over lo + B k and a column factor over 0 <= j < B ~ sqrt(size).
     theta splits into a float32 head, whose product with |n| < 2^29 is
-    exact, and a tail, so each factor is good to about an ulp."""
+    exact, and a tail, so each factor is good to about an ulp. An array of
+    thetas gives one row per theta, each the row of its scalar call."""
     b = int(size ** 0.5) + 1
     n = np.concatenate((lo + b * np.arange(-(-size // b)), np.arange(b)))
-    head = float(np.float32(theta))
+    theta = np.asarray(theta, dtype=float)[..., None]
+    head = theta.astype(np.float32).astype(float)
     f = np.exp(-1j * (head * n)) * np.exp(-1j * ((theta - head) * n))
-    return np.outer(f[:-b], f[-b:]).ravel()[:size]
+    outer = f[..., :-b, None] * f[..., None, -b:]
+    return outer.reshape(theta.shape[:-1] + (-1,))[..., :size]
 
 
 def _site_kernel(chis: dict) -> np.ndarray:
@@ -156,20 +165,19 @@ def evolve(state: LatticeState, protocol: DriveProtocol, t,
            path: str = "bloch", dispersion: SingleBandDispersion | None = None):
     """Apply U(t) to a state: a scalar t gives the evolved state, a 1-d
     array of times the list of evolved states, with the phase integrals
-    evaluated once for the whole grid.
+    evaluated once for the whole grid and the bloch route run in blocks of
+    times that share a forward FFT (see the module docstring).
 
     Without a dispersion the drive's g_t hops between neighbours; with one,
     ``protocol`` supplies only the field f_t and the band supplies the
     couplings, each harmonic m weighted by ``dispersion.weight(m)``.
     """
     times = np.asarray(t, dtype=float)
-    eta = protocol.eta(times)
-    chis = _chis(protocol, times, dispersion)
-    if times.ndim == 0:
-        return apply_propagator(state, float(eta), chis, path)
-    return [apply_propagator(state, float(eta[i]),
-                             {m: complex(chi[i]) for m, chi in chis.items()}, path)
-            for i in range(times.size)]
+    if times.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-d array, got shape {times.shape}")
+    states = _propagate(state, protocol.eta(times), _chis(protocol, times, dispersion),
+                        path)
+    return states[0] if times.ndim == 0 else states
 
 
 def _fft_size(n: int) -> int:
@@ -201,33 +209,82 @@ def apply_propagator(state: LatticeState, eta: float, chis: dict,
     ValueError past the range of ``bessel_cutoff`` or where |eta| is past
     _ETA_MAX or NaN, before anything is allocated.
     """
-    if not abs(eta) <= _ETA_MAX:  # NaN fails too
-        raise ValueError(f"eta must satisfy |eta| <= {_ETA_MAX:.3g}, got {eta:.3g}")
-    c, ring = state.amplitudes, state.ring
-    # bessel_cutoff bounds N_m, harmonic m's kernel half-width; taken first,
-    # so that an argument past the Bessel range fails before any allocation
-    cutoffs = {m: bessel_cutoff(2.0 * abs(chi)) for m, chi in chis.items() if m > 0}
-    if path == "site":
-        coeff = _site_kernel(chis)[::-1]
-        pad = coeff.size // 2
-        if ring:  # the wrapped state reaches every c_{n+j}, however long the kernel
-            c = np.take(c, np.arange(-pad, c.size + pad), mode="wrap")
-        out = _convolve(c, coeff, "valid" if ring else "full")
-    elif path == "bloch":
-        pad = 0
-        if not ring:  # the kernel reaches sum_m m N_m sites
-            pad = 4 + sum(m * n for m, n in cutoffs.items())
-            ext = np.zeros(_fft_size(c.size + 2 * pad + 1), dtype=complex)
-            ext[pad: pad + c.size] = c
-            c = ext
-        kappa = 2.0 * np.pi * np.arange(c.size) / c.size
-        out = np.fft.ifft(np.fft.fft(c) * np.exp(-1j * _band_phase(chis, kappa)))
-    else:
+    return _propagate(state, eta, chis, path)[0]
+
+
+def _propagate(state: LatticeState, eta, chis: dict, path: str = "bloch") -> list:
+    """The states U|state> at each time of a scalar or 1-d ``eta`` and of
+    ``chis`` ({m: chi_m}) of its shape; every time's ranges are checked first."""
+    if path not in ("bloch", "site"):
         raise ValueError(f"unknown path {path!r}")
-    if ring:
-        out *= _site_phase(eta, state.n_min, out.size)
-        return LatticeState(state.n_min, out, ring=True, leak=0.0)
+    eta = np.asarray(eta, dtype=float).reshape(-1)
+    chis = {m: np.asarray(chi, dtype=complex).reshape(-1) for m, chi in chis.items()}
+    pads, states = _pads(eta, chis), [None] * eta.size
+    blocks = (_blocks(state, eta, chis, pads) if path == "bloch"
+              else _site_rows(state, eta, chis))
+    for rows, kept, leaks in blocks:
+        for i, amps, leak in zip(rows, kept, leaks):
+            states[i] = LatticeState(state.n_min, amps, ring=state.ring, leak=leak)
+    return states
+
+
+def _pads(eta: np.ndarray, chis: dict) -> list:
+    """Each time's bloch pad 4 + sum_m m N_m, with N_m = bessel_cutoff(2|chi_m|)
+    harmonic m's kernel half-width; raises at the first time whose |eta| is
+    past _ETA_MAX or NaN, or whose 2|chi_m| is past the Bessel range."""
+    pads = []
+    for i, theta in enumerate(eta.tolist()):
+        if not abs(theta) <= _ETA_MAX:  # NaN fails too
+            raise ValueError(f"eta must satisfy |eta| <= {_ETA_MAX:.3g}, got {theta:.3g}")
+        pads.append(4 + sum(m * bessel_cutoff(2.0 * abs(complex(chi[i])))
+                            for m, chi in chis.items() if m > 0))
+    return pads
+
+
+def _site_rows(state: LatticeState, eta: np.ndarray, chis: dict):
+    """Yield the site route one time at a time, as its kernels differ per
+    time: c'_n = sum_j a_j c_{n+j}, on a ring over the wrapped state, which
+    reaches every c_{n+j} however long the kernel."""
+    for i in range(eta.size):
+        coeff = _site_kernel({m: complex(chi[i]) for m, chi in chis.items()})[::-1]
+        c, pad = state.amplitudes, coeff.size // 2
+        if state.ring:
+            c, pad = np.take(c, np.arange(-pad, c.size + pad), mode="wrap"), 0
+        out = _convolve(c, coeff, "valid" if state.ring else "full")
+        yield [i], *_crop(state, eta[i:i + 1], out[None], pad)
+
+
+def _blocks(state: LatticeState, eta: np.ndarray, chis: dict, pads: list):
+    """Yield the bloch route's (time indices, kept amplitudes, leaks) block by
+    block, as the module docstring sets out, given each time's pad."""
+    groups: dict = {}  # the times of each pad; a ring is not padded
+    for i, pad in enumerate(pads):
+        groups.setdefault(0 if state.ring else pad, []).append(i)
     size = state.amplitudes.size
-    leak = sum(float(np.vdot(e, e).real) for e in (out[:pad], out[pad + size:]))
-    kept = out[pad: pad + size] * _site_phase(eta, state.n_min, size)
-    return LatticeState(state.n_min, kept, leak=leak)
+    for pad, times in groups.items():
+        spec = state.amplitudes
+        if not state.ring:  # the kernel reaches sum_m m N_m sites
+            spec = np.zeros(_fft_size(size + 2 * pad + 1), dtype=complex)
+            spec[pad: pad + size] = state.amplitudes
+        spec = np.fft.fft(spec)  # rebound, so the padded copy is freed
+        n, step = spec.size, max(1, _BLOCK // spec.size)
+        kappa = 2.0 * np.pi * np.arange(n) / n
+        for start in range(0, len(times), step):
+            rows = times[start: start + step]
+            cols = {m: chi[rows, None] for m, chi in chis.items()}
+            out = np.exp(-1j * _band_phase(cols, kappa, (len(rows),)))
+            np.multiply(spec, out, out=out)  # spec * out: out * spec can differ in a bit
+            yield rows, *_crop(state, eta[rows], np.fft.ifft(out, axis=-1), pad)
+
+
+def _crop(state: LatticeState, eta, out: np.ndarray, pad: int) -> tuple:
+    """The state's sites from pad on in each row of ``out``, times the site
+    phase e^{-i eta n} of its time, and each row's leak: the probability on
+    the sites cropped off (none on a ring, where pad is 0)."""
+    size = state.amplitudes.size
+    kept, phase = out[:, pad: pad + size], _site_phase(eta, state.n_min, size)
+    if not pad:  # all of out, nothing cropped: multiplied in place
+        return np.multiply(kept, phase, out=kept), [0.0] * len(out)
+    leaks = [sum(float(np.vdot(e, e).real) for e in (row[:pad], row[pad + size:]))
+             for row in out]
+    return kept * phase, leaks

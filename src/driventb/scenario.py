@@ -27,11 +27,11 @@ from . import classical as cls
 from . import observables as obs
 from .bessel import bessel_cutoff
 from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
-from .floquet import invariant_expectation, quasienergy_band
+from .floquet import _invariant_values, quasienergy_band
 from .lattice import (LatticeState, WindowLeakError, bloch_grid, coherence_parameters,
                       make_state)
 from .oracle import _EDGE_SITES, OracleConfig, _first_dt, integrate_series
-from .propagator import _ETA_MAX, SingleBandDispersion, _chis, evolve
+from .propagator import _ETA_MAX, SingleBandDispersion, _chis, _propagate
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
            "compare_with_oracle", "localization_map", "band_table"]
@@ -254,6 +254,16 @@ class Scenario:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.samples)
 
+    def _phase_table(self, times) -> tuple:
+        """(eta, {m: chi_m}) at ``times``: ``phases`` on the time grid and
+        ``snapshot_phases`` on the snapshots, each evaluated once and read by
+        every check and output of a run."""
+        return self.drive.eta(times), _chis(self.drive, times, self.dispersion)
+
+    phases = functools.cached_property(lambda self: self._phase_table(self.times))
+    snapshot_phases = functools.cached_property(
+        lambda self: self._phase_table(np.array(self.snapshot_times)))
+
 
 def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     """Parse and validate a scenario file (INI sections or a JSON object).
@@ -296,6 +306,8 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
                   "(closed-form moments are tight-binding only)")
         if q in ("band", "localization_report") and drive.resonance_order() is None:
             _fail("drive", "kind", f"{q!r} requires a resonant periodic drive")
+        if q == "invariant" and ring:  # N has no meaning on a ring
+            _fail("output", "quantities", f"{q!r} requires an open window")
     snapshot_times = cfg["output"]["snapshot_times"]
     snapshot_times = tuple([0.0, t_max] if snapshot_times is None else snapshot_times)
     if not all(0.0 <= s <= t_max for s in snapshot_times):
@@ -340,9 +352,9 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     if scenario.oracle_enabled:
         _check_oracle(scenario)
     elif "invariant" in quantities:
-        _check_reach(scenario, scenario.times)
+        _check_reach(scenario, scenario.phases)
     if "state_snapshots" in quantities:
-        _check_reach(scenario, snapshot_times)
+        _check_reach(scenario, scenario.snapshot_phases)
     return scenario
 
 
@@ -362,17 +374,17 @@ def _check_phases(scenario: Scenario):
         _fail("time", "t_max", f"phases may reach {probe.max():.3g} > {_PHASE_MAX:g}")
 
 
-def _check_reach(scenario: Scenario, times):
-    """Fail at [time] t_max where the propagator cannot run on a time grid: some
-    2|chi_m| past its Bessel kernels' range, or |eta| past _ETA_MAX; and at
-    [dispersion] couplings where an open window's bloch pad, 4 + sum_m m N_m
-    with N_m the kernel half-width of harmonic m, would pass 2^24 sites."""
-    times = np.asarray(times, dtype=float)
-    eta = float(np.max(np.abs(scenario.drive.eta(times)), initial=0.0))
+def _check_reach(scenario: Scenario, phases: tuple):
+    """Fail at [time] t_max where the propagator cannot run on a time grid,
+    given its phase table: some 2|chi_m| past its Bessel kernels' range, or
+    |eta| past _ETA_MAX; and at [dispersion] couplings where an open window's
+    bloch pad, 4 + sum_m m N_m with N_m the kernel half-width of harmonic m,
+    would pass 2^24 sites."""
+    eta, chis = phases
+    eta = float(np.max(np.abs(eta), initial=0.0))
     if eta > _ETA_MAX:
         _fail("time", "t_max", f"|eta| on the time grid reaches {eta:.3g}, past "
               f"{_ETA_MAX:.3g}")
-    chis = _chis(scenario.drive, times, scenario.dispersion)
     reach = {m: float(np.max(2.0 * np.abs(chi))) for m, chi in chis.items() if m > 0}
     try:
         bessel_cutoff(max(reach.values(), default=0.0))
@@ -387,7 +399,7 @@ def _check_reach(scenario: Scenario, times):
 def _check_oracle(scenario: Scenario):
     """Fail at [time] t_max where the closed form or the oracle cannot reach
     t_max: the propagator's range on the time grid, the oracle's step bound."""
-    _check_reach(scenario, scenario.times)
+    _check_reach(scenario, scenario.phases)
     try:
         _first_dt(scenario.drive, scenario.dispersion, scenario.t_max,
                   scenario.oracle_config)
@@ -544,18 +556,18 @@ def _format_rows(block: np.ndarray):
 
 
 def _emit_phase_integrals(scenario: Scenario, out_dir: Path) -> list:
-    times = scenario.times
-    chis = _chis(scenario.drive, times, scenario.dispersion)
+    eta, chis = scenario.phases
     _write_csv(out_dir / "phase_integrals.csv", scenario,
                ["t", "eta", *(f"{part}_chi_{m}" for m in chis for part in ("re", "im"))],
-               (times, scenario.drive.eta(times),
+               (scenario.times, eta,
                 *(part for chi in chis.values() for part in (chi.real, chi.imag))))
     return ["phase_integrals.csv"]
 
 
 def _emit_observables(scenario: Scenario, out_dir: Path) -> list:
     coh = coherence_parameters(scenario.state)
-    series = obs.observable_series(coh, scenario.drive, scenario.times)
+    eta, chis = scenario.phases
+    series = obs._observable_series(coh, scenario.times, eta, chis[1])
     columns = (series.times, series.eta, series.chi.real, series.chi.imag,
                series.u, series.v, series.expect_N, series.var_N,
                series.expect_K.real, series.expect_K.imag)
@@ -567,8 +579,7 @@ def _emit_observables(scenario: Scenario, out_dir: Path) -> list:
 
 def _emit_snapshots(scenario: Scenario, out_dir: Path) -> list:
     names = [f"snapshot_{i:04d}.csv" for i in range(len(scenario.snapshot_times))]
-    snaps = evolve(scenario.state, scenario.drive, np.array(scenario.snapshot_times),
-                   dispersion=scenario.dispersion)
+    snaps = _propagate(scenario.state, *scenario.snapshot_phases)
     for name, t, snap in zip(names, scenario.snapshot_times, snaps):
         c = snap.amplitudes
         _write_csv(out_dir / name, scenario, ["n", "re_c", "im_c", "prob"],
@@ -596,10 +607,10 @@ def _emit_band(scenario: Scenario, out_dir: Path) -> list:
 
 def _emit_invariant(scenario: Scenario, out_dir: Path) -> list:
     n0 = coherence_parameters(scenario.state).n_mean
-    times = scenario.times
+    times, (eta, chis) = scenario.times, scenario.phases
     _write_csv(out_dir / "invariant.csv", scenario,
                ["t", "invariant", "n_mean_initial"],
-               (times, invariant_expectation(scenario.state, scenario.drive, times),
+               (times, _invariant_values(scenario.state, eta, chis[1]),
                 np.full(times.shape, n0)))
     return ["invariant.csv"]
 
@@ -608,9 +619,9 @@ def _emit_classical(scenario: Scenario, out_dir: Path, n_samples: int = 20000):
     ens = cls.ensemble_from_state(scenario.state, n_samples, seed=scenario.seed)
     _write_csv(out_dir / "ensemble.csv", scenario, ["p", "q", "weight"],
                (ens.p, ens.q, ens.weights))
-    times = scenario.times
+    chi = scenario.phases[1][1]
     _write_csv(out_dir / "classical.csv", scenario, ["t", "mean_N", "var_N"],
-               (times, *cls.ensemble_moments(ens, scenario.drive, times)))
+               (scenario.times, *cls._moments(ens, 2.0 * chi.real, -2.0 * chi.imag)))
     return ["classical.csv", "ensemble.csv"]
 
 
@@ -684,8 +695,7 @@ def _moments(state: LatticeState) -> tuple:
 def _compare(scenario: Scenario, out_dir) -> dict:
     """The comparison report, written to ``out_dir`` (made only then)."""
     state, times, config = scenario.state, scenario.times, scenario.oracle_config
-    closed_states = evolve(state, scenario.drive, times,
-                           dispersion=scenario.dispersion)
+    closed_states = _propagate(state, *scenario.phases)
     if not (state.ring or config.boundary == "ring"):
         # the oracle's edge measure on the grid, before it marches the window
         p = np.array([s.probabilities for s in closed_states])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from driventb import (DCDrive, HarmonicDrive, TabulatedDrive, WindowLeakError,
-                      bessel_j, floquet_state, gaussian_state, houston_state,
+from driventb import (DCDrive, HarmonicDrive, LatticeState, TabulatedDrive,
+                      WindowLeakError, bessel_j, floquet_state, gaussian_state, houston_state,
                       integrate_series, invariant_expectation,
                       invariant_lambda, quasienergy, quasienergy_band)
 from driventb.floquet import QuasienergyBand
@@ -206,6 +206,9 @@ class TestInvariant:
             scalar = invariant_expectation(s, proto, t)
             assert isinstance(scalar, float)
             assert scalar == pytest.approx(value, abs=1e-12)
+            # these drives' phases do not depend on the grid, and the blocks
+            # of the array call reproduce each time's scalar steps
+            assert scalar == value
         assert invariant_expectation(s, proto, np.array([])).shape == (0,)
 
     def test_grid_of_several_blocks(self):
@@ -222,3 +225,10 @@ class TestInvariant:
         s = gaussian_state(0, 0.8, 0.0, (-6, 6))
         with pytest.raises(WindowLeakError):
             invariant_expectation(s, DCDrive(0.0, 1.0), 4.0)
+
+    def test_ring_raises(self):
+        # N has no meaning on a ring, and K lacks the seam hop: from site 0
+        # of a 16-site ring under f0 = 0, g0 = 1 the value moved 0 -> 1.155
+        s = LatticeState(-8, (np.arange(-8, 8) == 0).astype(complex), ring=True)
+        with pytest.raises(ValueError, match="open window"):
+            invariant_expectation(s, DCDrive(0.0, 1.0), np.array([0.0, 20.0]))

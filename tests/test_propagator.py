@@ -176,6 +176,55 @@ class TestEvolve:
             assert dev == 0.0 if exact else dev <= 1e-15
             assert abs(got.leak - one.leak) <= (0.0 if exact else 1e-15)
 
+    # (drive, band): chi_1 = g0 t grows, so the pads, and the FFT lengths,
+    # change along the grid
+    BLOCK_CASES = {"tb": (DCDrive(0.0, 0.6), None),
+                   "band-m3": (HarmonicDrive(0.0, 1.1, 0.7, 0.0),
+                               SingleBandDispersion((0.2, 0.5, 0.0, 0.3)))}
+
+    @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_time_grid_is_its_times_one_at_a_time_exactly(self, case, ring):
+        # the Bloch route groups the grid's times by pad and FFT length, and
+        # a block holds several times; each must be what one time gives
+        proto, disp = self.BLOCK_CASES[case]
+        s = gaussian_state(0, 2.5, 0.4, (-40, 40))
+        s = LatticeState(s.n_min, s.amplitudes, ring=ring)
+        # 60 times share the pad of 2|chi| < 1, more than one block holds
+        times = np.concatenate([np.linspace(0.0, 0.5, 60), np.linspace(1.0, 30.0, 90)])
+        eta, chis = proto.eta(times), propagator._chis(proto, times, disp)
+        pads = [4 + sum(m * bessel_cutoff(2.0 * abs(chi[i])) for m, chi in chis.items()
+                        if m > 0) for i in range(times.size)]
+        lengths = [81 if ring else _fft_size(81 + 2 * pad + 1) for pad in pads]
+        pads = [0] * times.size if ring else pads
+        assert len(set(lengths)) >= (1 if ring else 3)
+        assert any(pads.count(pad) > propagator._BLOCK // n
+                   for pad, n in zip(pads, lengths))
+        grid = evolve(s, proto, times, dispersion=disp)
+        for i, got in enumerate(grid):
+            one = apply_propagator(s, float(eta[i]),
+                                   {m: complex(chi[i]) for m, chi in chis.items()})
+            assert np.array_equal(got.amplitudes, one.amplitudes)
+            assert got.leak == one.leak and got.ring == ring
+
+    @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
+    def test_band_without_couplings_shifts_only_the_site_phase(self, ring):
+        # no harmonic, so no kernel: a block of such times keeps its rows
+        s = gaussian_state(0, 2.5, 0.4, (-40, 40))
+        s = LatticeState(s.n_min, s.amplitudes, ring=ring)
+        drive, disp = DCDrive(0.7, 0.0), SingleBandDispersion((0.0, 0.0))
+        times = np.linspace(0.0, 5.0, 7)
+        for t, got in zip(times, evolve(s, drive, times, dispersion=disp)):
+            one = evolve(s, drive, t, dispersion=disp)
+            assert np.array_equal(got.amplitudes, one.amplitudes)
+            expected = s.amplitudes * np.exp(-1j * 0.7 * t * s.sites)
+            assert np.max(np.abs(got.amplitudes - expected)) <= 1e-14
+            assert got.leak <= 1e-30
+
+    def test_time_grid_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match=r"^t must be a scalar or a 1-d array"):
+            evolve(single_site(0, (-4, 4)), DC, np.ones((2, 3)))
+
     def test_empty_time_grid(self):
         assert evolve(single_site(0, (-4, 4)), DC, np.array([])) == []
 
@@ -205,6 +254,10 @@ class TestSitePhase:
         got = _site_phase(theta, lo, size)
         assert got.shape == (size,)
         assert np.max(np.abs(got - ref)) <= 1e-15
+        # a block of times takes one row per theta, each its scalar call's
+        rows = _site_phase(np.array([0.1, theta, -theta]), lo, size)
+        assert rows.shape == (3, size) and np.array_equal(rows[1], got)
+        assert np.array_equal(rows[2], _site_phase(-theta, lo, size))
 
     @pytest.mark.parametrize("chis", [{1: 37.2 * np.exp(0.8j)},
                                       {0: 0.3, 1: 12.5 * np.exp(-2.1j),
@@ -327,14 +380,17 @@ class TestConvolve:
         slow = DCDrive(1e-7, 1.0)  # 2|chi| = 1.9e7 at t = 1e7
         s = single_site(0, (-32, 31))
         s = LatticeState(s.n_min, s.amplitudes, ring=ring)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="outside supported range"):
-                evolve(s, slow, 1e7, path=path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        # one time, and a grid whose last time alone is out of range: its
+        # time 4e5 (2|chi| = 8e5) would take a transform of 1.6e6 sites
+        for t in (1e7, np.array([1.0, 4e5, 1e7])):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="outside supported range"):
+                    evolve(s, slow, t, path=path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     @pytest.mark.parametrize("path", ["bloch", "site"])
     @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
@@ -448,6 +504,32 @@ class TestSingleBand:
             assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
             assert a.leak == pytest.approx(b.leak, abs=1e-12)
             assert bessel_j_orders(2.0 * abs(0.5 * proto.int_exp_eta(t))).size > 8
+
+    def test_a_band_of_a_hundred_harmonics(self):
+        # more arrays than np.broadcast takes (64): Phi's shape comes from
+        # kappa and the rows alone. On a ring, as an open window's pad
+        # would reach 42 sum_m m sites
+        rng = np.random.default_rng(3)
+        g = 0.01 * (rng.normal(size=100) + 1j * rng.normal(size=100)) / np.arange(1, 101)
+        disp = SingleBandDispersion((0.05, *g))
+        kappa = np.linspace(-np.pi, np.pi, 9)
+        expected = 2.0 * np.sum((np.array(disp.couplings)[:, None]
+                                 * np.exp(1j * np.arange(101)[:, None] * kappa)).real, axis=0)
+        assert np.max(np.abs(disp.energy(kappa) - expected)) < 1e-14
+        proto = DCDrive(0.3, 0.0)
+        s = gaussian_state(0, 1.5, 0.3, (-12, 11))
+        s = LatticeState(s.n_min, s.amplitudes, ring=True)
+        times = np.array([0.4, 2.5])
+        eta, chis = proto.eta(times), propagator._chis(proto, times, disp)
+        assert len(chis) == 101
+        for i, got in enumerate(evolve(s, proto, times, dispersion=disp)):
+            one = apply_propagator(s, float(eta[i]),
+                                   {m: complex(chi[i]) for m, chi in chis.items()})
+            assert np.array_equal(got.amplitudes, one.amplitudes)
+        bloch = evolve(s, proto, 2.5, dispersion=disp)
+        site = evolve(s, proto, 2.5, path="site", dispersion=disp)
+        assert np.max(np.abs(bloch.amplitudes - site.amplitudes)) < 1e-12
+        assert abs(bloch.norm() - 1.0) < 1e-14
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):

@@ -327,6 +327,20 @@ class TestRunScenario:
         data = np.genfromtxt(out / "invariant.csv", delimiter=",", skip_header=2)
         assert np.max(np.abs(data[:, 1] - data[:, 2])) < 1e-7
 
+    def test_invariant_on_a_ring_fails_before_writing(self, tmp_path):
+        # N has no meaning on a ring; on this 16-site ring the values ran
+        # 0, 0.513, 1.155, -0.190 at t = 0, 10, 20, 30, written as "ok"
+        cfg = (BLOCH_CFG.replace("window = -48 48", "window = -8 7\nring = true")
+               .replace(GAUSSIAN, "kind = single_site\nsite = 0\n")
+               .replace("f0 = 1.0", "f0 = 0.0")
+               .replace("t_max = 6.283185307179586", "t_max = 30")
+               .replace("samples = 32", "samples = 4")
+               .replace("quantities = observables state_snapshots", "quantities = invariant"))
+        with pytest.raises(ConfigError, match=r"^\[output\] quantities: 'invariant' "
+                                              r"requires an open window$"):
+            run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_localization_report_output(self, tmp_path):
         cfg = BLOCH_CFG.replace(
             "kind = dc\nf0 = 1.0\ng0 = 1.0",
@@ -591,9 +605,9 @@ quantities = state_snapshots
         grids = []
         check_reach = scenario._check_reach
 
-        def counting(scn, times):
-            grids.append(len(times))
-            check_reach(scn, times)
+        def counting(scn, phases):
+            grids.append(len(phases[0]))
+            check_reach(scn, phases)
 
         monkeypatch.setattr(scenario, "_check_reach", counting)
         monkeypatch.setattr(scenario, "_compare", lambda scn, out: "compared")
