@@ -31,7 +31,7 @@ def bessel_j_array(nmax: int, x: float) -> np.ndarray:
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
     x = float(x)
-    ax = _checked_abs(x)
+    ax = float(_checked_abs(x))
 
     out = np.zeros(nmax + 1)
     if ax < 1e-8:
@@ -80,20 +80,27 @@ def bessel_j(n: int, x: float) -> float:
     return float(val)
 
 
-def _checked_abs(x: float) -> float:
-    """|x|, or a ValueError when it is past the supported range."""
-    ax = abs(float(x))
-    if not np.isfinite(ax) or ax > _MAX_ARG:
-        raise ValueError(f"|x| = {ax} outside supported range (< {_MAX_ARG:g})")
+def _checked_abs(x) -> np.ndarray:
+    """|x| of a scalar or an array; a ValueError names its first bad element."""
+    ax = np.abs(np.asarray(x, dtype=float))
+    bad = ax[~(ax <= _MAX_ARG)]  # NaN is bad too
+    if bad.size:
+        raise ValueError(f"|x| = {bad[0]} outside supported range (< {_MAX_ARG:g})")
     return ax
 
 
-def bessel_cutoff(x: float) -> int:
+def bessel_cutoff(x):
     """An order past which |J_n(x)| < 1e-17; the margin follows the Airy
-    transition width (|x|/2)^(1/3) around n = |x| (DLMF 10.19). Raises
-    ValueError past the range of ``bessel_j_array``."""
+    transition width (|x|/2)^(1/3) around n = |x| (DLMF 10.19). An int, or an
+    array for an array x; ValueError past the range of ``bessel_j_array``."""
     ax = _checked_abs(x)
-    return int(np.ceil(ax + 14.0 * max(ax, 1.0) ** (1.0 / 3.0))) + 28
+    n = np.atleast_1d(ax + 14.0 * np.maximum(ax, 1.0) ** (1.0 / 3.0))
+    # Python's float ** where numpy's vectorized ** could round to another ceiling
+    for i in np.flatnonzero(np.abs(n - np.rint(n)) <= 1e-13 * n):
+        a = float(ax.flat[i])
+        n[i] = a + 14.0 * max(a, 1.0) ** (1.0 / 3.0)
+    n = np.ceil(n).astype(np.int64).reshape(ax.shape) + 28
+    return int(n) if n.ndim == 0 else n
 
 
 def bessel_j_orders(x: float) -> np.ndarray:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .bessel import _DROP, bessel_j_multivar_orders, bessel_j_orders
 
@@ -49,9 +48,12 @@ __all__ = [
 _RESONANCE_RTOL = 1e-9
 # a harmonic with |d| max(t, 1) below this goes through _eint, not Horner
 _NEAR_RESONANT = 1.0
-# Gauss-Legendre rule for tables; a panel spans at most _PANEL_PHASE rad
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_PANEL_PHASE = 1.0
+# the 8-point Gauss-Legendre rule for tables: numpy's leggauss(8), mirrored from x > 0
+_GL_HALF = np.array([
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]])
+_GL_NODES, _GL_WEIGHTS = np.c_[[[-1.0], [1.0]] * _GL_HALF[:, ::-1], _GL_HALF]
+_PANEL_PHASE = 1.0  # the most phase (rad) one panel of a table spans
 
 
 @dataclass(frozen=True)
@@ -311,6 +313,7 @@ class FourierDrive(DriveProtocol):
             total += coeff[k] * _eint(d[k], t)
         a = np.divide(coeff, 1j * d, out=np.zeros(coeff.size, dtype=complex),
                       where=kept & ~near)
+        from numpy.polynomial.polynomial import polyval  # a ms-long import, on first use
         m = int(np.argmin(np.abs(d)))
         z = np.exp(1j * self.omega * t)
         poly = polyval(z, a[m:]) + polyval(np.conj(z), np.r_[0.0, a[:m][::-1]])

@@ -65,9 +65,9 @@ _MAX_REFINEMENTS = 12  # the most coarse/fine pairs an integration compares
 class OracleConfig:
     """Integration controls.
 
-    The step starts at ``dt`` (default: the inverse of the rates a co-moving
-    step sees, see _default_dt). Each run is compared with one at twice its
-    steps, up to _MAX_REFINEMENTS times, until the two agree to
+    The first step is the inverse of the rates a co-moving step sees (see
+    _default_dt). Each run is compared with one at twice its steps, up to
+    _MAX_REFINEMENTS times, until the two agree to
     ``error_per_time * max(t, 1)`` in every amplitude and the norm drifts
     by less than 1e-9. After a failed pair the next step is the largest step
     its coarse run marched, scaled by the error as h^4 and by the drift as h^5
@@ -76,15 +76,12 @@ class OracleConfig:
     """
 
     boundary: str = "open"
-    dt: float | None = None
     error_per_time: float = 1e-8
     leak_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.boundary not in ("open", "ring"):
             raise ValueError("boundary must be 'open' or 'ring'")
-        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be positive and finite")
         if not (np.isfinite(self.error_per_time) and self.error_per_time > 0.0):
             raise ValueError("error_per_time must be positive and finite")
         if not (np.isfinite(self.leak_tolerance)
@@ -321,11 +318,10 @@ def _check_steps(steps, name):
                          f"(at most {_MAX_STEPS:.0e})")
 
 
-def _first_dt(protocol, dispersion, t_final, config):
-    """The step of the first pass: ``config.dt`` or the default. Raises
-    ValueError when that pass would take more than _MAX_STEPS steps."""
-    dt = config.dt if config.dt is not None else _default_dt(
-        protocol, dispersion, t_final)
+def _first_dt(protocol, dispersion, t_final):
+    """The step of the first pass, _default_dt's. Raises ValueError when that
+    pass would take more than _MAX_STEPS steps."""
+    dt = _default_dt(protocol, dispersion, t_final)
     _check_steps(abs(t_final) / dt, "first pass")
     return dt
 
@@ -340,7 +336,7 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
     run then opens the next pair). memo["passes"]: (steps, error, drift) per pass."""
     t_final = times[-1]
     target = config.error_per_time * max(abs(t_final), 1.0)
-    dt = _first_dt(protocol, dispersion, t_final, config)
+    dt = _first_dt(protocol, dispersion, t_final)
     spans = np.diff(np.r_[0.0, times])
     norm0 = float(np.linalg.norm(psi0))
     memo = {"steps": 0, "marches": set(), "passes": []}

@@ -206,8 +206,8 @@ def apply_propagator(state: LatticeState, eta: float, chis: dict,
     convolves, c'_n = sum_j a_j c_{n+j}, with the shift-expansion
     coefficients, by FFT when that is cheaper. The probability on the sites
     cropped back to an open window is recorded in ``leak``. Raises
-    ValueError past the range of ``bessel_cutoff`` or where |eta| is past
-    _ETA_MAX or NaN, before anything is allocated.
+    ValueError before allocating where |eta| or a 2|chi_m| is out of range
+    or the pad (``_pads``) passes 2^24 sites; a ring has no bloch pad.
     """
     return _propagate(state, eta, chis, path)[0]
 
@@ -220,6 +220,9 @@ def _propagate(state: LatticeState, eta, chis: dict, path: str = "bloch") -> lis
     eta = np.asarray(eta, dtype=float).reshape(-1)
     chis = {m: np.asarray(chi, dtype=complex).reshape(-1) for m, chi in chis.items()}
     pads, states = _pads(eta, chis), [None] * eta.size
+    if (path == "site" or not state.ring) and pads.max(initial=0) > 1 << 24:
+        raise ValueError(f"the propagator would reach {pads.max()} sites past the "
+                         "window, more than 2^24")  # the window cap, on both routes
     blocks = (_blocks(state, eta, chis, pads) if path == "bloch"
               else _site_rows(state, eta, chis))
     for rows, kept, leaks in blocks:
@@ -228,17 +231,17 @@ def _propagate(state: LatticeState, eta, chis: dict, path: str = "bloch") -> lis
     return states
 
 
-def _pads(eta: np.ndarray, chis: dict) -> list:
+def _pads(eta: np.ndarray, chis: dict) -> np.ndarray:
     """Each time's bloch pad 4 + sum_m m N_m, with N_m = bessel_cutoff(2|chi_m|)
-    harmonic m's kernel half-width; raises at the first time whose |eta| is
-    past _ETA_MAX or NaN, or whose 2|chi_m| is past the Bessel range."""
-    pads = []
-    for i, theta in enumerate(eta.tolist()):
-        if not abs(theta) <= _ETA_MAX:  # NaN fails too
-            raise ValueError(f"eta must satisfy |eta| <= {_ETA_MAX:.3g}, got {theta:.3g}")
-        pads.append(4 + sum(m * bessel_cutoff(2.0 * abs(complex(chi[i])))
-                            for m, chi in chis.items() if m > 0))
-    return pads
+    harmonic m's kernel half-width, for 1-d eta and chis; raises where some
+    |eta| is past _ETA_MAX or NaN, then where some 2|chi_m| is past the
+    Bessel range. The propagator's reach rule, which load_scenario checks too."""
+    bad = eta[~(np.abs(eta) <= _ETA_MAX)]  # NaN fails too
+    if bad.size:
+        raise ValueError(f"eta must satisfy |eta| <= {_ETA_MAX:.3g}, got {bad[0]:.3g}")
+    # hypot is Python's abs of a complex, bit for bit; np.abs is not
+    return 4 + sum((m * bessel_cutoff(2.0 * np.hypot(chi.real, chi.imag))
+                    for m, chi in chis.items() if m > 0), np.zeros(eta.shape, np.int64))
 
 
 def _site_rows(state: LatticeState, eta: np.ndarray, chis: dict):
@@ -254,11 +257,11 @@ def _site_rows(state: LatticeState, eta: np.ndarray, chis: dict):
         yield [i], *_crop(state, eta[i:i + 1], out[None], pad)
 
 
-def _blocks(state: LatticeState, eta: np.ndarray, chis: dict, pads: list):
+def _blocks(state: LatticeState, eta: np.ndarray, chis: dict, pads: np.ndarray):
     """Yield the bloch route's (time indices, kept amplitudes, leaks) block by
     block, as the module docstring sets out, given each time's pad."""
     groups: dict = {}  # the times of each pad; a ring is not padded
-    for i, pad in enumerate(pads):
+    for i, pad in enumerate(pads.tolist()):
         groups.setdefault(0 if state.ring else pad, []).append(i)
     size = state.amplitudes.size
     for pad, times in groups.items():

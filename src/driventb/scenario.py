@@ -25,13 +25,12 @@ import numpy as np
 
 from . import classical as cls
 from . import observables as obs
-from .bessel import bessel_cutoff
 from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
 from .floquet import _invariant_values, quasienergy_band
 from .lattice import (LatticeState, WindowLeakError, bloch_grid, coherence_parameters,
                       make_state)
 from .oracle import _EDGE_SITES, OracleConfig, _first_dt, integrate_series
-from .propagator import _ETA_MAX, SingleBandDispersion, _chis, _propagate
+from .propagator import SingleBandDispersion, _chis, _pads, _propagate
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
            "compare_with_oracle", "localization_map", "band_table"]
@@ -183,7 +182,7 @@ _SCHEMA = {
                "snapshot_times": ("floats", None, None)},  # default: 0 and t_max
     "oracle": {"enabled": (bool, False, None),
                "boundary": (str, None, None),  # default: ring on a ring lattice
-               "dt": (float, None, None), "error_per_time": (float, 1e-8, None),
+               "error_per_time": (float, 1e-8, None),
                "leak_tolerance": (float, 1e-8, None), "tolerance": (
                    float, 1e-6, lambda v: not 0.0 < v < np.inf and "must be positive")},
     "band": {"kappa_points": (int, 64, _count(1, "must be at least 1"))},
@@ -319,8 +318,7 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     if boundary is None:  # the oracle runs a ring lattice as a ring
         boundary = "ring" if ring else "open"
     try:
-        oracle_config = OracleConfig(boundary, orc["dt"], orc["error_per_time"],
-                                     leak_tolerance=orc["leak_tolerance"])
+        oracle_config = OracleConfig(boundary, orc["error_per_time"], orc["leak_tolerance"])
     except ValueError as exc:
         _refail("oracle", None, exc)
     # the oracle runs a ring when either section asks for one
@@ -375,22 +373,13 @@ def _check_phases(scenario: Scenario):
 
 
 def _check_reach(scenario: Scenario, phases: tuple):
-    """Fail at [time] t_max where the propagator cannot run on a time grid,
-    given its phase table: some 2|chi_m| past its Bessel kernels' range, or
-    |eta| past _ETA_MAX; and at [dispersion] couplings where an open window's
-    bloch pad, 4 + sum_m m N_m with N_m the kernel half-width of harmonic m,
-    would pass 2^24 sites."""
-    eta, chis = phases
-    eta = float(np.max(np.abs(eta), initial=0.0))
-    if eta > _ETA_MAX:
-        _fail("time", "t_max", f"|eta| on the time grid reaches {eta:.3g}, past "
-              f"{_ETA_MAX:.3g}")
-    reach = {m: float(np.max(2.0 * np.abs(chi))) for m, chi in chis.items() if m > 0}
+    """Fail where the propagator cannot run on a time grid, given its phase
+    table: at [time] t_max where ``_pads`` refuses it, and at [dispersion]
+    couplings where an open window's pad would pass 2^24 sites."""
     try:
-        bessel_cutoff(max(reach.values(), default=0.0))
+        pad = int(_pads(*phases).max(initial=0))
     except ValueError as exc:
-        _fail("time", "t_max", f"2|chi| on the time grid: {exc}")
-    pad = 4 + sum(m * bessel_cutoff(x) for m, x in reach.items())
+        _fail("time", "t_max", f"on the time grid, {exc}")
     if pad > 2 ** 24 and not scenario.state.ring:
         _fail("dispersion", "couplings", f"the propagator would pad the window by "
               f"{pad} sites on the time grid, past 2^24")
@@ -401,8 +390,7 @@ def _check_oracle(scenario: Scenario):
     t_max: the propagator's range on the time grid, the oracle's step bound."""
     _check_reach(scenario, scenario.phases)
     try:
-        _first_dt(scenario.drive, scenario.dispersion, scenario.t_max,
-                  scenario.oracle_config)
+        _first_dt(scenario.drive, scenario.dispersion, scenario.t_max)
     except ValueError as exc:
         _fail("time", "t_max", str(exc))
 

@@ -2,8 +2,10 @@
 
 Each workload that BENCHMARK.json lists is built at seed 1 into a scratch
 directory by ``bench/workloads.py`` (imported from its file, never edited),
-and its first op runs through that op's own check. A change that breaks a
-call the benchmark makes fails here rather than as a failed benchmark run.
+and its first op runs through that op's own check, plain and under the
+span recorder of ``bench/spans.py`` that ``bench/run.py --trace 1`` installs.
+A change that breaks a call the benchmark makes fails here rather than as a
+failed benchmark run.
 """
 
 import importlib.util
@@ -18,10 +20,10 @@ WORKLOADS = [w["name"] for w in
              json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads",
-                                                  ROOT / "bench" / "workloads.py")
+def _bench_module(name: str):
+    """Yield bench/<name>.py, imported from its file as bench_<name>."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     try:
@@ -31,6 +33,16 @@ def workloads():
         del sys.modules[spec.name]
 
 
+@pytest.fixture(scope="module")
+def workloads():
+    yield from _bench_module("workloads")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    yield from _bench_module("spans")
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_first_op_passes_its_check(workloads, tmp_path, name):
     ops = workloads.WORKLOADS[name].build(ROOT, 1, tmp_path)
@@ -38,6 +50,22 @@ def test_first_op_passes_its_check(workloads, tmp_path, name):
     op = ops[0]
     ok, values = op.check(op.run())
     assert ok, (op.name, values)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_first_op_passes_its_check_traced(workloads, spans, tmp_path, name):
+    # install raises unless every layer module is imported, and wraps the
+    # public functions on every driventb namespace that refers to them
+    ops = workloads.WORKLOADS[name].build(ROOT, 1, tmp_path)
+    recorder = spans.SpanRecorder()
+    uninstall = spans.install(recorder)
+    try:
+        op = ops[0]
+        ok, values = op.check(op.run())
+    finally:
+        uninstall()
+    assert ok, (op.name, values)
+    assert recorder.spans
 
 
 def test_every_wide_evolve_drive_builds(workloads, tmp_path):

@@ -112,6 +112,33 @@ def test_cutoff_bounds_the_kernel_half_width():
         bessel_cutoff(2e6)
 
 
+def test_cutoff_of_an_array_is_the_scalar_rule():
+    # numpy's array x ** (1/3) differs from Python's in the last bit for a
+    # few percent of arguments; the cutoffs may part only where
+    # x + 14 x^(1/3) is within a bit of an integer, so those x are drawn too
+    def rule(x):
+        ax = abs(x)
+        return math.ceil(ax + 14.0 * max(ax, 1.0) ** (1.0 / 3.0)) + 28
+
+    rng = np.random.default_rng(2026)
+    k = np.concatenate([np.arange(43.0, 2e4), rng.integers(2 * 10 ** 4, 10 ** 6, 10 ** 4)])
+    root = k - 14.0 * np.cbrt(k)  # Newton on x + 14 x^(1/3) = k, from x > 1
+    for _ in range(4):
+        root -= (root + 14.0 * np.cbrt(root) - k) / (1.0 + 14.0 / 3.0 * np.cbrt(root) ** -2)
+    near = np.concatenate([np.nextafter(root, 0.0), root, np.nextafter(root, 2e6)])
+    x = np.concatenate([np.arange(0.0, 1e4 + 0.25, 0.5), rng.uniform(0.0, 1e6, 3 * 10 ** 5),
+                        -rng.uniform(0.0, 2.0, 1000), near[near <= 1e6], [1e6]])
+    got = bessel_cutoff(x)
+    assert got.dtype == np.int64 and got.shape == x.shape
+    assert np.array_equal(got, [rule(v) for v in x.tolist()])
+    for v in x[::101].tolist():
+        assert type(bessel_cutoff(v)) is int and bessel_cutoff(v) == rule(v)
+    # one range check for both: the first element past it is named
+    for bad in (2e6, np.inf, np.nan):
+        with pytest.raises(ValueError, match=rf"^\|x\| = {bad} outside supported range"):
+            bessel_cutoff(np.array([1.0, bad, 3e6]))
+
+
 def test_orders_are_the_array_with_mirrored_signs():
     for x in (0.0, 2.5, -2.5, 40.0):
         kernel = bessel_j_orders(x)

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import driventb
 from driventb import (DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive,
-                      bessel_j, bessel_j_multivar, bessel_zero)
+                      bessel_j, bessel_j_multivar, bessel_zero, drives)
 from helpers import phase_ode, phase_ode_scalar
 
 J1_ZERO = 3.831705970207512
@@ -573,3 +579,20 @@ class TestHarmonicIsTheOneModeSeries:
         h.check_scale(2.0)
         with pytest.raises(ValueError, match=r"^f1 must satisfy .* at band weight 3$"):
             h.check_scale(3.0)
+
+
+class TestImports:
+    def test_gauss_legendre_literals_are_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        assert drives._GL_NODES.tobytes() == nodes.tobytes()
+        assert drives._GL_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_import_leaves_out_numpy_polynomial(self):
+        # numpy loads it on first use only; a fresh interpreter, since this
+        # one has it from the test above
+        code = ("import sys, driventb, driventb.cli; "
+                "print('numpy.polynomial' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(Path(driventb.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout == "False\n"

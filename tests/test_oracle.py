@@ -12,8 +12,7 @@ from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       quasienergy_band, single_site)
 from driventb import oracle
 from driventb.floquet import houston_state
-from driventb.oracle import (_CHUNK_STEPS, _TABLE_STEPS, _CoMoving, _first_dt,
-                             _march, _rk4)
+from driventb.oracle import _CHUNK_STEPS, _TABLE_STEPS, _CoMoving, _march, _rk4
 from helpers import dense_hamiltonian, dense_rk4, random_state
 
 # an M = 3 band with complex couplings and an on-site term g_0
@@ -93,11 +92,8 @@ class TestIntegrate:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(boundary="absorbing")
-        with pytest.raises(ValueError):
-            OracleConfig(dt=-0.1)
 
     @pytest.mark.parametrize("field,value", [
-        ("dt", 0.0), ("dt", np.inf), ("dt", np.nan),
         ("error_per_time", 0.0), ("error_per_time", -1e-8),
         ("error_per_time", np.inf), ("leak_tolerance", -1e-8),
         ("leak_tolerance", np.nan),
@@ -159,10 +155,6 @@ def _stop(*args, **kwargs):
 class TestMarchBounds:
     def test_first_pass_step_bound(self, monkeypatch):
         s = gaussian_state(0, 2.0, 0.3, (-32, 32))
-        exact = OracleConfig(dt=1e-6)
-        assert _first_dt(DCDrive(1.0, 1.0), None, 10.0, exact) == 1e-6
-        with pytest.raises(ValueError, match="first pass would take 1e"):
-            _first_dt(DCDrive(1.0, 1.0), None, 10.0 + 1e-5, exact)
         monkeypatch.setattr("driventb.oracle._march", _stop)
         # the default dt is 1 / (2 g + f) = 1/3 here: 3e7 steps to t = 1e7
         with pytest.raises(ValueError, match=r"first pass would take 3e\+07"):
@@ -178,13 +170,14 @@ class TestMarchBounds:
             integrate(s, DCDrive(1.0, 1.0), 1.0)
         assert [list(counts) for counts in marches] == [[3]]
 
-    def test_a_diverged_pair_hits_the_pass_bound(self):
+    def test_a_diverged_pair_hits_the_pass_bound(self, monkeypatch):
         # RK4 at 40 times its stability limit overflows, and the step sized
         # from the error of that pair needs far more than _MAX_STEPS
+        monkeypatch.setattr(oracle, "_default_dt", lambda *args: 2.0)
         s = single_site(0, (-40, 40))
         with np.errstate(all="ignore"), pytest.raises(
                 ValueError, match=r"^the oracle's pass 3 would take 1.46e\+31 "):
-            integrate(s, DCDrive(0.0, 30.0), 20.0, config=OracleConfig(dt=2.0))
+            integrate(s, DCDrive(0.0, 30.0), 20.0)
 
     def test_every_interval_doubles_its_steps(self, caplog, monkeypatch):
         # each interval is far shorter than the first step, so a halved step
@@ -674,11 +667,11 @@ class TestIndependence:
 class TestStrongDrive:
     """Closed form against the oracle at f1/omega = 100 and 300: a resonant
     harmonic drive (n = 1, omega = 1, g0 = 0.5) from one site to t = 2T,
-    within the oracle's own error_per_time * t plus the window leak."""
+    within the oracle's own error_per_time * t plus the window leak; at
+    f1/omega = 100 also a non-resonant one and a two-mode Fourier drive."""
 
-    @pytest.mark.parametrize("ratio,sites", [(100.0, 49), (300.0, 33)])
-    def test_closed_form_matches_the_oracle(self, ratio, sites):
-        proto = HarmonicDrive(1.0, ratio, 1.0, 0.5)
+    @staticmethod
+    def check(proto, sites):
         state = single_site(0, (-(sites // 2), sites // 2))
         times = [proto.period, 2.0 * proto.period]
         config = OracleConfig()
@@ -686,3 +679,14 @@ class TestStrongDrive:
         for t, ref, closed in zip(times, oracle, evolve(state, proto, times)):
             bound = config.error_per_time * t + closed.leak
             assert np.max(np.abs(closed.amplitudes - ref.amplitudes)) <= bound
+
+    @pytest.mark.parametrize("ratio,sites", [(100.0, 49), (300.0, 33)])
+    def test_closed_form_matches_the_oracle(self, ratio, sites):
+        self.check(HarmonicDrive(1.0, ratio, 1.0, 0.5), sites)
+
+    @pytest.mark.parametrize("proto", [
+        HarmonicDrive(0.5, 100.0, 1.0, 0.5),
+        FourierDrive(1.0, (-100.0, -50.0), 1.0, 0.5),
+    ], ids=["non-resonant-harmonic", "two-mode-fourier"])
+    def test_other_drives_match_the_oracle(self, proto):
+        self.check(proto, 49)

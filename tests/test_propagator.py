@@ -195,6 +195,7 @@ class TestEvolve:
         eta, chis = proto.eta(times), propagator._chis(proto, times, disp)
         pads = [4 + sum(m * bessel_cutoff(2.0 * abs(chi[i])) for m, chi in chis.items()
                         if m > 0) for i in range(times.size)]
+        assert propagator._pads(eta, chis).tolist() == pads  # the loop as reference
         lengths = [81 if ring else _fft_size(81 + 2 * pad + 1) for pad in pads]
         pads = [0] * times.size if ring else pads
         assert len(set(lengths)) >= (1 if ring else 3)
@@ -391,6 +392,38 @@ class TestConvolve:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 20
+
+    # 0, then 200 x 10 under f0 = 0: 2|chi_m| = 2e5 at t = 1e4, within the
+    # Bessel range, but the pad 4 + sum_m m N_m is 4,037,024,704 sites
+    WIDE_BAND = SingleBandDispersion((0.0,) + (10.0,) * 200)
+    PAST_2_24 = (r"^the propagator would reach 4037024704 sites past the window, "
+                 r"more than 2\^24$")
+
+    @pytest.mark.parametrize("path", ["bloch", "site"])
+    def test_reach_past_2_24_raises_before_allocating(self, path):
+        s = gaussian_state(0, 2, 0, (-32, 32))
+        # one time, and a grid whose first time alone (a pad of 1.7e6
+        # sites) would take a 27 MiB transform
+        for t in (1e4, np.array([1.0, 1e4])):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=self.PAST_2_24):
+                    evolve(s, DCDrive(0.0, 0.0), t, path=path, dispersion=self.WIDE_BAND)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_reach_on_a_ring_bounds_only_the_site_route(self):
+        # the bloch route does not pad a ring; the site route wraps it by the
+        # kernel's reach
+        s = gaussian_state(0, 2, 0, (-128, 127))
+        s = LatticeState(s.n_min, s.amplitudes, ring=True)
+        out = evolve(s, DCDrive(0.0, 0.0), 1e4, dispersion=self.WIDE_BAND)
+        assert out.ring and out.leak == 0.0
+        assert abs(out.norm() - 1.0) < 1e-12
+        with pytest.raises(ValueError, match=self.PAST_2_24):
+            evolve(s, DCDrive(0.0, 0.0), 1e4, path="site", dispersion=self.WIDE_BAND)
 
     @pytest.mark.parametrize("path", ["bloch", "site"])
     @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
