@@ -88,16 +88,12 @@ def ensemble_moments(ensemble: ClassicalEnsemble, protocol: DriveProtocol,
     shape). q_t = (1, v_t, -u_t) . (q, cos p delta, sin p delta), so its moments
     at every time follow from one pass's means and covariances of that triple.
     """
-    moments = _moments(ensemble, *protocol.uv(np.asarray(t, dtype=float)), delta)
-    return tuple(map(float, moments)) if np.ndim(t) == 0 else moments
-
-
-def _moments(ensemble: ClassicalEnsemble, u, v, delta: float = 1.0) -> tuple:
-    """(mean, variance) of q_t/d at the (u_t, v_t) of one or more times."""
+    u, v = protocol.uv(np.asarray(t, dtype=float))
     x = np.stack((ensemble.q, np.cos(ensemble.p * delta), np.sin(ensemble.p * delta)))
     mean, cov = x @ ensemble.weights, np.cov(x, bias=True, aweights=ensemble.weights)
     a = np.array(np.broadcast_arrays(np.ones(np.shape(u)), v, -u))
-    return np.tensordot(mean, a, 1), np.einsum("i...,ij,j...->...", a, cov, a)
+    moments = np.tensordot(mean, a, 1), np.einsum("i...,ij,j...->...", a, cov, a)
+    return tuple(map(float, moments)) if np.ndim(t) == 0 else moments
 
 
 def classical_invariant(state: ClassicalState, protocol: DriveProtocol,

@@ -132,19 +132,12 @@ def invariant_expectation(state0: LatticeState, protocol: DriveProtocol,
     K lacks the seam hop. The K/K^dag and C/S parameterizations of I(t) are
     both evaluated and must agree to ``forms_tol``.
     """
-    times = np.asarray(t, dtype=float)
-    flat = times.ravel()
-    values = _invariant_values(state0, np.asarray(protocol.eta(flat), dtype=float),
-                               np.asarray(protocol.chi(flat), dtype=complex),
-                               leak_tol, forms_tol)
-    return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)
-
-
-def _invariant_values(state0: LatticeState, eta: np.ndarray, chi: np.ndarray,
-                      leak_tol: float = 1e-8, forms_tol: float = 1e-9) -> np.ndarray:
-    """<I(t)> at the times of 1-d arrays eta_t and chi_t."""
     if state0.ring:
         raise ValueError("the invariant needs an open window")
+    times = np.asarray(t, dtype=float)
+    flat = times.ravel()
+    eta = np.asarray(protocol.eta(flat), dtype=float)
+    chi = np.asarray(protocol.chi(flat), dtype=complex)
     u, v = 2.0 * chi.real, -2.0 * chi.imag
     lam = _lambda(eta, chi)
     a = u * np.sin(eta) - v * np.cos(eta)
@@ -170,4 +163,4 @@ def _invariant_values(state0: LatticeState, eta: np.ndarray, chi: np.ndarray,
             raise ValueError("K/Kdag and C/S forms of the invariant disagree "
                              f"({value_k!r} vs {value_cs!r})")
         values[i] = value_k
-    return values
+    return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)

@@ -116,11 +116,8 @@ def observable_series(coh: CoherenceParameters, protocol: DriveProtocol,
     """The moments on a time grid from one evaluation of eta and chi, with
     (u, v) = (2 Re chi, -2 Im chi)."""
     times = np.asarray(times, dtype=float)
-    return _observable_series(coh, times, np.asarray(protocol.eta(times), dtype=float),
-                              np.asarray(protocol.chi(times), dtype=complex))
-
-
-def _observable_series(coh: CoherenceParameters, times, eta, chi) -> ObservableSeries:
+    eta = np.asarray(protocol.eta(times), dtype=float)
+    chi = np.asarray(protocol.chi(times), dtype=complex)
     u, v = 2.0 * chi.real, -2.0 * chi.imag
     return ObservableSeries(
         times=times, eta=eta, chi=chi, u=u, v=v,

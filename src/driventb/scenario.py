@@ -26,11 +26,11 @@ import numpy as np
 from . import classical as cls
 from . import observables as obs
 from .drives import DCDrive, FourierDrive, HarmonicDrive, TabulatedDrive
-from .floquet import _invariant_values, quasienergy_band
+from .floquet import invariant_expectation, quasienergy_band
 from .lattice import (LatticeState, WindowLeakError, bloch_grid, coherence_parameters,
                       make_state)
 from .oracle import _EDGE_SITES, OracleConfig, _first_dt, integrate_series
-from .propagator import SingleBandDispersion, _chis, _pads, _propagate
+from .propagator import SingleBandDispersion, _chis, _pads, evolve
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "run_scenario",
            "compare_with_oracle", "localization_map", "band_table"]
@@ -253,16 +253,6 @@ class Scenario:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.samples)
 
-    def _phase_table(self, times) -> tuple:
-        """(eta, {m: chi_m}) at ``times``: ``phases`` on the time grid and
-        ``snapshot_phases`` on the snapshots, each evaluated once and read by
-        every check and output of a run."""
-        return self.drive.eta(times), _chis(self.drive, times, self.dispersion)
-
-    phases = functools.cached_property(lambda self: self._phase_table(self.times))
-    snapshot_phases = functools.cached_property(
-        lambda self: self._phase_table(np.array(self.snapshot_times)))
-
 
 def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     """Parse and validate a scenario file (INI sections or a JSON object).
@@ -350,9 +340,9 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     if scenario.oracle_enabled:
         _check_oracle(scenario)
     elif "invariant" in quantities:
-        _check_reach(scenario, scenario.phases)
+        _check_reach(scenario, scenario.times)
     if "state_snapshots" in quantities:
-        _check_reach(scenario, scenario.snapshot_phases)
+        _check_reach(scenario, np.array(snapshot_times))
     return scenario
 
 
@@ -372,10 +362,11 @@ def _check_phases(scenario: Scenario):
         _fail("time", "t_max", f"phases may reach {probe.max():.3g} > {_PHASE_MAX:g}")
 
 
-def _check_reach(scenario: Scenario, phases: tuple):
-    """Fail where the propagator cannot run on a time grid, given its phase
-    table: at [time] t_max where ``_pads`` refuses it, and at [dispersion]
-    couplings where an open window's pad would pass 2^24 sites."""
+def _check_reach(scenario: Scenario, times: np.ndarray):
+    """Fail where the propagator cannot run on a time grid: at [time] t_max
+    where ``_pads`` refuses its phases, and at [dispersion] couplings where an
+    open window's pad would pass 2^24 sites."""
+    phases = scenario.drive.eta(times), _chis(scenario.drive, times, scenario.dispersion)
     try:
         pad = int(_pads(*phases).max(initial=0))
     except ValueError as exc:
@@ -388,7 +379,7 @@ def _check_reach(scenario: Scenario, phases: tuple):
 def _check_oracle(scenario: Scenario):
     """Fail at [time] t_max where the closed form or the oracle cannot reach
     t_max: the propagator's range on the time grid, the oracle's step bound."""
-    _check_reach(scenario, scenario.phases)
+    _check_reach(scenario, scenario.times)
     try:
         _first_dt(scenario.drive, scenario.dispersion, scenario.t_max)
     except ValueError as exc:
@@ -544,18 +535,18 @@ def _format_rows(block: np.ndarray):
 
 
 def _emit_phase_integrals(scenario: Scenario, out_dir: Path) -> list:
-    eta, chis = scenario.phases
+    times, drive = scenario.times, scenario.drive
+    eta, chis = drive.eta(times), _chis(drive, times, scenario.dispersion)
     _write_csv(out_dir / "phase_integrals.csv", scenario,
                ["t", "eta", *(f"{part}_chi_{m}" for m in chis for part in ("re", "im"))],
-               (scenario.times, eta,
+               (times, eta,
                 *(part for chi in chis.values() for part in (chi.real, chi.imag))))
     return ["phase_integrals.csv"]
 
 
 def _emit_observables(scenario: Scenario, out_dir: Path) -> list:
     coh = coherence_parameters(scenario.state)
-    eta, chis = scenario.phases
-    series = obs._observable_series(coh, scenario.times, eta, chis[1])
+    series = obs.observable_series(coh, scenario.drive, scenario.times)
     columns = (series.times, series.eta, series.chi.real, series.chi.imag,
                series.u, series.v, series.expect_N, series.var_N,
                series.expect_K.real, series.expect_K.imag)
@@ -567,7 +558,8 @@ def _emit_observables(scenario: Scenario, out_dir: Path) -> list:
 
 def _emit_snapshots(scenario: Scenario, out_dir: Path) -> list:
     names = [f"snapshot_{i:04d}.csv" for i in range(len(scenario.snapshot_times))]
-    snaps = _propagate(scenario.state, *scenario.snapshot_phases)
+    snaps = evolve(scenario.state, scenario.drive, np.array(scenario.snapshot_times),
+                   dispersion=scenario.dispersion)
     for name, t, snap in zip(names, scenario.snapshot_times, snaps):
         c = snap.amplitudes
         _write_csv(out_dir / name, scenario, ["n", "re_c", "im_c", "prob"],
@@ -593,13 +585,10 @@ def _emit_band(scenario: Scenario, out_dir: Path) -> list:
     return ["band.csv"]
 
 
-def _emit_invariant(scenario: Scenario, out_dir: Path) -> list:
+def _emit_invariant(scenario: Scenario, out_dir: Path, values) -> list:
     n0 = coherence_parameters(scenario.state).n_mean
-    times, (eta, chis) = scenario.times, scenario.phases
-    _write_csv(out_dir / "invariant.csv", scenario,
-               ["t", "invariant", "n_mean_initial"],
-               (times, _invariant_values(scenario.state, eta, chis[1]),
-                np.full(times.shape, n0)))
+    _write_csv(out_dir / "invariant.csv", scenario, ["t", "invariant", "n_mean_initial"],
+               (scenario.times, values, np.full(values.shape, n0)))
     return ["invariant.csv"]
 
 
@@ -607,9 +596,9 @@ def _emit_classical(scenario: Scenario, out_dir: Path, n_samples: int = 20000):
     ens = cls.ensemble_from_state(scenario.state, n_samples, seed=scenario.seed)
     _write_csv(out_dir / "ensemble.csv", scenario, ["p", "q", "weight"],
                (ens.p, ens.q, ens.weights))
-    chi = scenario.phases[1][1]
+    times = scenario.times
     _write_csv(out_dir / "classical.csv", scenario, ["t", "mean_N", "var_N"],
-               (scenario.times, *cls._moments(ens, 2.0 * chi.real, -2.0 * chi.imag)))
+               (times, *cls.ensemble_moments(ens, scenario.drive, times)))
     return ["classical.csv", "ensemble.csv"]
 
 
@@ -626,7 +615,8 @@ def _emit_localization(scenario: Scenario, out_dir: Path) -> list:
     return ["localization_report.json"]
 
 
-# quantity -> emitter, in the order the outputs are written
+# quantity -> emitter, in the order the outputs are written; run_scenario
+# computes the invariant's values first, as their window leak check can fail
 _EMITTERS = {"phase_integrals": _emit_phase_integrals,
              "observables": _emit_observables,
              "state_snapshots": _emit_snapshots,
@@ -639,14 +629,17 @@ _EMITTERS = {"phase_integrals": _emit_phase_integrals,
 def run_scenario(config_path, out_dir=None, seed=None, tolerance=None) -> dict:
     """Execute a scenario; returns the summary dict (also written as JSON)."""
     scenario = load_scenario(config_path, seed=seed, tolerance=tolerance)
-    # the oracle runs first, so a failing comparison writes nothing
+    # the invariant and the oracle run first, so that a failing run writes nothing
+    emitters = {q: emit for q, emit in _EMITTERS.items() if q in scenario.quantities}
+    if "invariant" in emitters:
+        values = invariant_expectation(scenario.state, scenario.drive, scenario.times)
+        emitters["invariant"] = functools.partial(_emit_invariant, values=values)
     report = _compare(scenario, out_dir) if scenario.oracle_enabled else None
     out = _out_dir(out_dir)
 
     produced: list = []
-    for quantity, emit in _EMITTERS.items():
-        if quantity in scenario.quantities:
-            produced += emit(scenario, out)
+    for emit in emitters.values():
+        produced += emit(scenario, out)
 
     summary = {"scenario": scenario.name, "hash": scenario.config_hash,
                "seed": scenario.seed, "outputs": produced, "status": "ok"}
@@ -683,7 +676,7 @@ def _moments(state: LatticeState) -> tuple:
 def _compare(scenario: Scenario, out_dir) -> dict:
     """The comparison report, written to ``out_dir`` (made only then)."""
     state, times, config = scenario.state, scenario.times, scenario.oracle_config
-    closed_states = _propagate(state, *scenario.phases)
+    closed_states = evolve(state, scenario.drive, times, dispersion=scenario.dispersion)
     if not (state.ring or config.boundary == "ring"):
         # the oracle's edge measure on the grid, before it marches the window
         p = np.array([s.probabilities for s in closed_states])

@@ -78,3 +78,23 @@ def test_every_wide_evolve_drive_builds(workloads, tmp_path):
         assert (drive.f0, drive.g0) == (spec["f0"], spec["g0"])
         if spec["kind"] == "harmonic":
             assert (drive.f1, drive.omega) == (spec["f1"], spec["omega"])
+
+
+def test_trace_sees_the_layers_a_scenario_calls(workloads, spans, tmp_path):
+    # run_scenario and compare_with_oracle reach the public closed forms, which
+    # the recorder wraps, so their work shows in its per-layer counts
+    series = {op.name: op for op in workloads.WORKLOADS["closed_form_series"].build(
+        ROOT, 1, tmp_path / "series")}
+    ops = [series["series_invariant_classical"],
+           workloads.WORKLOADS["oracle_verify"].build(ROOT, 1, tmp_path / "oracle")[0]]
+    recorder = spans.SpanRecorder()
+    uninstall = spans.install(recorder)
+    try:
+        for op in ops:
+            ok, values = op.check(op.run())
+            assert ok, (op.name, values)
+    finally:
+        uninstall()
+    for key in ("observables.points", "floquet.invariant_calls",
+                "classical.sample_times", "propagator.bloch_calls"):
+        assert recorder.counts[key] > 0, key

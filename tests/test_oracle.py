@@ -667,8 +667,8 @@ class TestIndependence:
 class TestStrongDrive:
     """Closed form against the oracle at f1/omega = 100 and 300: a resonant
     harmonic drive (n = 1, omega = 1, g0 = 0.5) from one site to t = 2T,
-    within the oracle's own error_per_time * t plus the window leak; at
-    f1/omega = 100 also a non-resonant one and a two-mode Fourier drive."""
+    within the oracle's own error_per_time * t plus the window leak; at both
+    ratios also a non-resonant one and a two-mode Fourier drive."""
 
     @staticmethod
     def check(proto, sites):
@@ -684,9 +684,14 @@ class TestStrongDrive:
     def test_closed_form_matches_the_oracle(self, ratio, sites):
         self.check(HarmonicDrive(1.0, ratio, 1.0, 0.5), sites)
 
-    @pytest.mark.parametrize("proto", [
-        HarmonicDrive(0.5, 100.0, 1.0, 0.5),
-        FourierDrive(1.0, (-100.0, -50.0), 1.0, 0.5),
-    ], ids=["non-resonant-harmonic", "two-mode-fourier"])
-    def test_other_drives_match_the_oracle(self, proto):
-        self.check(proto, 49)
+    @pytest.mark.parametrize("proto,sites", [
+        pytest.param(HarmonicDrive(0.5, 100.0, 1.0, 0.5), 49, id="non-resonant-harmonic"),
+        pytest.param(FourierDrive(1.0, (-100.0, -50.0), 1.0, 0.5), 49,
+                     id="two-mode-fourier"),
+        pytest.param(HarmonicDrive(0.5, 300.0, 1.0, 0.5), 33,
+                     id="non-resonant-harmonic-300"),
+        pytest.param(FourierDrive(1.0, (-300.0, -150.0), 1.0, 0.5), 33,
+                     id="two-mode-fourier-300"),
+    ])
+    def test_other_drives_match_the_oracle(self, proto, sites):
+        self.check(proto, sites)

@@ -460,7 +460,7 @@ class TestRunScenario:
 
         # the function run_scenario propagates with; the run goes first, so
         # that a run past a missing load check reaches this guard
-        monkeypatch.setattr("driventb.scenario._propagate", no_apply)
+        monkeypatch.setattr("driventb.scenario.evolve", no_apply)
         cfg = self.WIDE_BAND.replace("t_max = 6.283185307179586", "t_max = 1e4")
         path = write_cfg(tmp_path, cfg)
         with pytest.raises(ConfigError, match=r"^\[dispersion\] couplings:"):
@@ -480,6 +480,20 @@ class TestRunScenario:
                                 "snapshot_times =")
         with pytest.raises(ConfigError, match=r"^\[output\] snapshot_times: "
                                               r"must list at least one time$"):
+            run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_leaking_invariant_fails_before_writing(self, tmp_path):
+        # a single site on 17 sites reaches the walls by t = 20 (leak 1.685e-4);
+        # observables.csv comes before invariant.csv, yet nothing is written
+        cfg = BLOCH_CFG.replace("window = -48 48", "window = -8 8").replace(
+            GAUSSIAN, "kind = single_site\n").replace("f0 = 1.0", "f0 = 0.1").replace(
+            "t_max = 6.283185307179586", "t_max = 20").replace(
+            "samples = 32", "samples = 16").replace(
+            "quantities = observables state_snapshots",
+            "quantities = observables invariant").replace(
+            "snapshot_times = 0.0 6.283185307179586\n", "")
+        with pytest.raises(WindowLeakError, match=r"^window leak 1\.685e-04 exceeds 1e-08"):
             run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -611,9 +625,9 @@ quantities = state_snapshots
         grids = []
         check_reach = scenario._check_reach
 
-        def counting(scn, phases):
-            grids.append(len(phases[0]))
-            check_reach(scn, phases)
+        def counting(scn, times):
+            grids.append(len(times))
+            check_reach(scn, times)
 
         monkeypatch.setattr(scenario, "_check_reach", counting)
         monkeypatch.setattr(scenario, "_compare", lambda scn, out: "compared")
