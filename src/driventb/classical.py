@@ -109,21 +109,19 @@ def classical_invariant(state: ClassicalState, protocol: DriveProtocol,
 
 
 def ensemble_from_state(state: LatticeState, n_samples: int, seed: int = 0,
-                        delta: float = 1.0,
-                        bloch_points: int | None = None) -> ClassicalEnsemble:
+                        delta: float = 1.0) -> ClassicalEnsemble:
     """Sample a classical ensemble whose (C, S)- and N-moments match a state.
 
     Positions are drawn from the site probabilities, momenta from the Bloch
-    density (p = kappa/delta), independently. Every moment of functions of
-    p alone or q alone then matches the quantum value in expectation; the
-    C-N and S-N cross covariances come out zero, which is exact for
-    position-symmetric states.
+    density on max(64, 2 L) points of an L-site state (p = kappa/delta),
+    independently. Every moment of functions of p alone or q alone then
+    matches the quantum value in expectation; the C-N and S-N cross
+    covariances come out zero, which is exact for position-symmetric states.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    m = bloch_points or max(64, 2 * state.amplitudes.size)
-    bloch = bloch_transform(state, m)
+    bloch = bloch_transform(state, max(64, 2 * state.amplitudes.size))
     pk = bloch.density
     pk = pk / pk.sum()
     pn = state.probabilities

@@ -18,8 +18,8 @@ import sys
 import click
 
 from .lattice import WindowLeakError
-from .scenario import (ConfigError, _emit_band, _out_dir, compare_with_oracle,
-                       load_scenario, localization_map, run_scenario)
+from .scenario import (ConfigError, _emit_band, compare_with_oracle, load_scenario,
+                       localization_map, run_scenario)
 
 
 @click.group()
@@ -87,7 +87,7 @@ def band(config, out_dir):
     """Emit the quasienergy band (kappa, eps_kappa) of a resonant drive."""
     try:
         scenario = load_scenario(config)
-        name, = _emit_band(scenario, _out_dir(out_dir))
+        name, = _emit_band(scenario, out_dir)
     except (ConfigError, ValueError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {out_dir}/{name} ({scenario.kappa_points} points)")

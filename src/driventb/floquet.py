@@ -22,7 +22,7 @@ import numpy as np
 
 from .drives import DriveProtocol
 from .lattice import LatticeState, WindowLeakError
-from .propagator import _blocks, _pads
+from .propagator import _blocks
 
 __all__ = [
     "QuasienergyBand",
@@ -34,6 +34,8 @@ __all__ = [
     "invariant_lambda",
     "invariant_expectation",
 ]
+_LEAK_TOL = 1e-8  # the window leak past which <I(t)> raises
+_FORMS_TOL = 1e-9  # relative: the K/K^dag and C/S forms of <I(t)> must agree to it
 
 @dataclass(frozen=True)
 class QuasienergyBand:
@@ -119,18 +121,17 @@ def invariant_lambda(protocol: DriveProtocol, t: float) -> InvariantCoefficients
     return InvariantCoefficients(t=t, lam=complex(lam))
 
 
-def invariant_expectation(state0: LatticeState, protocol: DriveProtocol,
-                          t, leak_tol: float = 1e-8, forms_tol: float = 1e-9):
+def invariant_expectation(state0: LatticeState, protocol: DriveProtocol, t):
     """<I(t)> on the evolved state; equals <N>_0 for all t.
 
     ``t`` is a scalar (a float back) or an array (an array of its shape);
     the phase integrals are evaluated once as arrays, and the states come
     from the closed-form propagator's bloch blocks (``propagator._blocks``),
     so the memory held beyond a few numbers per time is one block, not the
-    grid. A window leak above ``leak_tol`` invalidates the conservation
+    grid. A window leak above _LEAK_TOL invalidates the conservation
     check and raises, as does a ring state: N has no meaning on a ring, and
     K lacks the seam hop. The K/K^dag and C/S parameterizations of I(t) are
-    both evaluated and must agree to ``forms_tol``.
+    both evaluated and must agree to _FORMS_TOL.
     """
     if state0.ring:
         raise ValueError("the invariant needs an open window")
@@ -144,7 +145,7 @@ def invariant_expectation(state0: LatticeState, protocol: DriveProtocol,
     b = u * np.cos(eta) + v * np.sin(eta)
     n = state0.sites.astype(float)
     leaks, n_t, k_t = np.empty(eta.size), np.empty(eta.size), np.empty(eta.size, complex)
-    for rows, kept, leak in _blocks(state0, eta, {1: chi}, _pads(eta, {1: chi})):
+    for rows, kept, leak in _blocks(state0, eta, {1: chi}):
         norms = np.array([np.linalg.norm(row) for row in kept])
         if not norms.all():
             raise ValueError("cannot normalize a zero state")
@@ -153,13 +154,13 @@ def invariant_expectation(state0: LatticeState, protocol: DriveProtocol,
         k_t[rows] = np.sum(np.conj(c[:, :-1]) * c[:, 1:], axis=1)
     values = np.empty(eta.size)
     for i in range(eta.size):
-        if leaks[i] > leak_tol:
+        if leaks[i] > _LEAK_TOL:
             raise WindowLeakError(
-                f"window leak {leaks[i]:.3e} exceeds {leak_tol:g}; enlarge the window")
+                f"window leak {leaks[i]:.3e} exceeds {_LEAK_TOL:g}; enlarge the window")
         k, n_i = complex(k_t[i]), float(n_t[i])
         value_k = n_i + 2.0 * (lam[i] * k).real
         value_cs = n_i + a[i] * k.real + b[i] * k.imag
-        if abs(value_k - value_cs) > forms_tol * (1.0 + abs(value_k)):
+        if abs(value_k - value_cs) > _FORMS_TOL * (1.0 + abs(value_k)):
             raise ValueError("K/Kdag and C/S forms of the invariant disagree "
                              f"({value_k!r} vs {value_cs!r})")
         values[i] = value_k

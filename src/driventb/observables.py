@@ -225,7 +225,8 @@ def expect_N_single_band(state: LatticeState, dispersion, protocol: DriveProtoco
     """<N>_t for an arbitrary band, from generalized coherence moments.
 
     <N>_t = <N>_0 - 2 sum_m m Im(chi_m(t) <K^m>_0) with <K^m>_0 =
-    sum_n c*_{n-m} c_n. The weight m is the commutator factor of K^m with N.
+    sum_n c*_{n-m} c_n, n - m taken around a ring. The weight m is the
+    commutator factor of K^m with N.
     """
     c = state.amplitudes
     p = np.abs(c) ** 2
@@ -235,6 +236,9 @@ def expect_N_single_band(state: LatticeState, dispersion, protocol: DriveProtoco
     for m, chi in chis.items():
         if m == 0:
             continue
-        k_m = complex(np.sum(np.conj(c[:-m]) * c[m:])) if m < c.size else 0.0
+        if state.ring:
+            k_m = complex(np.vdot(np.roll(c, m), c))
+        else:
+            k_m = complex(np.sum(np.conj(c[:-m]) * c[m:])) if m < c.size else 0.0
         out = out - 2.0 * m * np.imag(np.asarray(chi) * k_m)
     return out

@@ -15,14 +15,14 @@ is the band {1: chi_t}, with Bessel-function matrix elements
 
 One entry point, ``apply_propagator(state, eta, {m: chi_m})``, serves every
 band; ``evolve`` feeds it a drive's phase integrals at one time or over a
-time grid. Its "bloch" route applies the diagonal phase e^{-i Phi(kappa)}
-by FFT on a ring enlarged to a 2^a 3^b 5^c length, its "site" route convolves
-with the harmonics' Bessel kernels (by such an FFT when cheaper); the eta shift
-is the site phase e^{-i eta n} on the kept sites only, good to about an ulp.
-Over a grid the bloch route groups the times by pad, and so by FFT length:
-a group shares one forward FFT, and its phases form times x kappa blocks of
-at most _BLOCK entries (one time where the FFT is longer), each with one
-inverse FFT along the rows. One time is the one-row case.
+time grid. Both routes multiply the state's FFT, on a ring or on an open
+window padded past the kernel's reach to a 2^a 3^b 5^c length, by that of
+U_R: "bloch" by the phase e^{-i Phi(kappa)}, "site" by the FFT of the
+harmonics' Bessel kernel. The eta shift is the site phase e^{-i eta n} on
+the kept sites only, good to about an ulp. The times group by pad, and so
+by FFT length: a group shares one forward FFT, and its spectra form times x
+kappa blocks of at most _BLOCK entries (one time where the FFT is longer),
+each with one inverse FFT along the rows. One time is the one-row case.
 """
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ def evolve(state: LatticeState, protocol: DriveProtocol, t,
            path: str = "bloch", dispersion: SingleBandDispersion | None = None):
     """Apply U(t) to a state: a scalar t gives the evolved state, a 1-d
     array of times the list of evolved states, with the phase integrals
-    evaluated once for the whole grid and the bloch route run in blocks of
-    times that share a forward FFT (see the module docstring).
+    evaluated once for the whole grid and the times run in blocks that
+    share a forward FFT (see the module docstring).
 
     Without a dispersion the drive's g_t hops between neighbours; with one,
     ``protocol`` supplies only the field f_t and the band supplies the
@@ -185,18 +185,6 @@ def _fft_size(n: int) -> int:
     return _SMOOTH[bisect_left(_SMOOTH, n)]
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
-    """np.convolve(a, b, mode) for mode "full" or "valid", by an FFT of length
-    n = _fft_size(size) when the direct sum's a.size * b.size passes 16 n log2 n."""
-    size = a.size + b.size - 1
-    n = _fft_size(size)
-    if a.size * b.size <= 16 * n * np.log2(n):
-        return np.convolve(a, b, mode)
-    out = np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:size]
-    cut = min(a.size, b.size) - 1 if mode == "valid" else 0
-    return out[cut: size - cut]
-
-
 def apply_propagator(state: LatticeState, eta: float, chis: dict,
                      path: str = "bloch") -> LatticeState:
     """U = e^{-i eta N} prod_m exp(-i (chi_m K^m + h.c.)) applied to a state.
@@ -204,35 +192,28 @@ def apply_propagator(state: LatticeState, eta: float, chis: dict,
     ``chis`` maps m >= 0 to chi_m; tight binding is {1: chi_t}. path="bloch"
     applies the diagonal Bloch phase by FFT on an enlarged ring; path="site"
     convolves, c'_n = sum_j a_j c_{n+j}, with the shift-expansion
-    coefficients, by FFT when that is cheaper. The probability on the sites
-    cropped back to an open window is recorded in ``leak``. Raises
-    ValueError before allocating where |eta| or a 2|chi_m| is out of range
-    or the pad (``_pads``) passes 2^24 sites; a ring has no bloch pad.
+    coefficients, by the same FFT. The probability on the sites cropped
+    back to an open window is recorded in ``leak``. Raises ValueError before
+    allocating where |eta| or a 2|chi_m| is out of range or the pad
+    (``_pads``) passes 2^24 sites; a ring has no bloch pad.
     """
     return _propagate(state, eta, chis, path)[0]
 
 
 def _propagate(state: LatticeState, eta, chis: dict, path: str = "bloch") -> list:
     """The states U|state> at each time of a scalar or 1-d ``eta`` and of
-    ``chis`` ({m: chi_m}) of its shape; every time's ranges are checked first."""
-    if path not in ("bloch", "site"):
-        raise ValueError(f"unknown path {path!r}")
+    ``chis`` ({m: chi_m}) of its shape."""
     eta = np.asarray(eta, dtype=float).reshape(-1)
     chis = {m: np.asarray(chi, dtype=complex).reshape(-1) for m, chi in chis.items()}
-    pads, states = _pads(eta, chis), [None] * eta.size
-    if (path == "site" or not state.ring) and pads.max(initial=0) > 1 << 24:
-        raise ValueError(f"the propagator would reach {pads.max()} sites past the "
-                         "window, more than 2^24")  # the window cap, on both routes
-    blocks = (_blocks(state, eta, chis, pads) if path == "bloch"
-              else _site_rows(state, eta, chis))
-    for rows, kept, leaks in blocks:
+    states = [None] * eta.size
+    for rows, kept, leaks in _blocks(state, eta, chis, path):
         for i, amps, leak in zip(rows, kept, leaks):
             states[i] = LatticeState(state.n_min, amps, ring=state.ring, leak=leak)
     return states
 
 
 def _pads(eta: np.ndarray, chis: dict) -> np.ndarray:
-    """Each time's bloch pad 4 + sum_m m N_m, with N_m = bessel_cutoff(2|chi_m|)
+    """Each time's pad 4 + sum_m m N_m, with N_m = bessel_cutoff(2|chi_m|)
     harmonic m's kernel half-width, for 1-d eta and chis; raises where some
     |eta| is past _ETA_MAX or NaN, then where some 2|chi_m| is past the
     Bessel range. The propagator's reach rule, which load_scenario checks too."""
@@ -244,22 +225,16 @@ def _pads(eta: np.ndarray, chis: dict) -> np.ndarray:
                     for m, chi in chis.items() if m > 0), np.zeros(eta.shape, np.int64))
 
 
-def _site_rows(state: LatticeState, eta: np.ndarray, chis: dict):
-    """Yield the site route one time at a time, as its kernels differ per
-    time: c'_n = sum_j a_j c_{n+j}, on a ring over the wrapped state, which
-    reaches every c_{n+j} however long the kernel."""
-    for i in range(eta.size):
-        coeff = _site_kernel({m: complex(chi[i]) for m, chi in chis.items()})[::-1]
-        c, pad = state.amplitudes, coeff.size // 2
-        if state.ring:
-            c, pad = np.take(c, np.arange(-pad, c.size + pad), mode="wrap"), 0
-        out = _convolve(c, coeff, "valid" if state.ring else "full")
-        yield [i], *_crop(state, eta[i:i + 1], out[None], pad)
-
-
-def _blocks(state: LatticeState, eta: np.ndarray, chis: dict, pads: np.ndarray):
-    """Yield the bloch route's (time indices, kept amplitudes, leaks) block by
-    block, as the module docstring sets out, given each time's pad."""
+def _blocks(state: LatticeState, eta: np.ndarray, chis: dict, path: str = "bloch"):
+    """Yield (time indices, kept amplitudes, leaks) block by block, as the
+    module docstring sets out, for 1-d eta and chis. Every time's ranges
+    are checked (``_pads``) before anything is allocated."""
+    if path not in ("bloch", "site"):
+        raise ValueError(f"unknown path {path!r}")
+    pads = _pads(eta, chis)
+    if (path == "site" or not state.ring) and pads.max(initial=0) > 1 << 24:
+        raise ValueError(f"the propagator would reach {pads.max()} sites past the "
+                         "window, more than 2^24")  # the window cap, on both routes
     groups: dict = {}  # the times of each pad; a ring is not padded
     for i, pad in enumerate(pads.tolist()):
         groups.setdefault(0 if state.ring else pad, []).append(i)
@@ -274,8 +249,15 @@ def _blocks(state: LatticeState, eta: np.ndarray, chis: dict, pads: np.ndarray):
         kappa = 2.0 * np.pi * np.arange(n) / n
         for start in range(0, len(times), step):
             rows = times[start: start + step]
-            cols = {m: chi[rows, None] for m, chi in chis.items()}
-            out = np.exp(-1j * _band_phase(cols, kappa, (len(rows),)))
+            if path == "bloch":
+                cols = {m: chi[rows, None] for m, chi in chis.items()}
+                out = np.exp(-1j * _band_phase(cols, kappa, (len(rows),)))
+            else:  # each kernel a_j at -j mod n, wrapping a ring it is longer than
+                out = np.zeros((len(rows), n), dtype=complex)
+                for i, row in zip(rows, out):
+                    a = _site_kernel({m: complex(chi[i]) for m, chi in chis.items()})
+                    np.add.at(row, (a.size // 2 - np.arange(a.size)) % n, a)
+                out = np.fft.fft(out, axis=-1)
             np.multiply(spec, out, out=out)  # spec * out: out * spec can differ in a bit
             yield rows, *_crop(state, eta[rows], np.fft.ifft(out, axis=-1), pad)
 

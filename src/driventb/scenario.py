@@ -575,12 +575,12 @@ def band_table(scenario: Scenario):
     return kappa, band.epsilon(kappa)
 
 
-def _emit_band(scenario: Scenario, out_dir: Path) -> list:
-    try:  # `driventb band` reaches here with any drive
+def _emit_band(scenario: Scenario, out_dir) -> list:
+    try:  # `driventb band` reaches here with any drive, before out_dir is made
         kappa, eps = band_table(scenario)
     except ValueError as exc:
         raise ConfigError(f"[drive] kind: {exc}") from exc
-    _write_csv(out_dir / "band.csv", scenario, ["kappa", "quasienergy"],
+    _write_csv(_out_dir(out_dir) / "band.csv", scenario, ["kappa", "quasienergy"],
                (kappa, eps))
     return ["band.csv"]
 
@@ -592,8 +592,8 @@ def _emit_invariant(scenario: Scenario, out_dir: Path, values) -> list:
     return ["invariant.csv"]
 
 
-def _emit_classical(scenario: Scenario, out_dir: Path, n_samples: int = 20000):
-    ens = cls.ensemble_from_state(scenario.state, n_samples, seed=scenario.seed)
+def _emit_classical(scenario: Scenario, out_dir: Path):
+    ens = cls.ensemble_from_state(scenario.state, 20000, seed=scenario.seed)
     _write_csv(out_dir / "ensemble.csv", scenario, ["p", "q", "weight"],
                (ens.p, ens.q, ens.weights))
     times = scenario.times

@@ -263,3 +263,11 @@ class TestSingleBandMean:
         for t in (0.9, 4.4):
             assert expect_N_single_band(s, disp, proto, t) == pytest.approx(
                 float(expect_N(coh, proto, t)), abs=1e-12)
+        # on a ring <K^m> takes the seam terms, as coherence_parameters' K does
+        n = np.arange(-6, 6)
+        ring = state_from_amplitudes(np.exp(0.7j * n) * (1.0 + 0.3 * np.cos(n)),
+                                     (-6, 5), ring=True)
+        proto = HarmonicDrive(0.8, 0.5, 1.1, 0.6)
+        got = expect_N_single_band(ring, SingleBandDispersion((0.0, 0.6)), proto, 2.3)
+        assert got == pytest.approx(float(expect_N(coherence_parameters(ring), proto,
+                                                   2.3, form="k")), abs=1e-12)

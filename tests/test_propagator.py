@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       SingleBandDispersion, apply_propagator, bessel_j,
@@ -9,16 +11,24 @@ from driventb import (DCDrive, FourierDrive, HarmonicDrive, LatticeState,
                       invariant_expectation, single_site)
 from driventb import propagator
 from driventb.bessel import bessel_cutoff, bessel_j_orders
-from driventb.propagator import (_ETA_MAX, _band_phase, _convolve, _fft_size,
-                                 _site_kernel, _site_phase)
+from driventb.propagator import (_ETA_MAX, _band_phase, _fft_size, _site_kernel,
+                                 _site_phase)
 
 DC = DCDrive(1.0, 1.0)
 
 
-def fft_side(a_size, b_size):
-    """Whether _convolve's cost rule picks the FFT for these sizes."""
-    n = _fft_size(a_size + b_size - 1)
-    return a_size * b_size > 16 * n * np.log2(n)
+def direct_site_route(s, eta, chis):
+    """The site route by the direct sum c'_n = sum_j a_j c_{n+j} (np.convolve),
+    over the wrapped state on a ring: the kept amplitudes and the leak."""
+    coeff, size = _site_kernel(chis)[::-1], s.amplitudes.size
+    h, c = coeff.size // 2, s.amplitudes
+    if s.ring:
+        c = np.take(c, np.arange(-h, size + h), mode="wrap")
+    out = np.convolve(c, coeff, "valid" if s.ring else "full")
+    cut = 0 if s.ring else h
+    rest = np.concatenate((out[:cut], out[cut + size:]))
+    return (out[cut: cut + size] * _site_phase(eta, s.n_min, size),
+            float(np.vdot(rest, rest).real))
 
 
 class TestElement:
@@ -183,9 +193,11 @@ class TestEvolve:
                                SingleBandDispersion((0.2, 0.5, 0.0, 0.3)))}
 
     @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
-    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-    def test_time_grid_is_its_times_one_at_a_time_exactly(self, case, ring):
-        # the Bloch route groups the grid's times by pad and FFT length, and
+    @pytest.mark.parametrize("case,path", [  # the bloch ids are the case names
+        pytest.param(c, p, id=c if p == "bloch" else f"{c}-site")
+        for p in ("bloch", "site") for c in ("band-m3", "tb")])
+    def test_time_grid_is_its_times_one_at_a_time_exactly(self, case, path, ring):
+        # either route groups the grid's times by pad and FFT length, and
         # a block holds several times; each must be what one time gives
         proto, disp = self.BLOCK_CASES[case]
         s = gaussian_state(0, 2.5, 0.4, (-40, 40))
@@ -201,10 +213,10 @@ class TestEvolve:
         assert len(set(lengths)) >= (1 if ring else 3)
         assert any(pads.count(pad) > propagator._BLOCK // n
                    for pad, n in zip(pads, lengths))
-        grid = evolve(s, proto, times, dispersion=disp)
+        grid = evolve(s, proto, times, path=path, dispersion=disp)
         for i, got in enumerate(grid):
             one = apply_propagator(s, float(eta[i]),
-                                   {m: complex(chi[i]) for m, chi in chis.items()})
+                                   {m: complex(chi[i]) for m, chi in chis.items()}, path)
             assert np.array_equal(got.amplitudes, one.amplitudes)
             assert got.leak == one.leak and got.ring == ring
 
@@ -321,8 +333,8 @@ class TestFftSize:
         assert all(s <= 1 << (n - 1).bit_length() for n, s in enumerate(got, 1))
 
     def test_covers_the_largest_reachable_length(self):
-        # 2^24 sites (the [lattice] window cap) wrap-padded and convolved with
-        # a kernel at the Bessel range's edge on a ring: L + 4 N. A band of
+        # 2^24 sites (the [lattice] window cap) padded on both sides past a
+        # kernel at the Bessel range's edge: under L + 4 N. A band of
         # order M reaches about M (M + 1) / 2 times as far; the table ends at
         # 2^40, a 16 TiB complex array
         widest = (1 << 24) + 4 * bessel_cutoff(1e6)
@@ -331,25 +343,8 @@ class TestFftSize:
 
 
 class TestConvolve:
-    @pytest.mark.parametrize("mode", ["full", "valid"])
-    @pytest.mark.parametrize("sizes,fft", [
-        ((40, 7), False), ((5000, 61), False), ((7, 40), False),
-        ((3000, 1501), True), ((1501, 3000), True), ((16385, 6301), True),
-        ((1824, 801), True)])
-    def test_matches_np_convolve(self, sizes, fft, mode):
-        rng = np.random.default_rng(sum(sizes))
-        a, b = (rng.normal(size=k) + 1j * rng.normal(size=k) for k in sizes)
-        assert fft_side(*sizes) == fft
-        got, ref = _convolve(a, b, mode), np.convolve(a, b, mode)
-        assert got.shape == ref.shape
-        if fft:
-            bound = 1e-13 * np.linalg.norm(a) * np.linalg.norm(b)
-            assert np.max(np.abs(got - ref)) <= bound
-        else:
-            assert np.array_equal(got, ref)
-
-    # (sites, ring, {m: chi_m}): the kernels have hundreds of taps, so each
-    # case convolves by FFT; the 64-site ring is far shorter than its kernel
+    # (sites, ring, {m: chi_m}): the kernels have hundreds of taps; the
+    # 64-site ring is far shorter than its kernel
     SITE_CASES = {
         "tb-open": (2049, False, {1: 200.0 * np.exp(0.4j)}),
         "tb-ring": (1024, True, {1: 150.0 * np.exp(-1.1j)}),
@@ -361,19 +356,37 @@ class TestConvolve:
     }
 
     @pytest.mark.parametrize("case", sorted(SITE_CASES))
-    def test_site_route_matches_direct_convolution(self, case, monkeypatch):
+    def test_site_route_matches_direct_convolution(self, case):
         sites, ring, chis = self.SITE_CASES[case]
         rng = np.random.default_rng(sites)
         amps = rng.normal(size=sites) + 1j * rng.normal(size=sites)
         s = LatticeState(-(sites // 2), amps / np.linalg.norm(amps), ring=ring)
-        taps = _site_kernel(chis).size
-        assert fft_side(sites + (taps - 1 if ring else 0), taps)
         got = apply_propagator(s, 0.37, chis, "site")
-        monkeypatch.setattr(propagator, "_convolve", np.convolve)
-        ref = apply_propagator(s, 0.37, chis, "site")
-        assert got.n_min == ref.n_min and got.ring == ring
-        assert np.max(np.abs(got.amplitudes - ref.amplitudes)) <= 1e-13
-        assert abs(got.leak - ref.leak) <= 1e-13
+        kept, leak = direct_site_route(s, 0.37, chis)
+        assert got.n_min == s.n_min and got.ring == ring
+        assert np.max(np.abs(got.amplitudes - kept)) <= 1e-13
+        assert abs(got.leak - leak) <= 1e-13
+
+    # chis: (|chi_m|, arg chi_m) for m = 0..M, band order M = 1..3; a kernel
+    # of 2|chi_m| = 400 spans thousands of sites, so it wraps a short ring
+    # many times, and a 1-site ring takes the sum of all its entries
+    @settings(max_examples=50)
+    @given(sites=st.integers(1, 300), ring=st.booleans(),
+           chis=st.lists(st.tuples(st.floats(0.0, 200.0), st.floats(-np.pi, np.pi)),
+                         min_size=2, max_size=4),
+           eta=st.floats(-50.0, 50.0), seed=st.integers(0, 2 ** 32 - 1))
+    @example(sites=1, ring=True, chis=[(0.3, 1.0), (200.0, 0.4), (0.0, 0.0), (150.0, -2.0)],
+             eta=0.37, seed=1)
+    @example(sites=7, ring=True, chis=[(0.0, 0.0), (200.0, 2.5)], eta=-3.1, seed=2)
+    def test_site_route_matches_direct_convolution_drawn(self, sites, ring, chis, eta, seed):
+        rng = np.random.default_rng(seed)
+        amps = rng.normal(size=sites) + 1j * rng.normal(size=sites)
+        s = LatticeState(-(sites // 2), amps / np.linalg.norm(amps), ring=ring)
+        chis = {m: r * np.exp(1j * a) for m, (r, a) in enumerate(chis)}
+        got = apply_propagator(s, eta, chis, "site")
+        kept, leak = direct_site_route(s, eta, chis)
+        assert np.max(np.abs(got.amplitudes - kept)) <= 1e-13
+        assert abs(got.leak - leak) <= 1e-13
 
     @pytest.mark.parametrize("path", ["bloch", "site"])
     @pytest.mark.parametrize("ring", [False, True], ids=["open", "ring"])
@@ -382,16 +395,21 @@ class TestConvolve:
         s = single_site(0, (-32, 31))
         s = LatticeState(s.n_min, s.amplitudes, ring=ring)
         # one time, and a grid whose last time alone is out of range: its
-        # time 4e5 (2|chi| = 8e5) would take a transform of 1.6e6 sites
-        for t in (1e7, np.array([1.0, 4e5, 1e7])):
-            tracemalloc.start()
-            try:
-                with pytest.raises(ValueError, match="outside supported range"):
-                    evolve(s, slow, t, path=path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20
+        # time 4e5 (2|chi| = 8e5) would take a transform of 1.6e6 sites; the
+        # invariant (open windows only) takes the bloch route's checks
+        calls = [lambda t: evolve(s, slow, t, path=path)]
+        if path == "bloch" and not ring:
+            calls.append(lambda t: invariant_expectation(s, slow, t))
+        for call in calls:
+            for t in (1e7, np.array([1.0, 4e5, 1e7])):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError, match="outside supported range"):
+                        call(t)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1 << 20
 
     # 0, then 200 x 10 under f0 = 0: 2|chi_m| = 2e5 at t = 1e4, within the
     # Bessel range, but the pad 4 + sum_m m N_m is 4,037,024,704 sites
@@ -415,8 +433,8 @@ class TestConvolve:
             assert peak < 1 << 20
 
     def test_reach_on_a_ring_bounds_only_the_site_route(self):
-        # the bloch route does not pad a ring; the site route wraps it by the
-        # kernel's reach
+        # the bloch route does not pad a ring; the site route builds a kernel
+        # of that reach before it folds it onto the ring
         s = gaussian_state(0, 2, 0, (-128, 127))
         s = LatticeState(s.n_min, s.amplitudes, ring=True)
         out = evolve(s, DCDrive(0.0, 0.0), 1e4, dispersion=self.WIDE_BAND)

@@ -700,6 +700,7 @@ class TestCli:
                                            str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "[drive] kind" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_bad_seed_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, BLOCH_CFG)
