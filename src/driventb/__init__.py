@@ -12,7 +12,7 @@ Schrodinger integrator cross-checks every one of them.
 
 from .bessel import bessel_j, bessel_j_array, bessel_j_multivar, bessel_zero
 from .drives import (DCDrive, DriveProtocol, FourierDrive, HarmonicDrive,
-                     PhaseIntegrals, TabulatedDrive)
+                     TabulatedDrive)
 from .lattice import (BlochAmplitudes, CoherenceParameters, LatticeState,
                       apply_shift, bloch_transform, coherence_parameters,
                       gaussian_state, inverse_bloch, make_state, single_site,
@@ -22,10 +22,10 @@ from .propagator import (SingleBandDispersion, apply_propagator, bloch_phase,
 from .observables import (LocalizationReport, ModeReport, ObservableSeries,
                           classify_mode, expect_K, expect_N,
                           expect_N_single_band, localization_report,
-                          observable_series, variance_K, variance_N)
-from .floquet import (InvariantCoefficients, QuasienergyBand, floquet_state,
-                      houston_state, invariant_expectation, invariant_lambda,
-                      quasienergy, quasienergy_band)
+                          observable_series, variance_N)
+from .floquet import (QuasienergyBand, floquet_state, houston_state,
+                      invariant_expectation, invariant_lambda, quasienergy,
+                      quasienergy_band)
 from .classical import (ClassicalEnsemble, ClassicalState, classical_invariant,
                         ensemble_from_state, ensemble_moments, trajectory)
 from .oracle import OracleConfig, WindowLeakError, integrate, integrate_series, \

@@ -37,7 +37,6 @@ import numpy as np
 from .bessel import _DROP, bessel_j_multivar_orders, bessel_j_orders
 
 __all__ = [
-    "PhaseIntegrals",
     "DriveProtocol",
     "DCDrive",
     "HarmonicDrive",
@@ -54,26 +53,6 @@ _GL_HALF = np.array([
     [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]])
 _GL_NODES, _GL_WEIGHTS = np.c_[[[-1.0], [1.0]] * _GL_HALF[:, ::-1], _GL_HALF]
 _PANEL_PHASE = 1.0  # the most phase (rad) one panel of a table spans
-
-
-@dataclass(frozen=True)
-class PhaseIntegrals:
-    """The scalar functions that parameterize the propagator at one time."""
-
-    t: float
-    eta: float
-    chi: complex
-    u: float
-    v: float
-
-    @property
-    def chi_abs(self) -> float:
-        return abs(self.chi)
-
-    @property
-    def phi(self) -> float:
-        """Phase of chi in the convention chi = |chi| exp(-i phi)."""
-        return 0.0 if self.chi == 0 else float(-np.angle(self.chi))
 
 
 def _eint(w: float, t):
@@ -145,13 +124,6 @@ class DriveProtocol:
         """(u_t, v_t) = (2 Re chi_t, -2 Im chi_t)."""
         chi = self.chi(t)
         return 2.0 * np.real(chi), -2.0 * np.imag(chi)
-
-    def phase(self, t) -> PhaseIntegrals:
-        """Bundle eta, chi and (u, v) = (2 Re chi, -2 Im chi) at a single time t."""
-        t = float(t)
-        chi = complex(self.chi(t))
-        return PhaseIntegrals(t=t, eta=float(self.eta(t)), chi=chi,
-                              u=2.0 * chi.real, v=-2.0 * chi.imag)
 
     @property
     def max_hop(self) -> float:

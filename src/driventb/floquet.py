@@ -26,7 +26,6 @@ from .propagator import _blocks
 
 __all__ = [
     "QuasienergyBand",
-    "InvariantCoefficients",
     "quasienergy_band",
     "quasienergy",
     "houston_state",
@@ -100,25 +99,15 @@ def floquet_state(kappa: float, protocol: DriveProtocol, t: float,
                         ring=ring)
 
 
-@dataclass(frozen=True)
-class InvariantCoefficients:
-    """Coefficients of I(t) = gamma N + lambda K + lambda* K^dag (gamma = 1)."""
-
-    t: float
-    lam: complex
-    gamma: float = 1.0
-
-
 def _lambda(eta, chi):
     """lambda_t = -i e^{i eta_t} chi_t, at one time or over arrays."""
     return -1j * np.exp(1j * eta) * chi
 
 
-def invariant_lambda(protocol: DriveProtocol, t: float) -> InvariantCoefficients:
+def invariant_lambda(protocol: DriveProtocol, t: float) -> complex:
     """lambda_t = -i e^{i eta_t} chi_t, the solution of lambda' = i(f lambda - g)."""
     t = float(t)
-    lam = _lambda(float(protocol.eta(t)), complex(protocol.chi(t)))
-    return InvariantCoefficients(t=t, lam=complex(lam))
+    return complex(_lambda(float(protocol.eta(t)), complex(protocol.chi(t))))
 
 
 def invariant_expectation(state0: LatticeState, protocol: DriveProtocol, t):

@@ -88,7 +88,7 @@ class LatticeState:
         lo = max(self.n_min, other.n_min)
         hi = min(self.n_max, other.n_max)
         if hi < lo:
-            return 0.0
+            return 0j
         a = self.amplitudes[lo - self.n_min: hi - self.n_min + 1]
         b = other.amplitudes[lo - other.n_min: hi - other.n_min + 1]
         return complex(np.vdot(a, b))

@@ -2,12 +2,10 @@
 
 Everything here is Heisenberg-picture: the moments at time t come from the
 initial state's coherence parameters plus the drive's phase integrals, with
-no state ever evolved. The two equivalent parameterizations are kept side
-by side as a cross-check:
+no state ever evolved, through (u, v) = (2 Re chi, -2 Im chi):
 
     <K>_t  = e^{-i eta_t} <K>_0                      (variance of K constant)
-    <N>_t  = <N>_0 - 2 Im(chi_t K)  =  <N>_0 + v_t <C>_0 - u_t <S>_0
-    <N^2>_t = <N^2>_0 - 2 Im(chi_t J) - 2 Re(chi_t^2 L) + 2 |chi_t|^2
+    <N>_t  = <N>_0 + v_t <C>_0 - u_t <S>_0
     Var_N(t) = Var_N(0) + 2 v D_CN - 2 u D_SN + v^2 D_CC + u^2 D_SS
                - 2 u v D_CS
 
@@ -30,7 +28,6 @@ __all__ = [
     "ModeReport",
     "LocalizationReport",
     "expect_K",
-    "variance_K",
     "expect_N",
     "variance_N",
     "observable_series",
@@ -45,25 +42,9 @@ def expect_K(coh: CoherenceParameters, protocol: DriveProtocol, t):
     return np.exp(-1j * np.asarray(protocol.eta(t))) * coh.K
 
 
-def variance_K(coh: CoherenceParameters) -> float:
-    """|<K^2>_t - <K>_t^2|, which the evolution leaves constant."""
-    return coh.var_K
-
-
-def expect_N(coh: CoherenceParameters, protocol: DriveProtocol, t,
-             form: str = "cs"):
-    """<N>_t from the initial coherence parameters.
-
-    form="cs" uses <N>_0 + v <C>_0 - u <S>_0; form="k" uses the equivalent
-    <N>_0 - 2 Im(chi <K>_0). Both are exposed so tests can pin their
-    agreement.
-    """
-    if form == "cs":
-        return _expect_N_uv(coh, *protocol.uv(t))
-    if form == "k":
-        chi = np.asarray(protocol.chi(t))
-        return coh.n_mean - 2.0 * np.imag(chi * coh.K)
-    raise ValueError(f"unknown form {form!r}")
+def expect_N(coh: CoherenceParameters, protocol: DriveProtocol, t):
+    """<N>_t = <N>_0 + v_t <C>_0 - u_t <S>_0."""
+    return _expect_N_uv(coh, *protocol.uv(t))
 
 
 def _expect_N_uv(coh: CoherenceParameters, u, v):
@@ -78,22 +59,9 @@ def _variance_N_uv(coh: CoherenceParameters, u, v):
             + v * v * d[0, 0] + u * u * d[1, 1] - 2.0 * u * v * d[0, 1])
 
 
-def variance_N(coh: CoherenceParameters, protocol: DriveProtocol, t,
-               form: str = "covariance"):
-    """Var_N(t) from the initial coherence parameters.
-
-    form="covariance" uses the (C, S, N) covariance matrix with (u, v);
-    form="moments" uses <N^2>_t - <N>_t^2 built from (K, J, L).
-    """
-    if form == "covariance":
-        return _variance_N_uv(coh, *protocol.uv(t))
-    if form == "moments":
-        chi = np.asarray(protocol.chi(t))
-        n2_t = (coh.n2_mean - 2.0 * np.imag(chi * coh.J)
-                - 2.0 * np.real(chi * chi * coh.L) + 2.0 * np.abs(chi) ** 2)
-        n_t = coh.n_mean - 2.0 * np.imag(chi * coh.K)
-        return n2_t - n_t ** 2
-    raise ValueError(f"unknown form {form!r}")
+def variance_N(coh: CoherenceParameters, protocol: DriveProtocol, t):
+    """Var_N(t) from the (C, S, N) covariances at t = 0 and (u_t, v_t)."""
+    return _variance_N_uv(coh, *protocol.uv(t))
 
 
 @dataclass(frozen=True)
@@ -124,7 +92,7 @@ def observable_series(coh: CoherenceParameters, protocol: DriveProtocol,
         expect_K=np.asarray(np.exp(-1j * eta) * coh.K, dtype=complex),
         expect_N=np.asarray(_expect_N_uv(coh, u, v), dtype=float),
         var_N=np.asarray(_variance_N_uv(coh, u, v), dtype=float),
-        var_K=np.full(times.shape, variance_K(coh)),
+        var_K=np.full(times.shape, coh.var_K),
     )
 
 

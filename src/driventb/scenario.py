@@ -91,10 +91,11 @@ def _coerce(section: str, key: str, raw, kind):
                 raise ValueError(f"not a boolean: {raw!r}")
             return value
         if kind is float:
-            return _finite(float(raw))
+            return _finite(_number(raw))
         if kind is int:
-            _finite(float(raw))  # the spelling and range of a float, then exactly
-            value = Decimal(raw.strip() if isinstance(raw, str) else raw)
+            _finite(_number(raw))  # the spelling and range of a float, then exactly
+            value = Decimal(str(raw).strip() if isinstance(raw, (str, np.integer))
+                            else raw)
             if value != value.to_integral_value():
                 raise ValueError(f"not an integer: {raw!r}")
             return int(value)
@@ -103,7 +104,7 @@ def _coerce(section: str, key: str, raw, kind):
         if kind == "floats":
             if not isinstance(raw, (list, tuple)):
                 raw = str(raw).replace(",", " ").split()
-            return _finite([float(x) for x in raw])
+            return _finite([_number(x) for x in raw])
         if kind == "strings":
             if isinstance(raw, (list, tuple)):
                 return [str(x) for x in raw]
@@ -111,6 +112,13 @@ def _coerce(section: str, key: str, raw, kind):
     except (TypeError, ValueError, OverflowError) as exc:
         _fail(section, key, str(exc))
     raise AssertionError(f"unknown coercion {kind!r}")
+
+
+def _number(raw) -> float:
+    """float(raw), which refuses a JSON boolean rather than read it as 0 or 1."""
+    if isinstance(raw, bool):
+        raise TypeError(f"not a number: {raw!r}")
+    return float(raw)
 
 
 def _finite(values):
@@ -269,8 +277,8 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     for section, key, value in (("scenario", "seed", seed),
                                 ("oracle", "tolerance", tolerance)):
         if value is not None:  # an override, checked like the key
-            kind, _, check = _SCHEMA[section][key]
-            cfg[section][key] = _checked(section, key, kind(value), check)
+            cfg[section][key] = _value({key: value}, section, key,
+                                       _SCHEMA[section][key])
     # the checks that span keys
     window = tuple(int(n) for n in cfg["lattice"]["window"])
     ring = cfg["lattice"]["ring"]

@@ -1,7 +1,8 @@
 """Shared brute-force oracles for the test suite.
 
 Everything here is deliberately independent of the library's closed forms:
-fixed-step RK4 marches and dense operator matrices only.
+fixed-step RK4 marches and dense operator matrices, plus the K and (K, J, L)
+forms of the moments, which referee the library's (u, v) forms.
 """
 
 import numpy as np
@@ -225,6 +226,21 @@ def ensemble_moments_loop(ensemble, protocol, t, delta=1.0):
     if np.ndim(t) == 0:
         return float(means), float(variances)
     return means, variances
+
+
+def expect_N_k(coh, protocol, t):
+    """<N>_t = <N>_0 - 2 Im(chi_t <K>_0), the K form of expect_N."""
+    chi = np.asarray(protocol.chi(t))
+    return coh.n_mean - 2.0 * np.imag(chi * coh.K)
+
+
+def variance_N_moments(coh, protocol, t):
+    """Var_N(t) = <N^2>_t - <N>_t^2 from (K, J, L), the moments form of
+    variance_N."""
+    chi = np.asarray(protocol.chi(t))
+    n2_t = (coh.n2_mean - 2.0 * np.imag(chi * coh.J)
+            - 2.0 * np.real(chi * chi * coh.L) + 2.0 * np.abs(chi) ** 2)
+    return n2_t - expect_N_k(coh, protocol, t) ** 2
 
 
 def random_state(rng, window, ring=False):

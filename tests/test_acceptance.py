@@ -15,7 +15,7 @@ from driventb import (DCDrive, FourierDrive, HarmonicDrive, OracleConfig,
                       integrate_series, invariant_expectation,
                       monodromy_spectrum, quasienergy_band, single_site,
                       variance_N)
-from helpers import dense_hamiltonian
+from helpers import dense_hamiltonian, expect_N_k, variance_N_moments
 
 RNG_SEED = 20250809
 
@@ -120,9 +120,9 @@ def test_criterion_04_moment_formulas(integrated_cases):
             worst_moment = max(worst_moment, abs(mean_cl - mean_ref),
                                abs(var_cl - var_ref))
             worst_form_n = max(worst_form_n, abs(
-                mean_cl - float(expect_N(coh, proto, t, form="k"))))
+                mean_cl - float(expect_N_k(coh, proto, t))))
             worst_form_var = max(worst_form_var, abs(
-                var_cl - float(variance_N(coh, proto, t, form="moments"))))
+                var_cl - float(variance_N_moments(coh, proto, t))))
     ok = worst_moment < 1e-6 and worst_form_n < 1e-10 and worst_form_var < 1e-10
     report(4, "moment-formulas", ok,
            f"vs oracle {worst_moment:.2e}, form gaps {worst_form_n:.2e} / "

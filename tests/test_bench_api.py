@@ -8,12 +8,16 @@ A change that breaks a call the benchmark makes fails here rather than as a
 failed benchmark run.
 """
 
+import importlib
 import importlib.util
 import json
+import pkgutil
 import sys
 from pathlib import Path
 
 import pytest
+
+import driventb
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in
@@ -41,6 +45,15 @@ def workloads():
 @pytest.fixture(scope="module")
 def spans():
     yield from _bench_module("spans")
+
+
+def test_every_exported_name_resolves():
+    # install getattr's each name of a layer's __all__, so a name left there
+    # after its definition goes breaks the traced bench
+    for info in pkgutil.iter_modules(driventb.__path__):
+        module = importlib.import_module(f"driventb.{info.name}")
+        stale = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not stale, (info.name, stale)
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

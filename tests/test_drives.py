@@ -148,14 +148,12 @@ class TestUV:
         assert np.max(np.abs(2.0 * proto.chi(tt) - (u - 1j * v))) < 1e-13
         pu, pv = proto.uv(tt)
         assert np.max(np.abs(pu - u)) < 1e-13 and np.max(np.abs(pv - v)) < 1e-13
-        ph = proto.phase(tt[7])
-        assert (ph.u, ph.v) == pytest.approx((u[7], v[7]), abs=1e-13)
+        assert proto.uv(tt[7]) == pytest.approx((u[7], v[7]), abs=1e-13)
 
-    def test_phase_bundle_consistency(self):
+    def test_scalar_uv_matches_chi(self):
         proto = HarmonicDrive(1.0, 1.0, 1.0, 0.25)
-        ph = proto.phase(2.7)
-        assert 2.0 * ph.chi == pytest.approx(ph.u - 1j * ph.v, abs=1e-12)
-        assert ph.chi == pytest.approx(ph.chi_abs * np.exp(-1j * ph.phi), abs=1e-12)
+        u, v = proto.uv(2.7)
+        assert 2.0 * proto.chi(2.7) == pytest.approx(u - 1j * v, abs=1e-12)
 
 
 class TestFourierAmplitude:

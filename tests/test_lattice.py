@@ -87,6 +87,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             s.embedded((-3, 3))
 
+    def test_overlap_of_disjoint_windows_is_complex_zero(self):
+        a, b = single_site(0, (-4, 0)), single_site(3, (1, 5))
+        assert type(a.overlap(b)) is complex and a.overlap(b) == 0
+        assert type(a.overlap(single_site(-1, (-2, 2)))) is complex
+
 
 class TestShift:
     def test_single_site_moves_down(self):

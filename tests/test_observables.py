@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from driventb import (DCDrive, FourierDrive, HarmonicDrive, SingleBandDispersion,
-                      bessel_j, bessel_zero, classify_mode, coherence_parameters,
-                      expect_K, expect_N, expect_N_single_band, gaussian_state,
-                      integrate, integrate_series, localization_report,
-                      observable_series, single_site, state_from_amplitudes,
-                      variance_K, variance_N)
-from helpers import random_state
+                      TabulatedDrive, bessel_j, bessel_zero, classify_mode,
+                      coherence_parameters, expect_K, expect_N,
+                      expect_N_single_band, gaussian_state, integrate,
+                      integrate_series, localization_report, observable_series,
+                      single_site, state_from_amplitudes, variance_N)
+from helpers import expect_N_k, random_state, variance_N_moments
 
 DC = DCDrive(1.0, 1.0)
 
@@ -35,7 +35,6 @@ class TestExpectK:
         tt = rng.uniform(0.0, 50.0, 100)
         vals = expect_K(coh, HarmonicDrive(1.0, 1.0, 1.0, 0.5), tt)
         assert np.max(np.abs(np.abs(vals) - abs(coh.K))) < 1e-13
-        assert variance_K(coh) == variance_K(coh)  # time independent by design
 
 
 class TestExpectN:
@@ -68,8 +67,8 @@ class TestExpectN:
         coh = coherence_parameters(random_state(rng, (-12, 12)))
         for proto in (DC, HarmonicDrive(1.0, 1.3, 1.0, 0.4)):
             tt = rng.uniform(0.0, 30.0, 50)
-            a = expect_N(coh, proto, tt, form="cs")
-            b = expect_N(coh, proto, tt, form="k")
+            a = expect_N(coh, proto, tt)
+            b = expect_N_k(coh, proto, tt)
             assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -92,8 +91,8 @@ class TestVarianceN:
         coh = coherence_parameters(random_state(rng, (-12, 12)))
         for proto in (DC, HarmonicDrive(1.0, 0.9, 1.0, 0.6)):
             tt = rng.uniform(0.0, 30.0, 50)
-            a = variance_N(coh, proto, tt, form="covariance")
-            b = variance_N(coh, proto, tt, form="moments")
+            a = variance_N(coh, proto, tt)
+            b = variance_N_moments(coh, proto, tt)
             assert np.max(np.abs(a - b)) < 1e-10
 
     def test_nonnegative_on_random_states(self):
@@ -142,8 +141,22 @@ class TestSeries:
         series = observable_series(coh, DC, tt)
         assert np.allclose(series.expect_N,
                            np.asarray(expect_N(coh, DC, tt), dtype=float))
-        assert np.allclose(series.var_K, variance_K(coh))
+        assert np.allclose(series.var_K, coh.var_K)
         assert np.max(np.abs(2 * series.chi - (series.u - 1j * series.v))) < 1e-10
+
+    @pytest.mark.parametrize("proto", [
+        DC, HarmonicDrive(1.0, 1.3, 1.0, 0.4),
+        FourierDrive(0.7, (0.8, -0.4), 1.3, 0.5),
+        TabulatedDrive(np.linspace(0.0, 7.0, 29), 1.0 + 0.5 * np.sin(np.arange(29)),
+                       0.5 + 0.1 * np.cos(np.arange(29)))],
+        ids=["dc", "harmonic", "fourier", "tabulated"])
+    def test_public_moments_equal_the_series(self, proto):
+        coh = coherence_parameters(gaussian_state(1, 2.5, 0.4, (-24, 24)))
+        tt = np.linspace(0.0, 7.0, 31)
+        series = observable_series(coh, proto, tt)
+        assert np.all(expect_N(coh, proto, tt) == series.expect_N)
+        assert np.all(variance_N(coh, proto, tt) == series.var_N)
+        assert np.all(expect_K(coh, proto, tt) == series.expect_K)
 
 
 class TestModeClassification:
@@ -269,5 +282,5 @@ class TestSingleBandMean:
                                      (-6, 5), ring=True)
         proto = HarmonicDrive(0.8, 0.5, 1.1, 0.6)
         got = expect_N_single_band(ring, SingleBandDispersion((0.0, 0.6)), proto, 2.3)
-        assert got == pytest.approx(float(expect_N(coherence_parameters(ring), proto,
-                                                   2.3, form="k")), abs=1e-12)
+        assert got == pytest.approx(float(expect_N_k(coherence_parameters(ring), proto,
+                                                     2.3)), abs=1e-12)

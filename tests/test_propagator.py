@@ -480,10 +480,9 @@ class TestBlochPhase:
         vals = bloch_phase(proto, t, kappa)
         assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-14
 
-    def test_params_bundle(self):
-        params = DC.phase(np.pi)
-        assert params.eta == pytest.approx(np.pi)
-        assert params.chi == pytest.approx(-2.0j, abs=1e-13)
+    def test_dc_phases_at_pi(self):
+        assert DC.eta(np.pi) == pytest.approx(np.pi)
+        assert DC.chi(np.pi) == pytest.approx(-2.0j, abs=1e-13)
 
 
 class TestSingleBand:

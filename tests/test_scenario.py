@@ -206,6 +206,20 @@ class TestConfigParsing:
                                               r"be an object of keys$"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("time", "t_max", True), ("drive", "f0", True), ("state", "site", True),
+        ("time", "samples", False), ("lattice", "window", [-8, True])],
+        ids=["float", "drive-float", "int", "int-false", "floats"])
+    def test_json_booleans_are_not_numbers(self, tmp_path, section, key, value):
+        payload = {"lattice": {"window": [-8, 8]}, "state": {"kind": "single_site"},
+                   "drive": {"kind": "dc", "f0": 1.0, "g0": 1.0},
+                   "time": {"t_max": 1.0, "samples": 4}}
+        payload[section][key] = value
+        path = write_cfg(tmp_path, json.dumps(payload), "scenario.json")
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: not a "
+                                              r"number: (True|False)$"):
+            load_scenario(path)
+
     @pytest.mark.parametrize("text,needle", [
         ("[drive]\nkind = dc\n[[x", r"^config parse error: "),
         ('{"drive": {"kind": "dc"}', r"^config parse error: "),
@@ -526,6 +540,18 @@ class TestRunScenario:
         scenario = load_scenario(path, seed=7, tolerance=1e-3)
         assert (scenario.seed, scenario.tolerance) == (7, 1e-3)
 
+    @pytest.mark.parametrize("seed,why", [
+        (1.9, "not an integer: 1.9"),
+        ("abc", "could not convert string to float: 'abc'"),
+        (float("inf"), "must be finite"), (True, "not a number: True")],
+        ids=["fraction", "text", "inf", "bool"])
+    def test_seed_override_is_coerced_like_the_key(self, tmp_path, seed, why):
+        path = write_cfg(tmp_path, BLOCH_CFG)
+        with pytest.raises(ConfigError,
+                           match=f"^{re.escape(f'[scenario] seed: {why}')}$"):
+            load_scenario(path, seed=seed)
+        assert load_scenario(path, seed=np.int64(5)).seed == 5
+
 
 class TestCompare:
     def test_dc_comparison_passes(self, tmp_path):
@@ -568,12 +594,12 @@ quantities = state_snapshots
         assert bad["max_amplitude_deviation"] > 1e-2
 
     @pytest.mark.parametrize("entry", [run_scenario, compare_with_oracle])
-    @pytest.mark.parametrize("tolerance", [-1.0, float("nan")],
+    @pytest.mark.parametrize("tolerance,why", [(-1.0, "must be positive"),
+                                               (float("nan"), "must be finite")],
                              ids=["negative", "nan"])
-    def test_tolerance_override_is_checked(self, tmp_path, entry, tolerance):
+    def test_tolerance_override_is_checked(self, tmp_path, entry, tolerance, why):
         path = write_cfg(tmp_path, BLOCH_CFG + "\n[oracle]\nenabled = true\n")
-        with pytest.raises(ConfigError, match=r"^\[oracle\] tolerance: must be "
-                                              r"positive$"):
+        with pytest.raises(ConfigError, match=rf"^\[oracle\] tolerance: {why}$"):
             entry(path, out_dir=tmp_path / "out", tolerance=tolerance)
         assert not (tmp_path / "out").exists()
 
@@ -638,15 +664,17 @@ quantities = state_snapshots
 
 class TestCli:
     @pytest.mark.parametrize("command", ["run", "compare"])
-    @pytest.mark.parametrize("tolerance", ["-1", "nan"])
-    def test_bad_tolerance_exit_code(self, tmp_path, command, tolerance):
+    @pytest.mark.parametrize("tolerance,why", [("-1", "must be positive"),
+                                               ("nan", "must be finite")],
+                             ids=["-1", "nan"])
+    def test_bad_tolerance_exit_code(self, tmp_path, command, tolerance, why):
         runner = CliRunner()
         path = write_cfg(tmp_path, BLOCH_CFG + "\n[oracle]\nenabled = true\n")
         result = runner.invoke(main, [command, str(path), "--out-dir",
                                       str(tmp_path / "out"), "--tolerance",
                                       tolerance])
         assert result.exit_code == 1, result.output
-        assert "[oracle] tolerance: must be positive" in result.output
+        assert f"[oracle] tolerance: {why}" in result.output
 
     def test_run_and_compare_exit_codes(self, tmp_path):
         runner = CliRunner()
