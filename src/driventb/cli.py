@@ -17,8 +17,7 @@ import sys
 
 import click
 
-from .lattice import WindowLeakError
-from .scenario import (ConfigError, _emit_band, compare_with_oracle, load_scenario,
+from .scenario import (_emit_band, compare_with_oracle, load_scenario,
                        localization_map, run_scenario)
 
 
@@ -44,7 +43,7 @@ def run(config, out_dir, seed, tolerance):
     try:
         summary = run_scenario(config, out_dir=out_dir, seed=seed,
                                tolerance=tolerance)
-    except (ConfigError, WindowLeakError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         raise click.ClickException(str(exc))
     for name in summary["outputs"]:
         click.echo(f"wrote {out_dir}/{name}")
@@ -65,7 +64,7 @@ def compare(config, out_dir, tolerance):
     """Compare the closed-form evolution against the oracle integrator."""
     try:
         report = compare_with_oracle(config, out_dir=out_dir, tolerance=tolerance)
-    except (ConfigError, WindowLeakError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         raise click.ClickException(str(exc))
     click.echo(f"{'t':>10}  {'max |dc|':>12}  {'|d<N>|':>12}  {'|dVarN|':>12}")
     for row in report["per_time"]:
@@ -88,7 +87,7 @@ def band(config, out_dir):
     try:
         scenario = load_scenario(config)
         name, = _emit_band(scenario, out_dir)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {out_dir}/{name} ({scenario.kappa_points} points)")
 
@@ -100,7 +99,7 @@ def localization_map_cmd(config, out_dir):
     """Sweep f1/omega and emit the drift rate gamma_n."""
     try:
         info = localization_map(config, out_dir=out_dir)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"wrote {out_dir}/{info['file']} ({info['points']} points)")
 

@@ -20,18 +20,17 @@ A hop of offset d at eta is the hop at 0 times e^{-i eta d}, so the RK4
 polynomial is built once per run of equal steps and phased per step; a static
 H marches the same way, H'(eta) = e^{i eta N} H'(0) e^{-i eta N}.
 
-Boundaries:
-  * "open": hard truncation. States must stay away from the edges; the
-    largest probability seen within the outermost sites is tracked and an
-    excess over ``leak_tolerance`` raises WindowLeakError.
-  * "ring": periodic labels. H' is plainly circulant, and psi = e^{-i eta N}
+The oracle marches the state's own lattice, whose ``ring`` flag is the one
+boundary of a run:
+  * an open window: hard truncation. States must stay away from the edges;
+    the largest probability seen within the outermost sites is tracked and
+    an excess over ``leak_tolerance`` raises WindowLeakError.
+  * a ring: periodic labels. H' is plainly circulant, and psi = e^{-i eta N}
     phi on the bare labels is the lattice frame's seam twist: a hop of range
-    m that crosses the seam carries e^{-i L eta_t} once. That twist is
-    absolute, so a march that starts at t0 > 0 needs eta(t0) itself, not
-    only the eta it gains. Ring Bloch waves thus evolve exactly as on the
-    infinite lattice, which monodromy spectra and Houston-state checks need
-    (a plain diagonal leaves a seam defect). A ring needs at least M sites,
-    so no hop crosses the seam twice.
+    m that crosses the seam carries e^{-i L eta_t} once. Ring Bloch waves
+    thus evolve exactly as on the infinite lattice, which monodromy spectra
+    and Houston-state checks need (a plain diagonal leaves a seam defect).
+    A ring needs at least M sites, so no hop crosses the seam twice.
 """
 
 from __future__ import annotations
@@ -71,17 +70,15 @@ class OracleConfig:
     ``error_per_time * max(t, 1)`` in every amplitude and the norm drifts
     by less than 1e-9. After a failed pair the next step is the largest step
     its coarse run marched, scaled by the error as h^4 and by the drift as h^5
-    for a static H on an open 1-d window, h^4 otherwise. Each ValueError
-    names the field it rejects.
+    for a static H on an open 1-d window, h^4 otherwise. ``leak_tolerance``
+    bounds the edge probability of an open window. The boundary is the
+    state's own. Each ValueError names the field it rejects.
     """
 
-    boundary: str = "open"
     error_per_time: float = 1e-8
     leak_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.boundary not in ("open", "ring"):
-            raise ValueError("boundary must be 'open' or 'ring'")
         if not (np.isfinite(self.error_per_time) and self.error_per_time > 0.0):
             raise ValueError("error_per_time must be positive and finite")
         if not (np.isfinite(self.leak_tolerance)
@@ -208,18 +205,18 @@ class _CoMoving:
         np.add.reduce(self.terms, axis=0, out=out)
 
 
-def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
-           memo=None, eta=0.0, edges=True):
-    """RK4 from t0 through the checkpoint times, counts[i] steps of span_i /
-    counts[i] in interval i, from eta at t0; returns (psi at each time, edge,
-    eta at the last time). Co-moving maps march phi = e^{i eta N} psi0 in
-    tables that run across checkpoints, and a checkpoint's psi is
+def _march(psi0, times, counts, protocol, sites, ring, dispersion, memo=None,
+           edges=True):
+    """RK4 from t = 0 through the checkpoint times, counts[i] steps of span_i /
+    counts[i] in interval i, from eta = 0; returns (psi at each time, edge,
+    eta at the last time). Co-moving maps march phi = e^{i eta N} psi, psi0
+    at t = 0, in tables that run across checkpoints, and a checkpoint's psi is
     e^{-i eta N} phi at its step. ``memo`` holds the integration's _CoMoving
     and tallies the marches: "static" on an open 1-d window where every
     sample of f and the couplings equals the first, "co-moving" otherwise.
     Edge amplitudes are kept per chunk if ``edges`` (else the edge is 0)."""
     counts = np.asarray(counts, dtype=int)
-    ends, starts = np.cumsum(counts), np.concatenate(([t0], times[:-1]))
+    ends, starts = np.cumsum(counts), np.concatenate(([0.0], times[:-1]))
     hs = (np.asarray(times) - starts) / np.maximum(counts, 1)
     total = int(ends[-1])
     memo = {"steps": 0, "marches": set()} if memo is None else memo
@@ -247,12 +244,12 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
     k = int(np.searchsorted(ends, 0, side="right"))  # the next checkpoint
     out = [psi.copy() for _ in range(k)]
     if total == 0:
-        return out, 0.0, eta
+        return out, 0.0, 0.0
     track_edge = edges and not ring and psi0.ndim == 1
     edge_rows = np.concatenate((np.arange(len(psi0))[:_EDGE_SITES],
                                 np.arange(len(psi0))[-_EDGE_SITES:]))
     amps = np.empty((_CHUNK_STEPS, edge_rows.size), dtype=complex)
-    edge, s = 0.0, 0
+    edge, eta, s = 0.0, 0.0, 0
     _, f_vals, couplings = sampled = samples(0, min(total, _TABLE_STEPS))
     f_val, band = f_vals[0, 0], couplings[0, 0]
     static = not ring and psi0.ndim == 1
@@ -260,7 +257,6 @@ def _march(psi0, t0, times, counts, protocol, sites, ring, dispersion,
         (0.0, 1.0) if dispersion is None else dispersion.couplings, psi0.shape,
         ring))  # one per integration; tight binding (0, g_t) hops by +-1
     memo["steps"] += total
-    _gauge(psi, eta, sites)
     while k < counts.size:
         first = s - s % _CHUNK_STEPS
         if s == first:
@@ -345,8 +341,8 @@ def _integrate_block(psi0, times, protocol, sites, ring, dispersion, config):
     def run(counts, edges=True):
         _check_steps(counts.sum(), f"pass {len(passes) + 1}" if passes else "first pass")
         passes.append((int(counts.sum()), None, None))
-        return _march(psi0, 0.0, times, counts, protocol, sites, ring,
-                      dispersion, memo, edges=edges)[:2]
+        return _march(psi0, times, counts, protocol, sites, ring, dispersion,
+                      memo, edges=edges)[:2]
 
     counts, prev = np.ceil(spans / dt), None
     for refinements in range(1, _MAX_REFINEMENTS + 1):
@@ -384,17 +380,17 @@ def integrate_series(state0: LatticeState, protocol: DriveProtocol, times,
                      dispersion=None) -> list[LatticeState]:
     """Integrate the Schrodinger equation, returning the state at each time.
 
-    ``times`` must be nondecreasing and nonnegative. Uses the state's own
-    window; the caller picks it large enough (open boundaries raise
-    WindowLeakError when probability touches the edge).
+    ``times`` must be finite, nondecreasing and nonnegative. Marches the
+    state's own window and boundary; the caller picks an open window large
+    enough (WindowLeakError when probability touches its edge).
     """
     config = config or OracleConfig()
     times = [float(t) for t in times]
-    if any(b < a for a, b in zip(times, times[1:])) or (times and times[0] < 0.0):
-        raise ValueError("times must be nondecreasing and nonnegative")
-    ring = config.boundary == "ring" or state0.ring
+    if not all(0.0 <= a <= b < np.inf for a, b in zip([0.0] + times, times)):
+        raise ValueError("times must be finite, nondecreasing and nonnegative")
+    ring = state0.ring
     sites = state0.sites.astype(float)
-    order = 1 if dispersion is None else len(dispersion.couplings) - 1
+    order = 1 if dispersion is None else dispersion.order
     if ring and sites.size < order:  # a seam hop is twisted once
         raise ValueError(f"a ring of {sites.size} sites is shorter than the "
                          f"band order {order}")
@@ -432,7 +428,7 @@ def monodromy_spectrum(protocol: DriveProtocol, ring_sites: int,
                          f"not {ring_sites!r}")
     if protocol.resonance_order() is None:
         raise ValueError("monodromy requires a resonant periodic protocol")
-    config = config or OracleConfig(boundary="ring")
+    config = config or OracleConfig()
     period = protocol.period
 
     # at resonance the labels' offset only contributes a trivial 2 pi phase

@@ -189,7 +189,7 @@ _SCHEMA = {
         (f"unknown quantity {q!r}" for q in qs if q not in _EMITTERS), None)),
                "snapshot_times": ("floats", None, None)},  # default: 0 and t_max
     "oracle": {"enabled": (bool, False, None),
-               "boundary": (str, None, None),  # default: ring on a ring lattice
+               "boundary": (str, None, None),  # the lattice's own, checked at load
                "error_per_time": (float, 1e-8, None),
                "leak_tolerance": (float, 1e-8, None), "tolerance": (
                    float, 1e-6, lambda v: not 0.0 < v < np.inf and "must be positive")},
@@ -242,7 +242,6 @@ class Scenario:
 
     name: str
     seed: int
-    window: tuple
     state: LatticeState
     drive: object
     dispersion: object | None
@@ -312,16 +311,15 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
     if "state_snapshots" in quantities and not snapshot_times:
         _fail("output", "snapshot_times", "must list at least one time")
     orc = cfg["oracle"]
-    boundary = orc["boundary"]
-    if boundary is None:  # the oracle runs a ring lattice as a ring
-        boundary = "ring" if ring else "open"
+    boundary = "ring" if ring else "open"
+    if orc["boundary"] not in (None, boundary):  # the oracle marches the lattice
+        _fail("oracle", "boundary", f"must be {boundary!r}, the [lattice]'s boundary")
     try:
-        oracle_config = OracleConfig(boundary, orc["error_per_time"], orc["leak_tolerance"])
+        oracle_config = OracleConfig(orc["error_per_time"], orc["leak_tolerance"])
     except ValueError as exc:
         _refail("oracle", None, exc)
-    # the oracle runs a ring when either section asks for one
     n_sites = window[1] - window[0] + 1
-    if dispersion and (ring or boundary == "ring") and n_sites < dispersion.order:
+    if dispersion and ring and n_sites < dispersion.order:
         _fail("dispersion", "couplings", f"band order {dispersion.order} "
               f"exceeds the {n_sites}-site ring")
     # built last, so that a fault in any other section is reported first
@@ -336,7 +334,7 @@ def load_scenario(path, seed=None, tolerance=None) -> Scenario:
 
     scenario = Scenario(
         name=path.stem if cfg["scenario"]["name"] is None else cfg["scenario"]["name"],
-        seed=cfg["scenario"]["seed"], window=window, state=state, drive=drive,
+        seed=cfg["scenario"]["seed"], state=state, drive=drive,
         dispersion=dispersion, t_max=t_max,
         samples=cfg["time"]["samples"], quantities=quantities,
         snapshot_times=snapshot_times, oracle_enabled=orc["enabled"],
@@ -685,7 +683,7 @@ def _compare(scenario: Scenario, out_dir) -> dict:
     """The comparison report, written to ``out_dir`` (made only then)."""
     state, times, config = scenario.state, scenario.times, scenario.oracle_config
     closed_states = evolve(state, scenario.drive, times, dispersion=scenario.dispersion)
-    if not (state.ring or config.boundary == "ring"):
+    if not state.ring:
         # the oracle's edge measure on the grid, before it marches the window
         p = np.array([s.probabilities for s in closed_states])
         edge = float(np.max(p[:, :_EDGE_SITES].sum(1) + p[:, -_EDGE_SITES:].sum(1)))

@@ -64,7 +64,7 @@ class TestConfigParsing:
     def test_ini_round_trip(self, tmp_path):
         scenario = load_scenario(write_cfg(tmp_path, BLOCH_CFG))
         assert scenario.name == "bloch"
-        assert scenario.window == (-48, 48)
+        assert scenario.state.window == (-48, 48)
         assert scenario.samples == 32
         assert scenario.drive.f0 == 1.0
 
@@ -79,7 +79,7 @@ class TestConfigParsing:
         }
         path = write_cfg(tmp_path, json.dumps(payload), "scenario.json")
         scenario = load_scenario(path)
-        assert scenario.window == (-48, 48)
+        assert scenario.state.window == (-48, 48)
         assert scenario.drive.g0 == 1.0
 
     @pytest.mark.parametrize("mangle,needle", [
@@ -265,15 +265,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"\[dispersion\] couplings"):
             load_scenario(write_cfg(tmp_path, cfg))
 
-    def test_oracle_ring_shorter_than_band_is_config_error(self, tmp_path):
-        # an open lattice whose oracle runs on a ring still needs M sites
-        cfg = BLOCH_CFG.replace("quantities = observables state_snapshots",
-                                "quantities = state_snapshots")
-        cfg = cfg.replace("window = -48 48", "window = 0 1")
-        cfg += ("\n[dispersion]\ncouplings = 0 0 0 0.3\n"
-                "\n[oracle]\nenabled = true\nboundary = ring\n")
-        with pytest.raises(ConfigError, match=r"\[dispersion\] couplings"):
-            load_scenario(write_cfg(tmp_path, cfg))
+    @pytest.mark.parametrize("lattice,oracle", [
+        ("window = -48 48\nring = true", "boundary = open"),
+        ("window = -48 48", "enabled = true\nboundary = ring"),
+    ], ids=["ring-lattice-open", "open-lattice-ring"])
+    def test_oracle_boundary_must_match_the_lattice(self, tmp_path, lattice,
+                                                    oracle):
+        # the oracle marches the lattice it is given, enabled or not
+        cfg = BLOCH_CFG.replace("window = -48 48", lattice) + f"\n[oracle]\n{oracle}\n"
+        with pytest.raises(ConfigError, match=r"^\[oracle\] boundary: "):
+            run_scenario(write_cfg(tmp_path, cfg), out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_window_past_2_24_sites_fails_before_allocating(self, tmp_path):
         assert not _window_fault([-(1 << 23), (1 << 23) - 1])
